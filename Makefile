@@ -8,13 +8,21 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 chaos chaos-obs chaos-disk chaos-net fmt vet bench bench-state bench-serving bench-certify bench-json fuzz-wire clean
+.PHONY: all tier1 tier2 bench-e2e-smoke chaos chaos-obs chaos-disk chaos-net fmt vet bench bench-state bench-serving bench-certify bench-json fuzz-wire clean
 
 all: tier1
 
 tier1:
 	$(GO) build ./...
 	$(GO) test -shuffle=on ./...
+
+# benchmarks/e2e is a module of its own (BENCHMARK.json's command builds it
+# from the checkout), so `go build ./... && go test ./...` at the root neither
+# compiles nor tests it. This target does (5 s): it is what notices API drift
+# between the root package and the benchmark's sut.go / layers.go.
+bench-e2e-smoke:
+	$(GO) vet -C benchmarks/e2e ./...
+	$(GO) test -C benchmarks/e2e ./...
 
 tier2: fmt vet
 	$(GO) test -race ./...

@@ -349,8 +349,8 @@ func (d *Deployment) AddIndex(mk func() (*AuthIndex, error)) (*AuthIndex, error)
 	if err := d.issuer.Program().RegisterUpdater(ciIdx); err != nil {
 		return nil, err
 	}
-	// Record the factory so StartFleet can equip each replica with its own
-	// copy of the index.
+	// Record the factory so StartFleet can equip the fleet's snapshot with
+	// its own copy of the index.
 	d.indexFactories = append(d.indexFactories, mk)
 	return spIdx, nil
 }

@@ -8,19 +8,21 @@ import (
 )
 
 // The sharded serving plane (internal/query/fleet): a deployment can scale
-// its query side from one SP to N replicas behind a consistent-hash router.
-// Every replica ingests every mined block (the write path is one block per
-// round), while queries split by key affinity — each replica owns a stable
-// ~1/N slice of the key space and serves it from a warm byte-bounded cache
-// with singleflight collapsing. Both serving doors route through the fleet
-// once it is started: the in-process fabric (ServeFleetQueries) and the TCP
-// wire transport (ServeWire's query route).
+// its query side from one SP to N cache shards behind a consistent-hash
+// router. The shards read one sealed SP snapshot, which each mined block
+// advances once — fed the write set the primary SP's validation has just
+// produced, so the serving plane validates a block once — while queries
+// split by key affinity: each shard owns a stable ~1/N slice of the key
+// space and serves it from a warm byte-bounded cache with singleflight
+// collapsing. Both serving doors route through the fleet once it is
+// started: the in-process fabric (ServeFleetQueries) and the TCP wire
+// transport (ServeWire's query route).
 
 // Fleet types (package internal/query/fleet).
 type (
 	// QueryFleet is the sharded serving plane.
 	QueryFleet = fleet.Fleet
-	// QueryReplica is one serving shard.
+	// QueryReplica is one cache shard of the fleet.
 	QueryReplica = fleet.Replica
 	// FleetRouter is the rendezvous-hashing consistent router.
 	FleetRouter = fleet.Router
@@ -28,12 +30,13 @@ type (
 	FleetBusServer = fleet.BusServer
 )
 
-// StartFleet builds an n-replica serving fleet for the deployment. Each
-// replica is an independent full node with its own copy of every index
-// registered via AddIndex, caught up to the current chain tip. Once the
-// fleet exists, every subsequently mined block feeds it, and ServeWire's
-// query route answers through it. Replicas join the deployment's metrics
-// registry if observability is enabled.
+// StartFleet builds an n-shard serving fleet for the deployment: one full
+// node with its own copy of every index registered via AddIndex, caught up
+// to the current chain tip by validating the chain once, and n cache shards
+// ("sp-0" … "sp-<n-1>") reading it. Once the fleet exists, every
+// subsequently mined block feeds it, and ServeWire's query route answers
+// through it. The fleet joins the deployment's metrics registry if
+// observability is enabled.
 //
 // Call StartFleet after registering indexes; added indexes do not propagate
 // to an already-started fleet.
@@ -44,44 +47,42 @@ func (d *Deployment) StartFleet(n int) (*QueryFleet, error) {
 	if d.fleet.Load() != nil {
 		return nil, fmt.Errorf("dcert: fleet already started")
 	}
-	f := fleet.New()
-	store := d.miner.Store()
-	best := store.BestHeight()
+	node, err := d.cfg.newFullNode(d.params)
+	if err != nil {
+		return nil, fmt.Errorf("dcert: fleet node: %w", err)
+	}
+	sp := query.NewServiceProvider(node)
+	for _, mk := range d.indexFactories {
+		ix, err := mk()
+		if err != nil {
+			return nil, fmt.Errorf("dcert: fleet index: %w", err)
+		}
+		if err := sp.AddIndex(ix); err != nil {
+			return nil, fmt.Errorf("dcert: fleet index: %w", err)
+		}
+	}
+	f, err := fleet.New(sp)
+	if err != nil {
+		return nil, fmt.Errorf("dcert: fleet: %w", err)
+	}
 	for i := 0; i < n; i++ {
-		node, err := d.cfg.newFullNode(d.params)
-		if err != nil {
-			return nil, fmt.Errorf("dcert: fleet replica %d: %w", i, err)
-		}
-		sp := query.NewServiceProvider(node)
-		for _, mk := range d.indexFactories {
-			ix, err := mk()
-			if err != nil {
-				return nil, fmt.Errorf("dcert: fleet replica %d index: %w", i, err)
-			}
-			if err := sp.AddIndex(ix); err != nil {
-				return nil, fmt.Errorf("dcert: fleet replica %d index: %w", i, err)
-			}
-		}
-		// Catch the replica up to the tip before it starts serving.
-		for h := uint64(1); h <= best; h++ {
-			blk, err := store.AtHeight(h)
-			if err != nil {
-				return nil, fmt.Errorf("dcert: fleet replica %d catch-up: %w", i, err)
-			}
-			if err := sp.ProcessBlock(blk); err != nil {
-				return nil, fmt.Errorf("dcert: fleet replica %d catch-up height %d: %w", i, h, err)
-			}
-		}
-		rep, err := fleet.NewReplica(fmt.Sprintf("sp-%d", i), sp, query.DefaultCacheBytes)
-		if err != nil {
-			return nil, fmt.Errorf("dcert: fleet replica %d: %w", i, err)
-		}
-		if err := f.Add(rep); err != nil {
+		if _, err := f.Add(fmt.Sprintf("sp-%d", i), query.DefaultCacheBytes); err != nil {
 			return nil, err
 		}
 	}
 	if d.reg != nil {
 		f.Instrument(d.reg)
+	}
+	// Catch the snapshot up to the tip before it starts serving.
+	store := d.miner.Store()
+	for h, best := uint64(1), store.BestHeight(); h <= best; h++ {
+		blk, err := store.AtHeight(h)
+		if err != nil {
+			return nil, fmt.Errorf("dcert: fleet catch-up: %w", err)
+		}
+		if err := f.ProcessBlock(blk); err != nil {
+			return nil, fmt.Errorf("dcert: fleet catch-up: %w", err)
+		}
 	}
 	d.fleet.Store(f)
 	return f, nil
@@ -93,7 +94,7 @@ func (d *Deployment) Fleet() *QueryFleet {
 }
 
 // ServeFleetQueries runs the fleet behind the deployment's fabric query
-// topic with the given per-replica worker count (0 = default). It replaces
+// topic with the given per-shard worker count (0 = default). It replaces
 // the single-SP query server — do not run both on one fabric, or every
 // request is answered twice.
 func (d *Deployment) ServeFleetQueries(workers int) (*FleetBusServer, error) {
@@ -104,14 +105,19 @@ func (d *Deployment) ServeFleetQueries(workers int) (*FleetBusServer, error) {
 	return f.ServeBus(d.net, workers), nil
 }
 
-// feedServing advances the serving plane one block: the primary SP always,
-// plus every fleet replica once a fleet is started.
+// feedServing advances the serving plane one block. The primary SP
+// validates it in full; the fleet's snapshot, once a fleet is started,
+// adopts the write set that validation produced.
 func (d *Deployment) feedServing(blk *Block) error {
-	if err := d.sp.ProcessBlock(blk); err != nil {
+	writes, err := d.sp.ValidateBlock(blk)
+	if err != nil {
+		return err
+	}
+	if err := d.sp.AdoptBlock(blk, writes); err != nil {
 		return err
 	}
 	if f := d.fleet.Load(); f != nil {
-		return f.ProcessBlock(blk)
+		return f.AdoptBlock(blk, writes)
 	}
 	return nil
 }

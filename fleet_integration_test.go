@@ -152,3 +152,66 @@ func TestFleetDeploymentEndToEnd(t *testing.T) {
 		t.Fatal("no replica served any request — queries bypassed the fleet")
 	}
 }
+
+// TestStartFleetReplaysChainOnce pins the serving plane's ingest cost at the
+// deployment level: StartFleet(8) mid-chain validates the chain once, not
+// once per shard, and every block mined afterwards is validated by the
+// primary SP alone — the fleet's snapshot adopts that validation's write
+// set (one apply per index) without a validation of its own.
+func TestStartFleetReplaysChainOnce(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{
+		Workload:   dcert.KVStore,
+		Contracts:  4,
+		Accounts:   8,
+		Difficulty: 2,
+		Seed:       12,
+		KeySpace:   30,
+	})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	reg, _ := dep.EnableObservability(nil)
+	names := []string{"hist", "kw"}
+	if _, err := dep.AddIndex(func() (*dcert.AuthIndex, error) { return dcert.NewHistoricalIndex("hist", "ct/") }); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	if _, err := dep.AddIndex(func() (*dcert.AuthIndex, error) { return dcert.NewKeywordIndex("kw") }); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	mine := func(n int) *dcert.Block {
+		var blk *dcert.Block
+		for i := 0; i < n; i++ {
+			if blk, _, _, err = dep.MineAndCertifyHierarchical(8, names); err != nil {
+				t.Fatalf("MineAndCertifyHierarchical: %v", err)
+			}
+		}
+		return blk
+	}
+	fleetSP := dcert.MetricLabel("sp", "fleet")
+	validated := func() uint64 { return reg.Counter("dcert_sp_blocks_validated_total", "", fleetSP).Value() }
+	applied := func() uint64 { return reg.Counter("dcert_sp_index_applies_total", "", fleetSP).Value() }
+	height := func() int64 { return reg.Gauge("dcert_fleet_snapshot_height", "").Value() }
+
+	mine(4)
+	f, err := dep.StartFleet(8)
+	if err != nil {
+		t.Fatalf("StartFleet: %v", err)
+	}
+	if validated() != 4 || applied() != 8 || height() != 4 {
+		t.Fatalf("catch-up of 4 blocks, 2 indexes, 8 shards: validated %d applied %d height %d; want 4 8 4",
+			validated(), applied(), height())
+	}
+	tip := mine(3)
+	if validated() != 4 || applied() != 14 || height() != 7 {
+		t.Fatalf("after 3 fed blocks: validated %d applied %d height %d; want 4 14 7", validated(), applied(), height())
+	}
+	for _, name := range f.Router().Members() {
+		rep, err := f.Replica(name)
+		if err != nil {
+			t.Fatalf("Replica: %v", err)
+		}
+		if *rep.Tip() != tip.Header {
+			t.Fatalf("shard %s at height %d, want %d", name, rep.Tip().Height, tip.Header.Height)
+		}
+	}
+}

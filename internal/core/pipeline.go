@@ -156,13 +156,7 @@ type pipeItem struct {
 // speculative commit.
 type undoRec struct {
 	blockHash chash.Hash
-	entries   []undoEntry
-}
-
-type undoEntry struct {
-	key     string
-	prior   []byte
-	existed bool
+	undo      *statedb.Undo
 }
 
 // Pipeline is a running pipelined certification engine over one Issuer.
@@ -465,13 +459,9 @@ func (pl *Pipeline) executeSpeculative(specTip *chain.Block, item *pipeItem) err
 
 	// Capture the undo record before mutating anything, then commit the
 	// writes speculatively so the next block executes on this post-state.
-	rec := &undoRec{blockHash: blk.Hash(), entries: make([]undoEntry, 0, len(res.WriteSet))}
-	for k := range res.WriteSet {
-		prior, err := state.Get([]byte(k))
-		if err != nil {
-			return fmt.Errorf("core: undo capture %q: %w", k, err)
-		}
-		rec.entries = append(rec.entries, undoEntry{key: k, prior: prior, existed: prior != nil})
+	rec, err := captureUndo(state, blk.Hash(), res.WriteSet)
+	if err != nil {
+		return err
 	}
 	if _, err := state.Commit(res.WriteSet); err != nil {
 		return fmt.Errorf("core: speculative commit: %w", err)
@@ -787,20 +777,7 @@ func (pl *Pipeline) rollback() {
 		pl.ci.met.logger.Warn("rolling back speculative commits",
 			obs.F("blocks", len(pending)))
 	}
-	state := pl.ci.node.State()
-	for i := len(pending) - 1; i >= 0; i-- {
-		for _, e := range pending[i].entries {
-			if e.existed {
-				if err := state.Set([]byte(e.key), e.prior); err != nil {
-					panic(fmt.Sprintf("core: pipeline rollback %q: %v", e.key, err))
-				}
-			} else {
-				if err := state.Delete([]byte(e.key)); err != nil {
-					panic(fmt.Sprintf("core: pipeline rollback delete %q: %v", e.key, err))
-				}
-			}
-		}
-	}
+	applyUndo(pl.ci.node.State(), pending)
 }
 
 func (pl *Pipeline) abortErr() error {

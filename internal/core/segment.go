@@ -281,30 +281,18 @@ func (ci *Issuer) LatestSegment() *SegmentCert {
 // write, so a failed segment Ecall can restore the replica to its certified
 // state.
 func captureUndo(state *statedb.DB, blockHash chash.Hash, writes map[string][]byte) (*undoRec, error) {
-	rec := &undoRec{blockHash: blockHash, entries: make([]undoEntry, 0, len(writes))}
-	for k := range writes {
-		prior, err := state.Get([]byte(k))
-		if err != nil {
-			return nil, fmt.Errorf("core: undo capture %q: %w", k, err)
-		}
-		rec.entries = append(rec.entries, undoEntry{key: k, prior: prior, existed: prior != nil})
+	undo, err := state.CaptureUndo(writes)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return rec, nil
+	return &undoRec{blockHash: blockHash, undo: undo}, nil
 }
 
 // applyUndo restores speculative commits, newest record first.
 func applyUndo(state *statedb.DB, recs []*undoRec) {
 	for i := len(recs) - 1; i >= 0; i-- {
-		for _, e := range recs[i].entries {
-			if e.existed {
-				if err := state.Set([]byte(e.key), e.prior); err != nil {
-					panic(fmt.Sprintf("core: segment rollback %q: %v", e.key, err))
-				}
-			} else {
-				if err := state.Delete([]byte(e.key)); err != nil {
-					panic(fmt.Sprintf("core: segment rollback delete %q: %v", e.key, err))
-				}
-			}
+		if err := state.Revert(recs[i].undo); err != nil {
+			panic(fmt.Sprintf("core: rollback: %v", err))
 		}
 	}
 }

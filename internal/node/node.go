@@ -200,19 +200,61 @@ func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
 	return res.WriteSet, nil
 }
 
-// ProcessBlock validates b and, if valid, commits its writes and appends it.
+// ProcessBlock validates b and, if valid, adopts it.
 func (n *FullNode) ProcessBlock(b *chain.Block) error {
 	writes, err := n.ValidateBlock(b)
 	if err != nil {
 		return err
 	}
-	if _, err := n.db.Commit(writes); err != nil {
+	return n.AdoptBlock(b, writes, nil)
+}
+
+// AdoptBlock advances the node by a block whose write set is already known:
+// ValidateBlock's result, computed by this node or by another replica of the
+// same chain at the same tip. It takes nothing on trust that a second
+// validation would establish about the state: b must extend the tip, and
+// committing writes must yield exactly b's state root, which binds the
+// write set's effect on the state to the header.
+//
+// Adoption is all-or-nothing. The prior value of every written key is
+// captured first; a failed commit, a root mismatch or a failing apply puts
+// the state back and leaves b unlinked. apply (may be nil) runs once the
+// state is committed and checked, before b becomes the tip — the place for
+// structures that follow the state, such as an SP's indexes.
+func (n *FullNode) AdoptBlock(b *chain.Block, writes map[string][]byte, apply func() error) error {
+	tip := n.store.Best()
+	if b.Header.PrevHash != tip.Hash() || b.Header.Height != tip.Header.Height+1 {
+		return fmt.Errorf("%w: height %d prev %s", ErrNotNextBlock, b.Header.Height, b.Header.PrevHash)
+	}
+	undo, err := n.db.CaptureUndo(writes)
+	if err != nil {
 		return err
 	}
-	if _, err := n.store.Add(b); err != nil {
+	err = n.commitChecked(b, writes, apply)
+	if err != nil {
+		if rerr := n.db.Revert(undo); rerr != nil {
+			return fmt.Errorf("%w (and the state could not be restored: %v)", err, rerr)
+		}
+	}
+	return err
+}
+
+// commitChecked is AdoptBlock's mutating half; the caller reverts on error.
+func (n *FullNode) commitChecked(b *chain.Block, writes map[string][]byte, apply func() error) error {
+	root, err := n.db.Commit(writes)
+	if err != nil {
 		return err
 	}
-	return nil
+	if root != b.Header.StateRoot {
+		return fmt.Errorf("%w: committed %s, header %s", ErrStateMismatch, root, b.Header.StateRoot)
+	}
+	if apply != nil {
+		if err := apply(); err != nil {
+			return err
+		}
+	}
+	_, err = n.store.Add(b)
+	return err
 }
 
 // Miner is a full node that can also propose new blocks.

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"dcert/internal/chain"
 	"dcert/internal/network"
@@ -10,67 +11,79 @@ import (
 	"dcert/internal/query"
 )
 
-// Fleet is the sharded serving plane: N replicas behind a rendezvous
-// router. Every replica ingests every block (full fan-out on the write
-// path, which is one block per round), while the read path — millions of
-// client queries — splits by key affinity so each replica serves a stable
-// slice of the key space from a warm cache.
+// Fleet is the sharded serving plane of one process: a rendezvous router in
+// front of N cache shards, all reading ONE epoch-guarded, sealed SP
+// snapshot. The write path costs one block ingest whatever N is — one
+// validation (or none, when the caller hands over an already validated
+// write set), one state commit, one index apply, one epoch swap that resets
+// every shard's cache — while the read path splits by key affinity so each
+// shard serves a stable slice of the key space from a warm cache.
+//
+// Shards of one process need no state of their own: the SP is untrusted in
+// the first place (clients verify every answer against CI-certified roots),
+// so N byte-identical replicas bought no assurance a single one lacks.
 //
 // Fleet is safe for concurrent use on the read path (Handle/HandleRaw);
-// ProcessBlock and membership changes must be serialized by the caller, as
-// with a single SP.
+// ProcessBlock/AdoptBlock and membership changes must be serialized by the
+// caller, as with a single SP.
 type Fleet struct {
 	router *Router
+	snap   *snapshot
 
 	mu       sync.RWMutex
 	replicas map[string]*Replica
-	order    []string // insertion order, for deterministic iteration
+	reg      *obs.Registry
+	met      fleetObs
 }
 
-// New creates an empty fleet.
-func New() *Fleet {
+// New creates a fleet without shards over sp. The SP must not be used
+// directly afterwards — all access goes through the fleet.
+func New(sp *query.ServiceProvider) (*Fleet, error) {
+	snap, err := newSnapshot(sp)
+	if err != nil {
+		return nil, err
+	}
 	return &Fleet{
 		router:   NewRouter(),
+		snap:     snap,
 		replicas: make(map[string]*Replica),
-	}
+	}, nil
 }
 
-// Add registers a replica with the router.
-func (f *Fleet) Add(r *Replica) error {
+// Add creates a shard with a response cache of cacheBytes and registers it
+// with the router; it serves the snapshot's current height at once.
+func (f *Fleet) Add(name string, cacheBytes int) (*Replica, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if _, ok := f.replicas[r.Name()]; ok {
-		return fmt.Errorf("fleet: replica %q already added", r.Name())
+	if _, ok := f.replicas[name]; ok {
+		return nil, fmt.Errorf("fleet: replica %q already added", name)
 	}
-	f.replicas[r.Name()] = r
-	f.order = append(f.order, r.Name())
-	f.router.Add(r.Name())
-	return nil
+	r := &Replica{name: name, snap: f.snap, cache: query.NewResponseCache(cacheBytes)}
+	if f.reg != nil {
+		r.instrument(f.reg)
+	}
+	f.replicas[name] = r
+	f.router.Add(name)
+	return r, nil
 }
 
-// Remove detaches a replica; its ~1/N of the key space redistributes over
+// Remove detaches a shard; its ~1/N of the key space redistributes over
 // the remaining members.
 func (f *Fleet) Remove(name string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	delete(f.replicas, name)
-	for i, n := range f.order {
-		if n == name {
-			f.order = append(f.order[:i], f.order[i+1:]...)
-			break
-		}
-	}
 	f.router.Remove(name)
 }
 
-// Size reports the replica count.
+// Size reports the shard count.
 func (f *Fleet) Size() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.replicas)
 }
 
-// Replica returns a member by name.
+// Replica returns a shard by name.
 func (f *Fleet) Replica(name string) (*Replica, error) {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -86,24 +99,53 @@ func (f *Fleet) Router() *Router {
 	return f.router
 }
 
-// ProcessBlock feeds the block to every replica, in membership order.
+// ProcessBlock validates the block in full against the snapshot (consensus
+// proof, tx root, every signature, re-execution, state root) and adopts it.
+// The validation runs as one more reader of the sealed snapshot, so queries
+// are held up only for the adoption.
 func (f *Fleet) ProcessBlock(blk *chain.Block) error {
-	f.mu.RLock()
-	names := append([]string(nil), f.order...)
-	f.mu.RUnlock()
-	for _, name := range names {
-		r, err := f.Replica(name)
-		if err != nil {
-			continue // removed mid-iteration
-		}
-		if err := r.ProcessBlock(blk); err != nil {
-			return fmt.Errorf("fleet: replica %q: %w", name, err)
-		}
+	t0 := time.Now()
+	ep := f.snap.acquire()
+	writes, err := ep.sp.ValidateBlock(blk)
+	ep.release()
+	if err != nil {
+		return err
 	}
+	return f.adopt(blk, writes, t0)
+}
+
+// AdoptBlock advances the snapshot by a block another SP of the same chain
+// has just validated, given that validation's write set: linkage check,
+// commit, post-commit root == header state root, index apply, seal — no
+// second signature or execution pass (see query.ServiceProvider.AdoptBlock
+// for why that is enough). A block or write set that fails a check leaves
+// the snapshot, and every shard's cache, exactly as they were.
+func (f *Fleet) AdoptBlock(blk *chain.Block, writes map[string][]byte) error {
+	return f.adopt(blk, writes, time.Now())
+}
+
+func (f *Fleet) adopt(blk *chain.Block, writes map[string][]byte, t0 time.Time) error {
+	drain, err := f.snap.advance(blk, writes, f.resetCaches)
+	f.met.drainSec.ObserveDuration(drain)
+	if err != nil {
+		return fmt.Errorf("fleet: height %d: %w", blk.Header.Height, err)
+	}
+	f.met.height.Set(int64(blk.Header.Height))
+	f.met.ingestSec.ObserveDuration(time.Since(t0))
 	return nil
 }
 
-// route picks the replica owning a request's affinity key.
+// resetCaches flushes every shard's cache: cached responses prove against
+// the pre-block roots, and the new height must never replay a stale proof.
+func (f *Fleet) resetCaches() {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	for _, r := range f.replicas {
+		r.cache.Reset()
+	}
+}
+
+// route picks the shard owning a request's affinity key.
 func (f *Fleet) route(req *query.Request) (*Replica, error) {
 	name, err := f.router.Route(req.AffinityKey())
 	if err != nil {
@@ -112,7 +154,7 @@ func (f *Fleet) route(req *query.Request) (*Replica, error) {
 	return f.Replica(name)
 }
 
-// Handle answers one parsed request on the owning replica.
+// Handle answers one parsed request on the owning shard.
 func (f *Fleet) Handle(req *query.Request) *query.Response {
 	r, err := f.route(req)
 	if err != nil {
@@ -132,12 +174,36 @@ func (f *Fleet) HandleRaw(raw []byte) []byte {
 	return f.Handle(req).Marshal()
 }
 
-// Instrument attaches every replica to a metrics registry.
+// fleetObs bundles the write-path instruments of the one snapshot.
+type fleetObs struct {
+	ingestSec *obs.Histogram
+	drainSec  *obs.Histogram
+	height    *obs.Gauge
+}
+
+// Instrument attaches the fleet to a metrics registry: the snapshot's
+// ingest instruments, its SP's work counters (sp="fleet"), and every shard
+// — those added later included.
 func (f *Fleet) Instrument(reg *obs.Registry) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	for _, name := range f.order {
-		f.replicas[name].Instrument(reg)
+	ep := f.snap.acquire()
+	ep.sp.Instrument(reg, "fleet")
+	height := ep.sp.Node().Tip().Header.Height
+	ep.release()
+
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.reg = reg
+	f.met = fleetObs{
+		ingestSec: reg.Histogram("dcert_fleet_ingest_seconds",
+			"Time to advance the fleet's snapshot one block (validation when the fleet did it, drain, adopt, seal).", nil),
+		drainSec: reg.Histogram("dcert_fleet_epoch_drain_seconds",
+			"Time in-flight readers kept the block writer waiting at an epoch swap.", nil),
+		height: reg.Gauge("dcert_fleet_snapshot_height",
+			"Chain height the fleet's shards serve at."),
+	}
+	f.met.height.Set(int64(height))
+	for _, name := range f.router.Members() { // sorted: a stable exposition order
+		f.replicas[name].instrument(reg)
 	}
 }
 

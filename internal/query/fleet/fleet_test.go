@@ -16,11 +16,14 @@ import (
 	"dcert/internal/workload"
 )
 
-// frig wires a miner and an N-replica fleet over the same genesis.
+// frig wires a miner and an N-shard fleet over the same genesis.
 type frig struct {
 	miner *node.Miner
 	fleet *Fleet
 	gen   *workload.Generator
+	// ref stands in for the deployment's primary SP: it validates every
+	// mined block, which yields the write set AdoptBlock takes.
+	ref *query.ServiceProvider
 }
 
 func mkNode(t *testing.T, contracts int, params consensus.Params) *node.FullNode {
@@ -40,6 +43,20 @@ func mkNode(t *testing.T, contracts int, params consensus.Params) *node.FullNode
 	return n
 }
 
+// newSP builds an SP at genesis with the historical index "hist".
+func newSP(t *testing.T, contracts int, params consensus.Params) *query.ServiceProvider {
+	t.Helper()
+	sp := query.NewServiceProvider(mkNode(t, contracts, params))
+	ix, err := query.NewHistoricalIndex("hist", "ct/")
+	if err != nil {
+		t.Fatalf("NewHistoricalIndex: %v", err)
+	}
+	if err := sp.AddIndex(ix); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	return sp
+}
+
 func newFleetRig(t *testing.T, replicas int) *frig {
 	t.Helper()
 	accounts, err := workload.NewAccounts(5)
@@ -52,21 +69,12 @@ func newFleetRig(t *testing.T, replicas int) *frig {
 	if err != nil {
 		t.Fatalf("NewGenerator: %v", err)
 	}
-	f := New()
+	f, err := New(newSP(t, cfg.Contracts, params))
+	if err != nil {
+		t.Fatalf("fleet.New: %v", err)
+	}
 	for i := 0; i < replicas; i++ {
-		sp := query.NewServiceProvider(mkNode(t, cfg.Contracts, params))
-		ix, err := query.NewHistoricalIndex("hist", "ct/")
-		if err != nil {
-			t.Fatalf("NewHistoricalIndex: %v", err)
-		}
-		if err := sp.AddIndex(ix); err != nil {
-			t.Fatalf("AddIndex: %v", err)
-		}
-		rep, err := NewReplica(fmt.Sprintf("sp-%d", i), sp, 1<<20)
-		if err != nil {
-			t.Fatalf("NewReplica: %v", err)
-		}
-		if err := f.Add(rep); err != nil {
+		if _, err := f.Add(fmt.Sprintf("sp-%d", i), 1<<20); err != nil {
 			t.Fatalf("fleet.Add: %v", err)
 		}
 	}
@@ -74,21 +82,37 @@ func newFleetRig(t *testing.T, replicas int) *frig {
 		miner: node.NewMiner(mkNode(t, cfg.Contracts, params)),
 		fleet: f,
 		gen:   gen,
+		ref:   newSP(t, cfg.Contracts, params),
 	}
 }
 
-// advance mines n blocks and feeds them to every replica.
+// mine proposes one block and runs it through the reference SP, returning
+// the block with its validated write set.
+func (r *frig) mine(t *testing.T, txs int) (*chain.Block, map[string][]byte) {
+	t.Helper()
+	batch, err := r.gen.Block(txs)
+	if err != nil {
+		t.Fatalf("gen.Block: %v", err)
+	}
+	blk, err := r.miner.Propose(batch)
+	if err != nil {
+		t.Fatalf("Propose: %v", err)
+	}
+	writes, err := r.ref.ValidateBlock(blk)
+	if err != nil {
+		t.Fatalf("ref.ValidateBlock: %v", err)
+	}
+	if err := r.ref.AdoptBlock(blk, writes); err != nil {
+		t.Fatalf("ref.AdoptBlock: %v", err)
+	}
+	return blk, writes
+}
+
+// advance mines n blocks and feeds them to the fleet.
 func (r *frig) advance(t *testing.T, n, txs int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		batch, err := r.gen.Block(txs)
-		if err != nil {
-			t.Fatalf("gen.Block: %v", err)
-		}
-		blk, err := r.miner.Propose(batch)
-		if err != nil {
-			t.Fatalf("Propose: %v", err)
-		}
+		blk, _ := r.mine(t, txs)
 		if err := r.fleet.ProcessBlock(blk); err != nil {
 			t.Fatalf("fleet.ProcessBlock: %v", err)
 		}
@@ -307,17 +331,9 @@ func TestFleetQueriesConcurrentWithBlockIngest(t *testing.T) {
 	}
 
 	for i := 0; i < 6; i++ {
-		batch, err := r.gen.Block(10)
-		if err != nil {
-			t.Fatalf("gen.Block: %v", err)
-		}
-		blk, err := r.miner.Propose(batch)
-		if err != nil {
-			t.Fatalf("Propose: %v", err)
-		}
-		// Record the header before ingest: a replica may serve the new
-		// height the instant its ProcessBlock returns, while its siblings
-		// are still applying.
+		blk, _ := r.mine(t, 10)
+		// Record the header before ingest: readers parked on the epoch swap
+		// serve the new height before ProcessBlock returns.
 		hmu.Lock()
 		headers = append(headers, &blk.Header)
 		hmu.Unlock()

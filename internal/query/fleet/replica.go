@@ -3,14 +3,15 @@ package fleet
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 
 	"dcert/internal/chain"
 	"dcert/internal/obs"
 	"dcert/internal/query"
 )
 
-// Replica is one serving shard: a full SP (own state replica and indexes)
-// behind an epoch guard and a byte-bounded singleflight response cache.
+// snapshot is the fleet's one SP (state replica and indexes) behind an
+// epoch guard.
 //
 // The epoch discipline makes reads lock-free against an immutable
 // per-height view: readers acquire the current epoch with an atomic
@@ -21,41 +22,26 @@ import (
 // structure so reads stay pure), and finally opening the new epoch. At any
 // instant every active reader sees one fully-hashed height; a query never
 // observes a half-applied block.
-type Replica struct {
-	name  string
-	cur   atomic.Pointer[epoch]
-	cache *query.ResponseCache
-	met   replicaObs
+type snapshot struct {
+	cur atomic.Pointer[epoch]
 }
 
-// epoch guards one sealed height of the replica's SP.
+// epoch guards one sealed height of the snapshot's SP.
 type epoch struct {
 	sp      *query.ServiceProvider
 	readers atomic.Int64
 	ready   chan struct{} // closed once the height is sealed
 }
 
-// NewReplica wraps a freshly built SP as a serving shard. The SP must not
-// be used directly afterwards — all access goes through the replica.
-func NewReplica(name string, sp *query.ServiceProvider, cacheBytes int) (*Replica, error) {
+func newSnapshot(sp *query.ServiceProvider) (*snapshot, error) {
 	if err := sp.Seal(); err != nil {
 		return nil, err
 	}
 	ep := &epoch{sp: sp, ready: make(chan struct{})}
 	close(ep.ready)
-	r := &Replica{name: name, cache: query.NewResponseCache(cacheBytes)}
-	r.cur.Store(ep)
-	return r, nil
-}
-
-// Name returns the replica's router identity.
-func (r *Replica) Name() string {
-	return r.name
-}
-
-// Cache exposes the replica's response cache.
-func (r *Replica) Cache() *query.ResponseCache {
-	return r.cache
+	s := &snapshot{}
+	s.cur.Store(ep)
+	return s, nil
 }
 
 // acquire pins the current epoch for reading, waiting out an in-progress
@@ -63,11 +49,11 @@ func (r *Replica) Cache() *query.ResponseCache {
 // concurrent writer swap: if the epoch pointer moved between load and
 // increment, the refcount touched a retired epoch (harmless) and the reader
 // retries on the fresh one.
-func (r *Replica) acquire() *epoch {
+func (s *snapshot) acquire() *epoch {
 	for {
-		ep := r.cur.Load()
+		ep := s.cur.Load()
 		ep.readers.Add(1)
-		if r.cur.Load() == ep {
+		if s.cur.Load() == ep {
 			<-ep.ready
 			return ep
 		}
@@ -75,36 +61,64 @@ func (r *Replica) acquire() *epoch {
 	}
 }
 
-// ProcessBlock advances the replica one height. Callers must serialize
-// ProcessBlock (one block pipeline per deployment); queries may run
-// concurrently throughout.
-func (r *Replica) ProcessBlock(blk *chain.Block) error {
-	old := r.cur.Load()
+func (ep *epoch) release() {
+	ep.readers.Add(-1)
+}
+
+// advance adopts one block under exclusion: swap epochs, drain the old
+// one's readers, adopt, re-seal, call swapped (the moment responses computed
+// before the swap stop being current), open the new epoch. A failed adoption
+// leaves the SP as it was, so the new epoch then serves the last good
+// height and swapped is not called. It reports how long the readers kept
+// the writer waiting. Callers serialize advance.
+func (s *snapshot) advance(blk *chain.Block, writes map[string][]byte, swapped func()) (drain time.Duration, err error) {
+	old := s.cur.Load()
 	next := &epoch{sp: old.sp, ready: make(chan struct{})}
-	r.cur.Store(next)
-	// Drain readers still inside the old epoch before mutating under them.
+	s.cur.Store(next)
+	defer close(next.ready)
+	t0 := time.Now()
 	for old.readers.Load() > 0 {
 		runtime.Gosched()
 	}
-	err := old.sp.ProcessBlock(blk)
-	if err == nil {
-		err = old.sp.Seal()
-		// Cached responses prove against the pre-block roots; flush them so
-		// the new height never replays a stale proof.
-		r.cache.Reset()
+	drain = time.Since(t0)
+	if err = old.sp.AdoptBlock(blk, writes); err != nil {
+		return drain, err
 	}
-	close(next.ready) // even on error: serve the last good height
-	return err
+	err = old.sp.Seal()
+	swapped()
+	return drain, err
 }
 
-// Execute answers one request against the replica's current sealed height,
+// Replica is one serving shard of the fleet: a router identity, a
+// byte-bounded singleflight response cache for the slice of the key space
+// the router assigns to it, and its serving instruments. It holds no state
+// of its own — every shard reads the fleet's one sealed snapshot — so
+// adding or removing one costs a cache, not a chain replay.
+type Replica struct {
+	name  string
+	snap  *snapshot
+	cache *query.ResponseCache
+	met   replicaObs
+}
+
+// Name returns the shard's router identity.
+func (r *Replica) Name() string {
+	return r.name
+}
+
+// Cache exposes the shard's response cache.
+func (r *Replica) Cache() *query.ResponseCache {
+	return r.cache
+}
+
+// Execute answers one request against the snapshot's current sealed height,
 // collapsing concurrent identical questions (by semantic key, ignoring the
 // per-attempt request ID) onto one computation.
 func (r *Replica) Execute(req *query.Request) *query.Response {
 	r.met.served.Inc()
 	raw, _ := r.cache.Do(req.SemanticKey(), func() []byte {
-		ep := r.acquire()
-		defer ep.readers.Add(-1)
+		ep := r.snap.acquire()
+		defer ep.release()
 		canon := *req
 		canon.ID = 0
 		return query.Execute(ep.sp, &canon).Marshal()
@@ -118,23 +132,23 @@ func (r *Replica) Execute(req *query.Request) *query.Response {
 	return resp
 }
 
-// Tip returns the replica's current chain tip header, pinned to a sealed
+// Tip returns the chain tip header this shard serves at, pinned to a sealed
 // epoch.
 func (r *Replica) Tip() *chain.Header {
-	ep := r.acquire()
-	defer ep.readers.Add(-1)
+	ep := r.snap.acquire()
+	defer ep.release()
 	hdr := ep.sp.Node().Tip().Header
 	return &hdr
 }
 
-// replicaObs bundles per-replica serving instruments.
+// replicaObs bundles per-shard serving instruments.
 type replicaObs struct {
 	served     *obs.Counter
 	queueDepth *obs.Gauge
 }
 
-// Instrument attaches the replica (and its cache) to a metrics registry.
-func (r *Replica) Instrument(reg *obs.Registry) {
+// instrument attaches the shard (and its cache) to a metrics registry.
+func (r *Replica) instrument(reg *obs.Registry) {
 	r.met = replicaObs{
 		served: reg.Counter("dcert_fleet_requests_total",
 			"Requests served by this replica.", obs.L("replica", r.name)),

@@ -1,8 +1,8 @@
-// Package fleet shards one SP's serving duty across N replicas: a
-// consistent-hash router pins each query key to a replica (warm caches,
-// stable load split), every replica ingests every block behind an RCU-style
-// snapshot so reads never block on writes, and a shared front door routes
-// both fabric (topic) and wire (RPC) traffic.
+// Package fleet shards one SP's serving duty across N cache shards: a
+// consistent-hash router pins each query key to a shard (warm caches,
+// stable load split), all shards read one SP behind an RCU-style snapshot
+// that each block advances once, so reads never block on writes, and a
+// shared front door routes both fabric (topic) and wire (RPC) traffic.
 package fleet
 
 import (

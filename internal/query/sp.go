@@ -19,6 +19,7 @@ import (
 type ServiceProvider struct {
 	node    *node.FullNode
 	indexes map[string]*TwoLevel
+	met     spObs
 }
 
 // NewServiceProvider wraps a full node.
@@ -51,25 +52,45 @@ func (sp *ServiceProvider) Index(name string) (*TwoLevel, error) {
 	return ix, nil
 }
 
-// ProcessBlock validates the block as a full node, advances the state
-// replica, and applies the block to every index.
+// ProcessBlock validates the block as a full node, then adopts it.
 func (sp *ServiceProvider) ProcessBlock(blk *chain.Block) error {
-	writes, err := sp.node.ValidateBlock(blk)
+	writes, err := sp.ValidateBlock(blk)
 	if err != nil {
 		return err
 	}
-	if _, err := sp.node.State().Commit(writes); err != nil {
-		return err
-	}
-	if _, err := sp.node.Store().Add(blk); err != nil {
-		return err
-	}
-	for _, ix := range sp.indexes {
-		if err := ix.Apply(blk, writes); err != nil {
-			return fmt.Errorf("query: apply to %q: %w", ix.Name(), err)
+	return sp.AdoptBlock(blk, writes)
+}
+
+// ValidateBlock runs the full-node checks against the SP's tip without
+// mutating anything and returns the block's write set.
+func (sp *ServiceProvider) ValidateBlock(blk *chain.Block) (map[string][]byte, error) {
+	sp.met.validated.Inc()
+	return sp.node.ValidateBlock(blk)
+}
+
+// AdoptBlock advances the state replica and every index by a block whose
+// write set a full validation has already produced — this SP's own
+// ValidateBlock, or that of another SP of the same chain at the same tip.
+// The node re-checks linkage and that the committed writes reproduce the
+// header's state root (see node.FullNode.AdoptBlock); a block or write set
+// that fails either check leaves the SP exactly as it was.
+//
+// The indexes are applied after those checks and before the block becomes
+// the tip. Apply has no failure left that depends on the input (its errors
+// are those of partial, witness-backed trees, which an SP does not hold),
+// and it is idempotent per block, so should it ever fail, the state is put
+// back, the tip stays, and adopting the same block again completes the
+// entries a first attempt left behind.
+func (sp *ServiceProvider) AdoptBlock(blk *chain.Block, writes map[string][]byte) error {
+	return sp.node.AdoptBlock(blk, writes, func() error {
+		for _, ix := range sp.indexes {
+			if err := ix.Apply(blk, writes); err != nil {
+				return fmt.Errorf("query: apply to %q: %w", ix.Name(), err)
+			}
+			sp.met.indexApplies.Inc()
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Seal pre-hashes every lazily-hashed structure the SP serves from — the

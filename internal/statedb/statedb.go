@@ -288,6 +288,50 @@ func (db *DB) Commit(writes map[string][]byte) (chash.Hash, error) {
 	return db.Root()
 }
 
+// Undo holds what one write set is about to overwrite: the prior value of
+// every key it touches (nil = absent), captured before the commit.
+type Undo struct {
+	entries []undoEntry
+}
+
+type undoEntry struct {
+	key   string
+	prior []byte
+}
+
+// CaptureUndo records the current value of every key in writes, so that a
+// commit of the write set — speculative, or of a write set still to be
+// checked against a header — can be taken back with Revert.
+func (db *DB) CaptureUndo(writes map[string][]byte) (*Undo, error) {
+	u := &Undo{entries: make([]undoEntry, 0, len(writes))}
+	for k := range writes {
+		prior, err := db.Get([]byte(k))
+		if err != nil {
+			return nil, fmt.Errorf("statedb: undo capture %q: %w", k, err)
+		}
+		u.entries = append(u.entries, undoEntry{key: k, prior: prior})
+	}
+	return u, nil
+}
+
+// Revert restores every captured key to its prior value, deleting the keys
+// that did not exist. It also repairs a Commit that failed part-way: keys
+// the commit never reached are rewritten with the value they still hold.
+func (db *DB) Revert(u *Undo) error {
+	for _, e := range u.entries {
+		var err error
+		if e.prior != nil {
+			err = db.Set([]byte(e.key), e.prior)
+		} else {
+			err = db.Delete([]byte(e.key))
+		}
+		if err != nil {
+			return fmt.Errorf("statedb: revert %q: %w", e.key, err)
+		}
+	}
+	return nil
+}
+
 // Delete removes a key from the state. It exists for speculative-execution
 // rollback: a pipelined issuer commits write sets ahead of certification and
 // must be able to restore keys that did not exist before (deleting an absent

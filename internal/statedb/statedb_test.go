@@ -336,3 +336,48 @@ func TestSetGetDirect(t *testing.T) {
 		t.Fatal("populated DB root must not be zero")
 	}
 }
+
+// Revert takes back a commit — a complete one, and one that stopped at a
+// value the backend refuses — on both commitment structures.
+func TestCaptureUndoRevertRestoresRoot(t *testing.T) {
+	for _, kind := range []BackendKind{BackendMPT, BackendSMT} {
+		db, err := NewWithBackend(kind)
+		if err != nil {
+			t.Fatalf("NewWithBackend: %v", err)
+		}
+		for _, k := range []string{"a", "b", "c"} {
+			if err := db.Set([]byte(k), []byte("old-"+k)); err != nil {
+				t.Fatalf("Set: %v", err)
+			}
+		}
+		before, err := db.Root()
+		if err != nil {
+			t.Fatalf("Root: %v", err)
+		}
+		for name, writes := range map[string]map[string][]byte{
+			"complete": {"a": []byte("new"), "fresh": []byte("v")},
+			"partial":  {"a": []byte("new"), "b": nil, "fresh": []byte("v")},
+		} {
+			undo, err := db.CaptureUndo(writes)
+			if err != nil {
+				t.Fatalf("CaptureUndo: %v", err)
+			}
+			if _, err := db.Commit(writes); (err != nil) != (name == "partial") {
+				t.Fatalf("%s/%s: Commit: %v", kind, name, err)
+			}
+			if err := db.Revert(undo); err != nil {
+				t.Fatalf("Revert: %v", err)
+			}
+			after, err := db.Root()
+			if err != nil {
+				t.Fatalf("Root: %v", err)
+			}
+			if after != before {
+				t.Fatalf("%s/%s: root differs after revert", kind, name)
+			}
+			if v, err := db.Get([]byte("fresh")); err != nil || v != nil {
+				t.Fatalf("%s/%s: key absent before the commit is back as %q (%v)", kind, name, v, err)
+			}
+		}
+	}
+}
