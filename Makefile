@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: all tier1 tier2 bench-e2e-smoke chaos chaos-obs chaos-disk chaos-net fmt vet bench bench-state bench-serving bench-certify bench-json fuzz-wire clean
+.PHONY: all tier1 tier2 bench-e2e-smoke bench-mine-path chaos chaos-obs chaos-disk chaos-net fmt vet bench bench-state bench-serving bench-certify bench-json fuzz-wire clean
 
 all: tier1
 
@@ -23,6 +23,15 @@ tier1:
 bench-e2e-smoke:
 	$(GO) vet -C benchmarks/e2e ./...
 	$(GO) test -C benchmarks/e2e ./...
+
+# The serial mining path of the benchmark's cert_stream server, in one
+# process: ms per block spent in gen / propose / journal / submit / serve,
+# signature verifications per transaction (a count) and live heap per block.
+# The number to size an ingest change with before paying for ten two-process
+# pairs. CI runs it for one block (MINE_PATH_BLOCKS=1x) so it cannot rot.
+MINE_PATH_BLOCKS ?= 400x
+bench-mine-path:
+	$(GO) test -run='^$$' -bench='^BenchmarkMinePath$$' -benchtime=$(MINE_PATH_BLOCKS) .
 
 tier2: fmt vet
 	$(GO) test -race ./...

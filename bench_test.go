@@ -11,9 +11,12 @@ package dcert_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"dcert"
+	"dcert/internal/chain"
 	"dcert/internal/workload"
 )
 
@@ -275,4 +278,85 @@ func BenchmarkHeadlineStorage(b *testing.B) {
 			b.Fatal("zero storage")
 		}
 	}
+}
+
+// BenchmarkMinePath sizes the serial mining path of the end-to-end
+// benchmark's cert_stream workload without the two-process harness: the
+// benchmark server's configuration (benchmarks/e2e/sut.go openServer: durable
+// storage with a 50 ms fsync interval, SGX cost model, one pipelined issuer
+// with 2 workers, a 2-replica fleet, 25-tx KVStore blocks) in one process.
+// One iteration mines one block. It reports where the serial call spends its
+// time — gen, propose, journal, submit, serve, in ms per block — and two
+// counts that repeat exactly where the timings do not: signature
+// verifications per transaction over the whole path (pipeline and enclave
+// included), and the live heap each block leaves behind.
+//
+//	make bench-mine-path                      # 400 blocks
+//	make bench-mine-path MINE_PATH_BLOCKS=1x  # CI smoke
+func BenchmarkMinePath(b *testing.B) {
+	const txsPerBlock = 25
+	dep, err := dcert.OpenDeployment(dcert.Config{
+		Workload:    dcert.KVStore,
+		Contracts:   20,
+		Accounts:    16,
+		EnclaveCost: dcert.DefaultEnclaveCostModel(),
+		Seed:        1,
+		KeySpace:    1000,
+		Storage:     &dcert.StorageConfig{Dir: b.TempDir(), FsyncInterval: 50 * time.Millisecond},
+	})
+	if err != nil {
+		b.Fatalf("OpenDeployment: %v", err)
+	}
+	defer dep.Close()
+	plane, err := dep.StartCertPlane(1)
+	if err != nil {
+		b.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	if _, err := dep.StartFleet(2); err != nil {
+		b.Fatalf("StartFleet: %v", err)
+	}
+	if err := plane.StartPipelines(dcert.PipelineConfig{Workers: 2}); err != nil {
+		b.Fatalf("StartPipelines: %v", err)
+	}
+	// The benchmark's set-up chain: 4 blocks before anything is measured.
+	for i := 0; i < 4; i++ {
+		if _, err := plane.MineAndBroadcastPipelined(txsPerBlock); err != nil {
+			b.Fatalf("set-up block: %v", err)
+		}
+	}
+
+	steps := map[string]time.Duration{}
+	var last time.Time
+	lap := func(step string) {
+		now := time.Now()
+		steps[step] += now.Sub(last)
+		last = now
+	}
+	var mem runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	heapBefore := mem.HeapAlloc
+	sigsBefore := chain.SigVerifications()
+
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		last = time.Now()
+		if err := plane.MineAndBroadcastPipelinedLaps(txsPerBlock, lap); err != nil {
+			b.Fatalf("block %d: %v", i, err)
+		}
+	}
+	b.StopTimer()
+	if err := plane.DrainPipelines(); err != nil {
+		b.Fatalf("DrainPipelines: %v", err)
+	}
+
+	blocks := float64(b.N)
+	for _, step := range []string{"gen", "propose", "journal", "submit", "serve"} {
+		b.ReportMetric(float64(steps[step])/float64(time.Millisecond)/blocks, step+"-ms/block")
+	}
+	b.ReportMetric(float64(chain.SigVerifications()-sigsBefore)/(blocks*txsPerBlock), "sigverifies/tx")
+	runtime.GC()
+	runtime.ReadMemStats(&mem)
+	b.ReportMetric((float64(mem.HeapAlloc)-float64(heapBefore))/1024/blocks, "live-KiB/block")
 }

@@ -156,7 +156,7 @@ func (p *CertPlane) MineAndBroadcast(n int) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk, err := p.d.miner.Propose(txs)
+	blk, writes, err := p.d.miner.ProposeWithWrites(txs)
 	if err != nil {
 		return nil, fmt.Errorf("dcert: propose: %w", err)
 	}
@@ -188,7 +188,7 @@ func (p *CertPlane) MineAndBroadcast(n int) (*Block, error) {
 	// issuers re-certify the same height; one durable copy suffices). With
 	// zero live issuers the block persists uncertified — recovery drops it
 	// unless a certificate lands before the crash.
-	if err := p.d.persistBlock(blk, firstCert); err != nil {
+	if err := p.d.persistBlock(blk, firstCert, writes); err != nil {
 		return nil, err
 	}
 	return blk, nil
@@ -283,7 +283,7 @@ func (p *CertPlane) MineAndBroadcastPipelined(n int) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	blk, err := p.d.miner.Propose(txs)
+	blk, writes, err := p.d.miner.ProposeWithWrites(txs)
 	if err != nil {
 		return nil, fmt.Errorf("dcert: propose: %w", err)
 	}
@@ -294,7 +294,7 @@ func (p *CertPlane) MineAndBroadcastPipelined(n int) (*Block, error) {
 	}
 	// Journal the block before any pipeline can land its certificate: the
 	// engine refuses certificates for blocks it has never seen.
-	if err := p.d.persistBlock(blk, nil); err != nil {
+	if err := p.d.persistBlock(blk, nil, writes); err != nil {
 		return nil, err
 	}
 	for _, s := range p.slots {

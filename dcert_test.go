@@ -4,10 +4,9 @@ import (
 	"testing"
 )
 
-// newTestDeployment builds a small, fast deployment.
-func newTestDeployment(t *testing.T, w Workload) *Deployment {
-	t.Helper()
-	dep, err := NewDeployment(Config{
+// testConfig sizes a small, fast deployment.
+func testConfig(w Workload) Config {
+	return Config{
 		Workload:    w,
 		Contracts:   4,
 		Accounts:    8,
@@ -16,7 +15,13 @@ func newTestDeployment(t *testing.T, w Workload) *Deployment {
 		KeySpace:    30,
 		CPUSortSize: 32,
 		IOOpsPerTx:  3,
-	})
+	}
+}
+
+// newTestDeployment builds a small, fast deployment.
+func newTestDeployment(t *testing.T, w Workload) *Deployment {
+	t.Helper()
+	dep, err := NewDeployment(testConfig(w))
 	if err != nil {
 		t.Fatalf("NewDeployment: %v", err)
 	}

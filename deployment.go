@@ -92,7 +92,8 @@ type Deployment struct {
 	logger *obs.Logger
 
 	// Durability plane, nil unless Config.Storage is set: the crash-safe
-	// engine plus the validating persistence replica that feeds it.
+	// engine plus the persistence replica that stands at the journal's height
+	// and adopts each block's write set into it (persistBlock).
 	engine  *storage.Engine
 	persist *node.FullNode
 }
@@ -266,7 +267,7 @@ func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	blk, err := d.miner.Propose(txs)
+	blk, writes, err := d.miner.ProposeWithWrites(txs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dcert: propose: %w", err)
 	}
@@ -283,7 +284,7 @@ func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 	if err := d.net.Publish(TopicCerts, "ci", cert); err != nil {
 		return nil, nil, err
 	}
-	if err := d.persistBlock(blk, cert); err != nil {
+	if err := d.persistBlock(blk, cert, writes); err != nil {
 		return nil, nil, err
 	}
 	return blk, cert, nil
@@ -299,29 +300,31 @@ func (d *Deployment) MineAndCertifySegment(blocks, n int) ([]*Block, *SegmentCer
 		return nil, nil, fmt.Errorf("dcert: segment needs at least 1 block, got %d", blocks)
 	}
 	blks := make([]*Block, 0, blocks)
+	writeSets := make([]map[string][]byte, 0, blocks)
 	for i := 0; i < blocks; i++ {
 		txs, err := d.gen.Block(n)
 		if err != nil {
 			return nil, nil, err
 		}
-		blk, err := d.miner.Propose(txs)
+		blk, writes, err := d.miner.ProposeWithWrites(txs)
 		if err != nil {
 			return nil, nil, fmt.Errorf("dcert: propose: %w", err)
 		}
 		blks = append(blks, blk)
+		writeSets = append(writeSets, writes)
 	}
 	seg, _, err := d.issuer.ProcessSegment(blks)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dcert: certify segment: %w", err)
 	}
-	for _, blk := range blks {
+	for i, blk := range blks {
 		if err := d.feedServing(blk); err != nil {
 			return nil, nil, fmt.Errorf("dcert: SP: %w", err)
 		}
 		if err := d.net.Publish(TopicBlocks, "miner", blk); err != nil {
 			return nil, nil, err
 		}
-		if err := d.persistBlock(blk, seg.Cert); err != nil {
+		if err := d.persistBlock(blk, seg.Cert, writeSets[i]); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -364,7 +367,7 @@ func (d *Deployment) MineAndCertifyHierarchical(n int, indexNames []string) (*Bl
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	blk, err := d.miner.Propose(txs)
+	blk, writes, err := d.miner.ProposeWithWrites(txs)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("dcert: propose: %w", err)
 	}
@@ -379,7 +382,7 @@ func (d *Deployment) MineAndCertifyHierarchical(n int, indexNames []string) (*Bl
 	if err := d.feedServing(blk); err != nil {
 		return nil, nil, nil, fmt.Errorf("dcert: SP: %w", err)
 	}
-	if err := d.persistBlock(blk, blkCert); err != nil {
+	if err := d.persistBlock(blk, blkCert, writes); err != nil {
 		return nil, nil, nil, err
 	}
 	return blk, blkCert, idxCerts, nil

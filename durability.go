@@ -217,31 +217,23 @@ func (d *Deployment) Close() error {
 
 // persistBlock journals a freshly mined block — and its certificate, when
 // one was already issued — through the durability engine, advancing the
-// validating persistence replica. A no-op for in-memory deployments and
-// for heights the engine already holds (redundant issuers re-announce the
-// same height).
-func (d *Deployment) persistBlock(blk *Block, cert *Certificate) error {
+// adopting persistence replica by the write set the miner committed for it.
+// The replica executes nothing: AdoptBlock checks that blk extends the
+// replica's tip and that committing writes yields exactly the header's state
+// root, then journals inside the adoption, so a refused write set or a failed
+// append leaves replica and journal where they were, at the same height. A
+// no-op for in-memory deployments.
+func (d *Deployment) persistBlock(blk *Block, cert *Certificate, writes map[string][]byte) error {
 	if d.engine == nil {
 		return nil
 	}
-	if blk.Header.Height <= d.persist.Tip().Header.Height {
-		return nil
-	}
-	res, err := d.persist.State().ExecuteBlock(d.persist.Registry(), blk.Txs)
+	err := d.persist.AdoptBlock(blk, writes, func() error {
+		return d.engine.ApplyBlock(blk, cert, writes)
+	})
 	if err != nil {
-		return fmt.Errorf("dcert: persist execute height %d: %w", blk.Header.Height, err)
-	}
-	root, err := d.persist.State().Commit(res.WriteSet)
-	if err != nil {
-		return fmt.Errorf("dcert: persist commit height %d: %w", blk.Header.Height, err)
-	}
-	if root != blk.Header.StateRoot {
-		return fmt.Errorf("dcert: persist height %d: replica root diverges from header", blk.Header.Height)
-	}
-	if _, err := d.persist.Store().Add(blk); err != nil {
 		return fmt.Errorf("dcert: persist height %d: %w", blk.Header.Height, err)
 	}
-	return d.engine.ApplyBlock(blk, cert, res.WriteSet)
+	return nil
 }
 
 // persistCert journals a certificate that arrived after its block was

@@ -11,6 +11,7 @@ package chain
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dcert/internal/chash"
 	"dcert/internal/mht"
@@ -192,9 +193,21 @@ func (tx *Transaction) Sign(sk *chash.PrivateKey) error {
 	return nil
 }
 
+// sigVerifications counts Transaction.Verify calls process-wide.
+var sigVerifications atomic.Uint64
+
+// SigVerifications reports how many times Transaction.Verify has run in this
+// process. Tests and benchmarks read it before and after a step to count the
+// signature passes the step costs (a count repeats exactly; a timing does
+// not).
+func SigVerifications() uint64 {
+	return sigVerifications.Load()
+}
+
 // Verify checks the sender address binding and the signature. This is the
 // verify(tx) step of Alg. 2 line 19.
 func (tx *Transaction) Verify() error {
+	sigVerifications.Add(1)
 	pk, err := chash.ParsePublicKey(tx.PubKey)
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadTx, err)

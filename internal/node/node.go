@@ -273,22 +273,31 @@ func NewMiner(n *FullNode) *Miner {
 // Propose executes the transactions, seals a block extending the current
 // tip, commits it locally, and returns it for broadcast.
 func (m *Miner) Propose(txs []*chain.Transaction) (*chain.Block, error) {
+	blk, _, err := m.ProposeWithWrites(txs)
+	return blk, err
+}
+
+// ProposeWithWrites is Propose that also hands out the write set the miner
+// has just committed, so a replica of the same chain at the same tip can
+// AdoptBlock it instead of executing the block again. Every signature is
+// checked exactly once, before anything executes or commits.
+func (m *Miner) ProposeWithWrites(txs []*chain.Transaction) (*chain.Block, map[string][]byte, error) {
 	for i, tx := range txs {
 		if err := tx.Verify(); err != nil {
-			return nil, fmt.Errorf("node: propose tx %d: %w", i, err)
+			return nil, nil, fmt.Errorf("node: propose tx %d: %w", i, err)
 		}
 	}
-	res, err := m.db.ExecuteBlock(m.reg, txs)
+	res, err := m.db.ExecuteBlockPreverified(m.reg, txs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	newRoot, err := m.db.Commit(res.WriteSet)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	txRoot, err := chain.ComputeTxRoot(txs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	tip := m.store.Best()
 	m.clock++
@@ -303,10 +312,10 @@ func (m *Miner) Propose(txs []*chain.Transaction) (*chain.Block, error) {
 		Txs: txs,
 	}
 	if err := consensus.Seal(m.params, &blk.Header); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := m.store.Add(blk); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return blk, nil
+	return blk, res.WriteSet, nil
 }

@@ -2,9 +2,12 @@ package node
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"dcert/internal/chain"
+	"dcert/internal/chash"
 	"dcert/internal/consensus"
 	"dcert/internal/statedb"
 	"dcert/internal/vm"
@@ -175,15 +178,87 @@ func TestFullNodeRejectsNonExtendingBlock(t *testing.T) {
 	}
 }
 
+// minerPosition is what a refused proposal must leave untouched.
+func minerPosition(t *testing.T, m *Miner) (tip, root chash.Hash) {
+	t.Helper()
+	root, err := m.State().Root()
+	if err != nil {
+		t.Fatalf("miner Root: %v", err)
+	}
+	return m.Tip().Hash(), root
+}
+
 func TestMinerRejectsInvalidTx(t *testing.T) {
 	tc := newTestChain(t, workload.KVStore)
-	txs, err := tc.gen.Block(3)
+	tc.mine(t, 4)
+	txs, err := tc.gen.Block(5)
 	if err != nil {
 		t.Fatalf("gen.Block: %v", err)
 	}
-	txs[1].Signature[4] ^= 0xff
-	if _, err := tc.miner.Propose(txs); err == nil {
-		t.Fatal("miner must reject invalid transactions")
+	const bad = 3
+	txs[bad].Signature[4] ^= 0xff
+	tip, root := minerPosition(t, tc.miner)
+	_, _, err = tc.miner.ProposeWithWrites(txs)
+	if !errors.Is(err, chain.ErrBadTx) {
+		t.Fatalf("bad signature: got %v, want an error wrapping chain.ErrBadTx", err)
+	}
+	if want := fmt.Sprintf("tx %d", bad); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %q", err, want)
+	}
+	if gotTip, gotRoot := minerPosition(t, tc.miner); gotTip != tip || gotRoot != root {
+		t.Fatal("a refused proposal moved the miner's tip or state")
+	}
+}
+
+// TestProposeVerifiesEachSignatureOnce counts signature passes instead of
+// timing them: a proposal of N transactions costs exactly N verifications,
+// and the write set it hands out is the one a replica at the same tip can
+// adopt without executing anything.
+func TestProposeVerifiesEachSignatureOnce(t *testing.T) {
+	tc := newTestChain(t, workload.KVStore)
+	const n = 12
+	txs, err := tc.gen.Block(n)
+	if err != nil {
+		t.Fatalf("gen.Block: %v", err)
+	}
+	before := chain.SigVerifications()
+	blk, writes, err := tc.miner.ProposeWithWrites(txs)
+	if err != nil {
+		t.Fatalf("ProposeWithWrites: %v", err)
+	}
+	if got := chain.SigVerifications() - before; got != n {
+		t.Fatalf("proposing %d txs verified %d signatures, want exactly %d", n, got, n)
+	}
+	before = chain.SigVerifications()
+	if err := tc.full.AdoptBlock(blk, writes, nil); err != nil {
+		t.Fatalf("replica refuses the miner's own write set: %v", err)
+	}
+	if got := chain.SigVerifications() - before; got != 0 {
+		t.Fatalf("adopting verified %d signatures, want 0", got)
+	}
+	if _, mr := minerPosition(t, tc.miner); mr != blk.Header.StateRoot {
+		t.Fatal("miner state is not at the proposed header's root")
+	}
+}
+
+// TestProposeRejectsReplayedNonce pins that hoisting the signature check out
+// of execution did not take replay protection with it: a block of validly
+// signed transactions whose nonces were already consumed is refused.
+func TestProposeRejectsReplayedNonce(t *testing.T) {
+	tc := newTestChain(t, workload.KVStore)
+	txs, err := tc.gen.Block(6)
+	if err != nil {
+		t.Fatalf("gen.Block: %v", err)
+	}
+	if _, err := tc.miner.Propose(txs); err != nil {
+		t.Fatalf("Propose: %v", err)
+	}
+	tip, root := minerPosition(t, tc.miner)
+	if _, err := tc.miner.Propose(txs); !errors.Is(err, statedb.ErrTxInvalid) {
+		t.Fatalf("replayed block: got %v, want statedb.ErrTxInvalid", err)
+	}
+	if gotTip, gotRoot := minerPosition(t, tc.miner); gotTip != tip || gotRoot != root {
+		t.Fatal("a refused replay moved the miner's tip or state")
 	}
 }
 

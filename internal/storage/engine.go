@@ -46,7 +46,8 @@ type Engine struct {
 	snapshotEvery uint64
 
 	// Materialized view of the persisted chain.
-	blocks  []*chain.Block // height-indexed, blocks[0] = genesis
+	blocks  []*chain.Block        // height-indexed, blocks[0] = genesis
+	heights map[chash.Hash]uint64 // block hash → height, for every block in blocks
 	certs   map[chash.Hash]*core.Certificate
 	tipCert *core.IssuerCheckpoint
 
@@ -144,6 +145,7 @@ func OpenEngine(dir string, opts Options) (*Engine, error) {
 		fs:            opts.FS,
 		dir:           dir,
 		snapshotEvery: opts.SnapshotEvery,
+		heights:       make(map[chash.Hash]uint64),
 		certs:         make(map[chash.Hash]*core.Certificate),
 		mirror:        make(map[string][]byte),
 	}
@@ -173,7 +175,7 @@ type chainRecord struct {
 	tag     byte
 	height  uint64 // block records
 	block   *chain.Block
-	hash    chash.Hash // cert records: the certified block hash
+	hash    chash.Hash // the block's hash (cert records: the certified block's)
 	cert    *core.Certificate
 	seg     int
 	end     int64
@@ -212,8 +214,8 @@ func (e *Engine) recover() error {
 				anomaly = true
 				return nil
 			}
-			r.block, r.height, r.decoded = blk, blk.Header.Height, true
-			byHash[blk.Hash()] = blk.Header.Height
+			r.block, r.hash, r.height, r.decoded = blk, blk.Hash(), blk.Header.Height, true
+			byHash[r.hash] = blk.Header.Height
 			nextHeight++
 		case tagCert:
 			d := chash.NewDecoder(payload)
@@ -308,6 +310,7 @@ func (e *Engine) recover() error {
 		switch r.tag {
 		case tagBlock:
 			e.blocks = append(e.blocks, r.block)
+			e.heights[r.hash] = r.height
 		case tagCert:
 			e.certs[r.hash] = r.cert
 		}
@@ -492,6 +495,7 @@ func (e *Engine) Bootstrap(genesis *chain.Block, genesisState map[string][]byte)
 			return err
 		}
 		e.blocks = append(e.blocks, genesis)
+		e.heights[genesis.Hash()] = 0
 		e.mirror = copyImage(genesisState)
 		e.mirrorHeight, e.mirrorRoot = 0, genesis.Header.StateRoot
 		return e.snapshotLocked()
@@ -533,11 +537,12 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 		return fmt.Errorf("storage: non-contiguous block %d on tip %d", h, tip.Header.Height)
 	}
 
+	hash := blk.Hash()
 	if err := e.chainLog.Append(tagBlock, blk.Marshal()); err != nil {
 		return err
 	}
 	if cert != nil {
-		if err := e.appendCertLocked(blk.Hash(), cert); err != nil {
+		if err := e.appendCertLocked(hash, cert); err != nil {
 			return err
 		}
 	}
@@ -546,11 +551,12 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 	}
 
 	e.blocks = append(e.blocks, blk)
+	e.heights[hash] = h
 	applyWrites(e.mirror, writes)
 	e.mirrorHeight, e.mirrorRoot = h, blk.Header.StateRoot
 	if cert != nil {
-		e.certs[blk.Hash()] = cert
-		e.tipCert = &core.IssuerCheckpoint{Height: h, BlockHash: blk.Hash(), Cert: cert}
+		e.certs[hash] = cert
+		e.tipCert = &core.IssuerCheckpoint{Height: h, BlockHash: hash, Cert: cert}
 	}
 	e.mBlocks.Inc()
 
@@ -568,23 +574,15 @@ func (e *Engine) ApplyCert(blockHash chash.Hash, cert *core.Certificate) error {
 	if _, ok := e.certs[blockHash]; ok {
 		return nil
 	}
-	found := false
-	var height uint64
-	for _, blk := range e.blocks {
-		if blk.Hash() == blockHash {
-			found, height = true, blk.Header.Height
-			break
-		}
-	}
-	if !found {
+	height, ok := e.heights[blockHash]
+	if !ok {
 		return fmt.Errorf("storage: certificate for unknown block %x", blockHash[:8])
 	}
 	if err := e.appendCertLocked(blockHash, cert); err != nil {
 		return err
 	}
 	e.certs[blockHash] = cert
-	tip := e.blocks[len(e.blocks)-1]
-	if height == tip.Header.Height {
+	if height == uint64(len(e.blocks))-1 {
 		e.tipCert = &core.IssuerCheckpoint{Height: height, BlockHash: blockHash, Cert: cert}
 	}
 	return nil

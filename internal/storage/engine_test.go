@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dcert/internal/chain"
+	"dcert/internal/chash"
 	"dcert/internal/consensus"
 	"dcert/internal/core"
 	"dcert/internal/node"
@@ -12,8 +13,9 @@ import (
 	"dcert/internal/storage/vfs"
 )
 
-// engineEnv extends archiveEnv with a validating persistence replica whose
-// write sets feed the engine, mirroring how the deployment drives it.
+// engineEnv extends archiveEnv with a persistence replica that adopts the
+// miner's write sets and journals them, mirroring how the deployment drives
+// the engine.
 type engineEnv struct {
 	*archiveEnv
 	persist *node.FullNode
@@ -43,9 +45,9 @@ func (e *engineEnv) mine(t *testing.T, eng *Engine, withCert bool) {
 	if err != nil {
 		t.Fatalf("gen.Block: %v", err)
 	}
-	blk, err := e.miner.Propose(txs)
+	blk, writes, err := e.miner.ProposeWithWrites(txs)
 	if err != nil {
-		t.Fatalf("Propose: %v", err)
+		t.Fatalf("ProposeWithWrites: %v", err)
 	}
 	var cert *core.Certificate
 	if withCert {
@@ -53,18 +55,9 @@ func (e *engineEnv) mine(t *testing.T, eng *Engine, withCert bool) {
 			t.Fatalf("ProcessBlock: %v", err)
 		}
 	}
-	writes, err := e.persist.ValidateBlock(blk)
-	if err != nil {
-		t.Fatalf("ValidateBlock: %v", err)
-	}
-	if _, err := e.persist.State().Commit(writes); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	if _, err := e.persist.Store().Add(blk); err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if err := eng.ApplyBlock(blk, cert, writes); err != nil {
-		t.Fatalf("ApplyBlock: %v", err)
+	journal := func() error { return eng.ApplyBlock(blk, cert, writes) }
+	if err := e.persist.AdoptBlock(blk, writes, journal); err != nil {
+		t.Fatalf("AdoptBlock: %v", err)
 	}
 	e.blocks = append(e.blocks, blk)
 	e.certs = append(e.certs, cert)
@@ -286,6 +279,71 @@ func TestEngineLateCertExtendsCertifiedPrefix(t *testing.T) {
 	}
 	if eng2.Recovery().DroppedBlocks != 0 {
 		t.Fatalf("dropped %d blocks, want 0", eng2.Recovery().DroppedBlocks)
+	}
+}
+
+// TestEngineApplyCertLooksUpByHash pins that attaching a certificate costs
+// the same on a long chain as on a short one. The old lookup hashed every
+// header from genesis, and a header hash allocates its preimage, so on 2 000
+// blocks it cost over 2 000 allocations per call; the test counts those
+// (allocations repeat exactly, wall time does not).
+func TestEngineApplyCertLooksUpByHash(t *testing.T) {
+	env := newEngineEnv(t)
+	eng, err := OpenEngine(t.TempDir(), Options{FsyncInterval: time.Hour})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	defer eng.Close()
+	if err := eng.Bootstrap(env.persist.Store().Best(), nil); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	const blocks = 2000
+	hashes := make([]chash.Hash, 0, blocks)
+	var cert *core.Certificate
+	for i := 0; i < blocks; i++ {
+		blk, writes, err := env.miner.ProposeWithWrites(nil)
+		if err != nil {
+			t.Fatalf("ProposeWithWrites: %v", err)
+		}
+		if cert == nil {
+			// The engine stores certificates without judging them, so one
+			// real certificate serves for every height below.
+			if cert, _, err = env.issuer.ProcessBlock(blk); err != nil {
+				t.Fatalf("ProcessBlock: %v", err)
+			}
+		}
+		if err := eng.ApplyBlock(blk, nil, writes); err != nil {
+			t.Fatalf("ApplyBlock: %v", err)
+		}
+		hashes = append(hashes, blk.Hash())
+	}
+
+	// Newest first, so every call but the first is away from the tip.
+	next := len(hashes) - 1
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := eng.ApplyCert(hashes[next], cert); err != nil {
+			t.Fatalf("ApplyCert: %v", err)
+		}
+		next--
+	})
+	if allocs > blocks/10 {
+		t.Fatalf("ApplyCert allocates %.0f times on a %d-block chain: it walks the chain", allocs, blocks)
+	}
+	if ck := eng.Checkpoint(); ck == nil || ck.Height != blocks {
+		t.Fatalf("checkpoint %+v, want the certified tip %d", ck, blocks)
+	}
+
+	// Idempotent: a second slot landing the same certificate appends nothing.
+	size := eng.chainLog.Size()
+	if err := eng.ApplyCert(hashes[len(hashes)-1], cert); err != nil {
+		t.Fatalf("repeated ApplyCert: %v", err)
+	}
+	if got := eng.chainLog.Size(); got != size {
+		t.Fatalf("repeated ApplyCert grew the log by %d bytes", got-size)
+	}
+	// A block the engine never journaled is refused.
+	if err := eng.ApplyCert(chash.Hash{1}, cert); err == nil {
+		t.Fatal("certificate for an unknown block must be refused")
 	}
 }
 

@@ -83,24 +83,34 @@ func (e *Engine) resumeFast(cfg ResumeConfig, blocks []*chain.Block) (*node.Full
 		return nil, err
 	}
 	// Validate and apply any certified blocks past the image height.
-	for _, blk := range blocks[m+1:] {
-		writes, err := n.ValidateBlock(blk)
-		if err != nil {
-			return nil, fmt.Errorf("storage: resume validate height %d: %w", blk.Header.Height, err)
-		}
-		if _, err := n.State().Commit(writes); err != nil {
-			return nil, err
-		}
-		if _, err := n.Store().Add(blk); err != nil {
-			return nil, err
-		}
-		if cfg.Restore {
-			if err := e.RestoreState(blk.Header.Height, blk.Header.StateRoot, writes); err != nil {
-				return nil, err
-			}
-		}
+	if err := e.replayBlocks(n, blocks[m+1:], cfg.Restore); err != nil {
+		return nil, err
 	}
 	return n, nil
+}
+
+// replayBlocks advances a resuming node over recovered blocks: each one is
+// validated in full (the disk is not trusted with a state transition) and
+// adopted with the write set validation produced. With restore, the write set
+// is re-journaled inside the adoption, so a failed append leaves the node at
+// the height the journal holds.
+func (e *Engine) replayBlocks(n *node.FullNode, blocks []*chain.Block, restore bool) error {
+	for _, blk := range blocks {
+		writes, err := n.ValidateBlock(blk)
+		if err != nil {
+			return fmt.Errorf("storage: resume validate height %d: %w", blk.Header.Height, err)
+		}
+		var rejournal func() error
+		if restore {
+			rejournal = func() error {
+				return e.RestoreState(blk.Header.Height, blk.Header.StateRoot, writes)
+			}
+		}
+		if err := n.AdoptBlock(blk, writes, rejournal); err != nil {
+			return fmt.Errorf("storage: resume adopt height %d: %w", blk.Header.Height, err)
+		}
+	}
+	return nil
 }
 
 // resumeReplay rebuilds the node by replaying every block's transactions
@@ -126,22 +136,8 @@ func (e *Engine) resumeReplay(cfg ResumeConfig, blocks []*chain.Block) (*node.Fu
 	if err != nil {
 		return nil, err
 	}
-	for _, blk := range blocks[1:] {
-		writes, err := n.ValidateBlock(blk)
-		if err != nil {
-			return nil, fmt.Errorf("storage: resume replay height %d: %w", blk.Header.Height, err)
-		}
-		if _, err := n.State().Commit(writes); err != nil {
-			return nil, err
-		}
-		if _, err := n.Store().Add(blk); err != nil {
-			return nil, err
-		}
-		if cfg.Restore {
-			if err := e.RestoreState(blk.Header.Height, blk.Header.StateRoot, writes); err != nil {
-				return nil, err
-			}
-		}
+	if err := e.replayBlocks(n, blocks[1:], cfg.Restore); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
