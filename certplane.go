@@ -150,48 +150,34 @@ func (p *CertPlane) Issuer(name string) (*Issuer, error) {
 // MineAndBroadcast mines a block of n transactions, has every live issuer
 // certify it, feeds the SP, and publishes the block plus one CertBundle per
 // live issuer on the fabric. With zero live issuers the block is still mined
-// and published — clients simply see no certificate until an issuer returns.
+// and published — clients simply see no certificate until an issuer returns —
+// and it persists uncertified: recovery drops it unless a certificate lands
+// before the crash.
 func (p *CertPlane) MineAndBroadcast(n int) (*Block, error) {
-	txs, err := p.d.gen.Block(n)
-	if err != nil {
-		return nil, err
-	}
-	blk, writes, err := p.d.miner.ProposeWithWrites(txs)
-	if err != nil {
-		return nil, fmt.Errorf("dcert: propose: %w", err)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var firstCert *Certificate
+	return p.mine(n, false)
+}
+
+// mine (mu held) runs the deployment's mining routine over the live slots,
+// certifying inline or through their pipelines.
+func (p *CertPlane) mine(n int, pipelined bool) (*Block, error) {
+	var targets []certTarget
 	for _, s := range p.slots {
-		if !s.alive {
+		if !s.alive || (pipelined && s.pipe == nil) {
 			continue
 		}
-		cert, _, err := s.issuer.ProcessBlock(blk)
-		if err != nil {
-			return nil, fmt.Errorf("dcert: %s certify: %w", s.name, err)
+		t := certTarget{name: s.name, issuer: s.issuer}
+		if pipelined {
+			t.pipe = s.pipe
 		}
-		if firstCert == nil {
-			firstCert = cert
-		}
-		if err := p.d.net.Publish(TopicCerts, s.name, &CertBundle{Header: &blk.Header, Cert: cert}); err != nil {
-			return nil, err
-		}
+		targets = append(targets, t)
 	}
-	if err := p.d.feedServing(blk); err != nil {
-		return nil, fmt.Errorf("dcert: SP: %w", err)
-	}
-	if err := p.d.net.Publish(TopicBlocks, "miner", blk); err != nil {
+	blks, _, _, err := p.d.mine(1, n, nil, targets)
+	if err != nil {
 		return nil, err
 	}
-	// Journal the block with the first live issuer's certificate (redundant
-	// issuers re-certify the same height; one durable copy suffices). With
-	// zero live issuers the block persists uncertified — recovery drops it
-	// unless a certificate lands before the crash.
-	if err := p.d.persistBlock(blk, firstCert, writes); err != nil {
-		return nil, err
-	}
-	return blk, nil
+	return blks[0], nil
 }
 
 // StartPipelines switches the plane to pipelined certification: every live
@@ -245,27 +231,13 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 				}
 				continue
 			}
-			// Segment-certified blocks share one certificate: publish the
-			// whole segment once, when its tip lands (a per-block bundle
-			// would not verify — the certificate covers the segment digest,
-			// not any single block digest).
-			if res.Segment != nil && len(res.Segment.Headers) > 1 {
-				if res.Segment.End() == res.Block.Header.Height {
-					if err := p.d.net.Publish(TopicCerts, s.name, res.Segment); err != nil && s.pipeErr == nil {
-						s.pipeErr = err
-					}
-				}
-			} else {
-				bundle := &CertBundle{Header: &res.Block.Header, Cert: res.Cert}
-				if err := p.d.net.Publish(TopicCerts, s.name, bundle); err != nil && s.pipeErr == nil {
-					s.pipeErr = err
-				}
+			// Blocks of one segment share its certificate: it lands once,
+			// when the segment's tip does (the blocks were journaled,
+			// uncertified, before Submit).
+			if res.Segment.End() != res.Block.Header.Height {
+				continue
 			}
-			// The block was journaled (uncertified) at submit time; attach
-			// the certificate now that the enclave has produced it. ApplyCert
-			// is idempotent, so redundant slots landing the same height race
-			// harmlessly.
-			if err := p.d.persistCert(res.Block.Hash(), res.Cert); err != nil && s.pipeErr == nil {
+			if err := p.d.certLanded(s.name, res.Segment); err != nil && s.pipeErr == nil {
 				s.pipeErr = err
 			}
 		}
@@ -279,39 +251,12 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 // enclaves. The block itself (and the SP feed) publishes immediately;
 // bundles follow as the pipelines certify.
 func (p *CertPlane) MineAndBroadcastPipelined(n int) (*Block, error) {
-	txs, err := p.d.gen.Block(n)
-	if err != nil {
-		return nil, err
-	}
-	blk, writes, err := p.d.miner.ProposeWithWrites(txs)
-	if err != nil {
-		return nil, fmt.Errorf("dcert: propose: %w", err)
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pipeCfg == nil {
 		return nil, fmt.Errorf("dcert: pipelines not running (call StartPipelines first)")
 	}
-	// Journal the block before any pipeline can land its certificate: the
-	// engine refuses certificates for blocks it has never seen.
-	if err := p.d.persistBlock(blk, nil, writes); err != nil {
-		return nil, err
-	}
-	for _, s := range p.slots {
-		if !s.alive || s.pipe == nil {
-			continue
-		}
-		if err := s.pipe.Submit(blk); err != nil {
-			return nil, fmt.Errorf("dcert: %s submit: %w", s.name, err)
-		}
-	}
-	if err := p.d.feedServing(blk); err != nil {
-		return nil, fmt.Errorf("dcert: SP: %w", err)
-	}
-	if err := p.d.net.Publish(TopicBlocks, "miner", blk); err != nil {
-		return nil, err
-	}
-	return blk, nil
+	return p.mine(n, true)
 }
 
 // DrainPipelines completes pipelined certification: every live pipeline is

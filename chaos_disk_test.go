@@ -351,3 +351,73 @@ func TestChaosDiskPowerCutPipelined(t *testing.T) {
 	tip := assertRecovered(t, resumed, mined)
 	assertResumes(t, resumed, tip, 3)
 }
+
+// TestChaosDiskPipelinedSnapshots: the pipelined entry journals a block
+// first and its certificate when it lands, so the periodic snapshot has to
+// fire at the landing — it never did, the state WAL grew without bound, and
+// a crash replayed all of it. Mine through the pipelined entry with a
+// snapshot every 4 certified blocks, see the snapshots happen, cut the power,
+// and resume on the fast path: from the last snapshot plus the few WAL
+// records after it, not from the WAL alone.
+func TestChaosDiskPipelinedSnapshots(t *testing.T) {
+	const blocks, every = 10, 4
+	dir := t.TempDir()
+	faulty := vfs.NewFault(vfs.OS{}, vfs.FaultPlan{})
+	cfg := diskChaosConfig(dir, faulty, 0, 606)
+	cfg.Storage.SnapshotEvery = every
+	dep, err := dcert.NewDeployment(cfg)
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	reg, _ := dep.EnableObservability(nil)
+	snapshots := reg.Counter("dcert_storage_snapshots_total", "")
+	plane, err := dep.StartCertPlane(1)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	if err := plane.StartPipelines(dcert.PipelineConfig{Workers: 2}); err != nil {
+		t.Fatalf("StartPipelines: %v", err)
+	}
+	for i := 0; i < blocks; i++ {
+		if _, err := plane.MineAndBroadcastPipelined(3); err != nil {
+			t.Fatalf("mine block %d: %v", i+1, err)
+		}
+	}
+	if err := plane.DrainPipelines(); err != nil {
+		t.Fatalf("DrainPipelines: %v", err)
+	}
+	plane.Stop()
+	if got := snapshots.Value(); got != blocks/every {
+		t.Fatalf("%d snapshots over %d pipelined blocks, want %d (one per %d certified)", got, blocks, blocks/every, every)
+	}
+	// The routine timed each of its serial steps once per block.
+	for _, step := range []string{"gen", "propose", "journal", "submit", "serve"} {
+		h := reg.Histogram("dcert_mine_step_seconds", "", nil, dcert.MetricLabel("step", step))
+		if got := h.Count(); got != blocks {
+			t.Fatalf("dcert_mine_step_seconds{step=%q} observed %d blocks, want %d", step, got, blocks)
+		}
+	}
+	mined := minedChain(t, dep)
+	faulty.PowerCut()
+
+	cfg = diskChaosConfig(dir, nil, 0, 606)
+	cfg.Storage.SnapshotEvery = every
+	resumed, err := dcert.OpenDeployment(cfg)
+	if err != nil {
+		t.Fatalf("OpenDeployment after crash: %v", err)
+	}
+	defer resumed.Close()
+	if tip := assertRecovered(t, resumed, mined); tip != blocks {
+		t.Fatalf("recovered tip %d, want %d (every append was synced)", tip, blocks)
+	}
+	rec := resumed.StorageRecovery()
+	if rec.State == nil || rec.StateHeight != blocks {
+		t.Fatalf("state image at height %d (nil=%v), want the fast path at %d", rec.StateHeight, rec.State == nil, blocks)
+	}
+	// The last snapshot was cut when the certificate for height 8 landed, at
+	// the journal's height then (8 or above): at most 2 records follow it.
+	if rec.WALRecords > blocks%every {
+		t.Fatalf("recovery applied %d WAL records, want at most %d on top of the snapshot", rec.WALRecords, blocks%every)
+	}
+	assertResumes(t, resumed, blocks, 3)
+}

@@ -240,7 +240,7 @@ func runPipelined(dep *dcert.Deployment, client *dcert.SuperlightClient, blocks,
 					return fmt.Errorf("client validation %d: %w", res.Block.Header.Height, err)
 				}
 				validate := time.Since(start)
-				if err := dep.Net().Publish(dcert.TopicCerts, "ci0", res.Cert); err != nil {
+				if err := dep.Net().Publish(dcert.TopicCerts, "ci0", &dcert.CertBundle{Header: &res.Block.Header, Cert: res.Cert}); err != nil {
 					return err
 				}
 				fmt.Printf("block %4d  hash=%s  txs=%d  cert=%dB  client-validate=%v  client-storage=%dB\n",

@@ -87,9 +87,10 @@ type Deployment struct {
 	indexFactories []func() (*AuthIndex, error)
 
 	// Instrumentation plane, nil until EnableObservability.
-	reg    *obs.Registry
-	tracer *obs.Tracer
-	logger *obs.Logger
+	reg       *obs.Registry
+	tracer    *obs.Tracer
+	logger    *obs.Logger
+	mineSteps map[string]*obs.Histogram // dcert_mine_step_seconds by step
 
 	// Durability plane, nil unless Config.Storage is set: the crash-safe
 	// engine plus the persistence replica that stands at the journal's height
@@ -259,35 +260,146 @@ func (d *Deployment) GenerateBlockTxs(n int) ([]*Transaction, error) {
 	return d.gen.Block(n)
 }
 
+// certTarget is one issuer the mining routine certifies on, under the fabric
+// identity its certificates publish as.
+type certTarget struct {
+	name   string
+	issuer *core.Issuer
+	// pipe, when set, takes the blocks by Submit instead of the issuer
+	// certifying them inline; the certificate then lands from the pipeline's
+	// result consumer (CertPlane.startSlotPipeline).
+	pipe *core.Pipeline
+}
+
+// primary is the deployment's own issuer as a certification target.
+func (d *Deployment) primary() []certTarget {
+	return []certTarget{{name: "ci", issuer: d.issuer}}
+}
+
+// mine is the one way a block enters the deployment. It mines `blocks`
+// consecutive blocks of n transactions and takes them through the ordered
+// steps every public entry point shares:
+//
+//	gen → propose → journal      per block
+//	submit                        certify inline on every target (one segment
+//	                              Ecall for the run; Alg. 5 over one block
+//	                              with indexNames), or Submit to its pipeline
+//	serve → publish               per block: SP + fleet feed, TopicBlocks
+//	certificate lands             per inline target: TopicCerts + journal
+//
+// Journal comes before submit because the engine refuses a certificate for a
+// block it has never seen, and a pipeline may land one at any time after
+// Submit. Submit comes before serve so that pipeline verification overlaps the
+// SP feed. It returns the blocks and, from the first inline target, the
+// covering segment certificate and the index certificates (nil under
+// pipelines and with no target at all: the blocks are still mined, journaled
+// uncertified, served and published).
+func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarget) ([]*Block, *SegmentCert, []*Certificate, error) {
+	clk := d.newMineClock()
+	blks := make([]*Block, 0, blocks)
+	for i := 0; i < blocks; i++ {
+		clk.step("gen")
+		txs, err := d.gen.Block(n)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		clk.step("propose")
+		blk, writes, err := d.miner.ProposeWithWrites(txs)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("dcert: propose: %w", err)
+		}
+		clk.step("journal")
+		if err := d.persistBlock(blk, writes); err != nil {
+			return nil, nil, nil, err
+		}
+		blks = append(blks, blk)
+	}
+
+	clk.step("submit")
+	var jobs []*IndexJob
+	if len(indexNames) > 0 {
+		var err error
+		if jobs, err = d.PrepareIndexJobs(blks[0], indexNames); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	var idxCerts []*Certificate
+	segs := make([]*SegmentCert, len(targets)) // nil under a pipeline
+	for i, t := range targets {
+		var err error
+		switch {
+		case t.pipe != nil:
+			for _, blk := range blks {
+				if err = t.pipe.Submit(blk); err != nil {
+					return nil, nil, nil, fmt.Errorf("dcert: %s submit: %w", t.name, err)
+				}
+			}
+		case len(jobs) > 0:
+			_, idxCerts, _, err = t.issuer.ProcessBlockHierarchical(blks[0], jobs)
+			segs[i] = t.issuer.LatestSegment()
+		default:
+			segs[i], _, err = t.issuer.ProcessSegment(blks)
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("dcert: %s certify: %w", t.name, err)
+		}
+	}
+
+	clk.step("serve")
+	for _, blk := range blks {
+		if err := d.feedServing(blk); err != nil {
+			return nil, nil, nil, fmt.Errorf("dcert: SP: %w", err)
+		}
+		if err := d.net.Publish(TopicBlocks, "miner", blk); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	clk.stop()
+
+	var first *SegmentCert
+	for i, seg := range segs {
+		if seg == nil {
+			continue
+		}
+		if err := d.certLanded(targets[i].name, seg); err != nil {
+			return nil, nil, nil, err
+		}
+		if first == nil {
+			first = seg
+		}
+	}
+	return blks, first, idxCerts, nil
+}
+
+// certLanded is the mining routine's last step, run wherever a certificate
+// becomes available — inline after the blocks' publication, or in a
+// pipeline's result consumer: publish it on TopicCerts (a CertBundle for one
+// block, the SegmentCert for more) and journal it against every covered
+// block. ApplyCert is idempotent, so redundant issuers landing the same
+// height race harmlessly; one durable copy suffices.
+func (d *Deployment) certLanded(issuer string, seg *SegmentCert) error {
+	var payload any = seg
+	if len(seg.Headers) == 1 {
+		payload = &CertBundle{Header: seg.Headers[0], Cert: seg.Cert}
+	}
+	err := d.net.Publish(TopicCerts, issuer, payload)
+	for _, h := range seg.Headers {
+		if perr := d.persistCert(h.Hash(), seg.Cert); perr != nil && err == nil {
+			err = perr
+		}
+	}
+	return err
+}
+
 // MineAndCertify generates a block of n transactions, mines it, runs the CI
-// certification (Alg. 1), feeds the SP, and publishes both block and
-// certificate on the network. It returns the block and its certificate.
+// certification (Alg. 1), feeds the SP, and publishes the block and its
+// CertBundle on the network. It returns the block and its certificate.
 func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
-	txs, err := d.gen.Block(n)
+	blks, seg, _, err := d.mine(1, n, nil, d.primary())
 	if err != nil {
 		return nil, nil, err
 	}
-	blk, writes, err := d.miner.ProposeWithWrites(txs)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dcert: propose: %w", err)
-	}
-	cert, _, err := d.issuer.ProcessBlock(blk)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dcert: certify: %w", err)
-	}
-	if err := d.feedServing(blk); err != nil {
-		return nil, nil, fmt.Errorf("dcert: SP: %w", err)
-	}
-	if err := d.net.Publish(TopicBlocks, "miner", blk); err != nil {
-		return nil, nil, err
-	}
-	if err := d.net.Publish(TopicCerts, "ci", cert); err != nil {
-		return nil, nil, err
-	}
-	if err := d.persistBlock(blk, cert, writes); err != nil {
-		return nil, nil, err
-	}
-	return blk, cert, nil
+	return blks[0], seg.Cert, nil
 }
 
 // MineAndCertifySegment mines `blocks` consecutive blocks of n transactions
@@ -299,39 +411,8 @@ func (d *Deployment) MineAndCertifySegment(blocks, n int) ([]*Block, *SegmentCer
 	if blocks < 1 {
 		return nil, nil, fmt.Errorf("dcert: segment needs at least 1 block, got %d", blocks)
 	}
-	blks := make([]*Block, 0, blocks)
-	writeSets := make([]map[string][]byte, 0, blocks)
-	for i := 0; i < blocks; i++ {
-		txs, err := d.gen.Block(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		blk, writes, err := d.miner.ProposeWithWrites(txs)
-		if err != nil {
-			return nil, nil, fmt.Errorf("dcert: propose: %w", err)
-		}
-		blks = append(blks, blk)
-		writeSets = append(writeSets, writes)
-	}
-	seg, _, err := d.issuer.ProcessSegment(blks)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dcert: certify segment: %w", err)
-	}
-	for i, blk := range blks {
-		if err := d.feedServing(blk); err != nil {
-			return nil, nil, fmt.Errorf("dcert: SP: %w", err)
-		}
-		if err := d.net.Publish(TopicBlocks, "miner", blk); err != nil {
-			return nil, nil, err
-		}
-		if err := d.persistBlock(blk, seg.Cert, writeSets[i]); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := d.net.Publish(TopicCerts, "ci", seg); err != nil {
-		return nil, nil, err
-	}
-	return blks, seg, nil
+	blks, seg, _, err := d.mine(blocks, n, nil, d.primary())
+	return blks, seg, err
 }
 
 // AddIndex registers a two-level authenticated index with both the SP (real
@@ -363,29 +444,11 @@ func (d *Deployment) AddIndex(mk func() (*AuthIndex, error)) (*AuthIndex, error)
 // producing the block certificate plus one index certificate per registered
 // index (jobs prepared from the SP's replicas).
 func (d *Deployment) MineAndCertifyHierarchical(n int, indexNames []string) (*Block, *Certificate, []*Certificate, error) {
-	txs, err := d.gen.Block(n)
+	blks, seg, idxCerts, err := d.mine(1, n, indexNames, d.primary())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	blk, writes, err := d.miner.ProposeWithWrites(txs)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dcert: propose: %w", err)
-	}
-	jobs, err := d.PrepareIndexJobs(blk, indexNames)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	blkCert, idxCerts, _, err := d.issuer.ProcessBlockHierarchical(blk, jobs)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("dcert: certify: %w", err)
-	}
-	if err := d.feedServing(blk); err != nil {
-		return nil, nil, nil, fmt.Errorf("dcert: SP: %w", err)
-	}
-	if err := d.persistBlock(blk, blkCert, writes); err != nil {
-		return nil, nil, nil, err
-	}
-	return blk, blkCert, idxCerts, nil
+	return blks[0], seg.Cert, idxCerts, nil
 }
 
 // PrepareIndexJobs builds the per-index certification inputs from the SP's

@@ -215,20 +215,20 @@ func (d *Deployment) Close() error {
 	return err
 }
 
-// persistBlock journals a freshly mined block — and its certificate, when
-// one was already issued — through the durability engine, advancing the
+// persistBlock journals a freshly mined block through the durability engine,
+// uncertified (its certificate follows through persistCert), advancing the
 // adopting persistence replica by the write set the miner committed for it.
 // The replica executes nothing: AdoptBlock checks that blk extends the
 // replica's tip and that committing writes yields exactly the header's state
 // root, then journals inside the adoption, so a refused write set or a failed
 // append leaves replica and journal where they were, at the same height. A
 // no-op for in-memory deployments.
-func (d *Deployment) persistBlock(blk *Block, cert *Certificate, writes map[string][]byte) error {
+func (d *Deployment) persistBlock(blk *Block, writes map[string][]byte) error {
 	if d.engine == nil {
 		return nil
 	}
 	err := d.persist.AdoptBlock(blk, writes, func() error {
-		return d.engine.ApplyBlock(blk, cert, writes)
+		return d.engine.ApplyBlock(blk, nil, writes)
 	})
 	if err != nil {
 		return fmt.Errorf("dcert: persist height %d: %w", blk.Header.Height, err)
@@ -236,8 +236,8 @@ func (d *Deployment) persistBlock(blk *Block, cert *Certificate, writes map[stri
 	return nil
 }
 
-// persistCert journals a certificate that arrived after its block was
-// persisted (pipelined certification, issuer catch-up).
+// persistCert journals the certificate of an already journaled block (the
+// mining routine's last step, issuer catch-up).
 func (d *Deployment) persistCert(blockHash Hash, cert *Certificate) error {
 	if d.engine == nil {
 		return nil

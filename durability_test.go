@@ -113,7 +113,7 @@ func TestPersistBlockRefusesWrongWriteSets(t *testing.T) {
 		return blk, writes
 	}
 	blk1, writes1 := mine()
-	if err := dep.persistBlock(blk1, nil, writes1); err != nil {
+	if err := dep.persistBlock(blk1, writes1); err != nil {
 		t.Fatalf("persistBlock height 1: %v", err)
 	}
 	blk2, writes2 := mine()
@@ -145,7 +145,7 @@ func TestPersistBlockRefusesWrongWriteSets(t *testing.T) {
 		"incomplete":   incomplete,
 		"wrong height": writes1,
 	} {
-		if err := dep.persistBlock(blk2, nil, writes); !errors.Is(err, node.ErrStateMismatch) {
+		if err := dep.persistBlock(blk2, writes); !errors.Is(err, node.ErrStateMismatch) {
 			t.Fatalf("%s write set: got %v, want ErrStateMismatch", name, err)
 		}
 		if got := journalPositionOf(t, dep); got != start {
@@ -154,11 +154,11 @@ func TestPersistBlockRefusesWrongWriteSets(t *testing.T) {
 	}
 	// A block that does not extend the replica's tip is refused whatever it
 	// comes with.
-	if err := dep.persistBlock(blk1, nil, writes1); !errors.Is(err, node.ErrNotNextBlock) {
+	if err := dep.persistBlock(blk1, writes1); !errors.Is(err, node.ErrNotNextBlock) {
 		t.Fatalf("re-persisting height 1: got %v, want ErrNotNextBlock", err)
 	}
 
-	if err := dep.persistBlock(blk2, nil, writes2); err != nil {
+	if err := dep.persistBlock(blk2, writes2); err != nil {
 		t.Fatalf("honest write set refused: %v", err)
 	}
 	if got := journalPositionOf(t, dep); got.engineTip != 2 || got.replicaRoot != blk2.Header.StateRoot {
@@ -166,11 +166,13 @@ func TestPersistBlockRefusesWrongWriteSets(t *testing.T) {
 	}
 }
 
-// TestFailedJournalAppendRevertsReplica fails, in turn, every disk write the
-// journaling of one block performs. The replica used to commit and link the
-// block before the engine appended it, so a failed append left it one height
-// ahead of the journal for good; now the append runs inside the adoption and
-// its failure takes the replica back.
+// TestFailedJournalAppendRevertsReplica fails, in turn, every disk write
+// mining one block performs. The replica used to commit and link the block
+// before the engine appended it, so a failed append left it one height ahead
+// of the journal for good; now the append runs inside the adoption and its
+// failure takes the replica back. The certificate frame is journaled when the
+// certificate lands, after the adoption: its failure finds replica and
+// journal one block on, together.
 func TestFailedJournalAppendRevertsReplica(t *testing.T) {
 	const healthy = 2 // blocks journaled before the fault
 
@@ -186,10 +188,25 @@ func TestFailedJournalAppendRevertsReplica(t *testing.T) {
 		}
 		last = probe.Stats().Writes
 	}
-	if last == first {
-		t.Fatal("journaling a block performed no write")
+	// One more block through the journal step alone counts the adoption's own
+	// writes; the rest of (first, last] land the certificate.
+	txs, err := dep.GenerateBlockTxs(4)
+	if err != nil {
+		t.Fatalf("GenerateBlockTxs: %v", err)
 	}
-	t.Logf("journaling block %d is writes %d..%d", healthy+1, first+1, last)
+	blk, writes, err := dep.miner.ProposeWithWrites(txs)
+	if err != nil {
+		t.Fatalf("ProposeWithWrites: %v", err)
+	}
+	adoption := probe.Stats().Writes
+	if err := dep.persistBlock(blk, writes); err != nil {
+		t.Fatalf("probe persistBlock: %v", err)
+	}
+	adoption = probe.Stats().Writes - adoption
+	if adoption == 0 || adoption >= last-first {
+		t.Fatalf("adoption performed %d of the block's %d writes, want some but not all", adoption, last-first)
+	}
+	t.Logf("mining block %d is writes %d..%d, the first %d inside the adoption", healthy+1, first+1, last, adoption)
 
 	for op := first + 1; op <= last; op++ {
 		dir := t.TempDir()
@@ -207,8 +224,13 @@ func TestFailedJournalAppendRevertsReplica(t *testing.T) {
 		if _, _, err := dep.MineAndCertify(4); !errors.Is(err, vfs.ErrInjected) {
 			t.Fatalf("write %d: got %v, want the injected disk fault", op, err)
 		}
-		if got := journalPositionOf(t, dep); got != start {
-			t.Fatalf("write %d: failed append moved the replica or the journal: %+v → %+v", op, start, got)
+		want := start
+		if op > first+adoption {
+			mined := dep.miner.Store().Best()
+			want = journalPosition{mined.Hash(), mined.Header.StateRoot, healthy + 1}
+		}
+		if got := journalPositionOf(t, dep); got != want {
+			t.Fatalf("write %d: after the failed append replica and journal stand at %+v, want %+v (from %+v)", op, got, want, start)
 		}
 		// The process dies here (no Close); the directory must reopen to a
 		// gapless certified prefix and keep certifying.

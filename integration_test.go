@@ -61,8 +61,12 @@ func TestNetworkedClientFollowsCertStream(t *testing.T) {
 					done <- errors.New("cert stream closed")
 					return
 				}
-				cert := m.Payload.(*dcert.Certificate)
-				if err := client.ValidateChain(&pending.Header, cert); err != nil {
+				bundle := m.Payload.(*dcert.CertBundle)
+				if bundle.Header.Hash() != pending.Hash() {
+					done <- errors.New("certificate bundle is not for the block just published")
+					return
+				}
+				if err := client.ValidateChain(bundle.Header, bundle.Cert); err != nil {
 					done <- err
 					return
 				}
@@ -85,6 +89,77 @@ func TestNetworkedClientFollowsCertStream(t *testing.T) {
 	hdr, _ := client.Latest()
 	if hdr.Height != n {
 		t.Fatalf("client height = %d, want %d", hdr.Height, n)
+	}
+}
+
+// TestEveryEntryPointFeedsFollowers: whichever public entry point mines the
+// chain, a FollowCerts follower on the fabric reaches the mined tip from the
+// stream alone — every entry point publishes what core.Follower reads, a
+// CertBundle for one block and a SegmentCert for more. MineAndCertify used to
+// publish a bare certificate the follower skipped, and the hierarchical entry
+// published nothing.
+func TestEveryEntryPointFeedsFollowers(t *testing.T) {
+	const rounds = 3
+	withPlane := func(pipe *dcert.PipelineConfig) func(*testing.T, *dcert.Deployment) func() error {
+		return func(t *testing.T, dep *dcert.Deployment) func() error {
+			plane, err := dep.StartCertPlane(2)
+			if err != nil {
+				t.Fatalf("StartCertPlane: %v", err)
+			}
+			t.Cleanup(plane.Stop)
+			if pipe == nil {
+				return func() error { _, err := plane.MineAndBroadcast(4); return err }
+			}
+			if err := plane.StartPipelines(*pipe); err != nil {
+				t.Fatalf("StartPipelines: %v", err)
+			}
+			t.Cleanup(func() { plane.DrainPipelines() })
+			return func() error { _, err := plane.MineAndBroadcastPipelined(4); return err }
+		}
+	}
+	entries := map[string]func(*testing.T, *dcert.Deployment) func() error{
+		"MineAndCertify": func(_ *testing.T, dep *dcert.Deployment) func() error {
+			return func() error { _, _, err := dep.MineAndCertify(4); return err }
+		},
+		"MineAndCertifySegment": func(_ *testing.T, dep *dcert.Deployment) func() error {
+			return func() error { _, _, err := dep.MineAndCertifySegment(3, 4); return err }
+		},
+		"MineAndCertifyHierarchical": func(t *testing.T, dep *dcert.Deployment) func() error {
+			if _, err := dep.AddIndex(func() (*dcert.AuthIndex, error) {
+				return dcert.NewHistoricalIndex("hist", "ct/")
+			}); err != nil {
+				t.Fatalf("AddIndex: %v", err)
+			}
+			return func() error { _, _, _, err := dep.MineAndCertifyHierarchical(4, []string{"hist"}); return err }
+		},
+		"MineAndBroadcast":                   withPlane(nil),
+		"MineAndBroadcastPipelined":          withPlane(&dcert.PipelineConfig{Workers: 2}),
+		"MineAndBroadcastPipelined-segments": withPlane(&dcert.PipelineConfig{Workers: 2, Segment: &dcert.SegmentPolicy{MaxBlocks: 3}}),
+	}
+	for name, setUp := range entries {
+		t.Run(name, func(t *testing.T) {
+			dep := newSmallDeployment(t, dcert.KVStore, 9)
+			mine := setUp(t, dep)
+			// No stall re-requests: the follower may only learn from what the
+			// entry point itself publishes.
+			follower := dep.FollowCerts(dep.NewSuperlightClient(), dcert.FollowerConfig{StallDeadline: time.Hour})
+			defer follower.Stop()
+			for i := 0; i < rounds; i++ {
+				if err := mine(); err != nil {
+					t.Fatalf("round %d: %v", i, err)
+				}
+			}
+			tip := dep.Miner().Store().BestHeight()
+			if tip < rounds {
+				t.Fatalf("mined tip %d after %d rounds", tip, rounds)
+			}
+			if err := follower.WaitForHeight(tip, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if st := follower.Stats(); st.Rerequests != 0 {
+				t.Fatalf("follower needed %d re-requests", st.Rerequests)
+			}
+		})
 	}
 }
 

@@ -209,10 +209,21 @@ func (ci *Issuer) prepare(blk *chain.Block, bd *CostBreakdown) (*statedb.UpdateP
 	return proof, res, nil
 }
 
-// ecallInputSize estimates the bytes marshalled through the enclave
-// boundary for a block-certification Ecall.
-func ecallInputSize(prev, blk *chain.Block, prevCert *Certificate, proof *statedb.UpdateProof) int {
-	size := len(prev.Header.Marshal()) + len(blk.Marshal()) + proof.EncodedSize()
+// ecallInputSize is the bytes marshalled through the enclave boundary by a
+// block-certification Ecall: the headers the previous certificate covers (the
+// genesis header when there is none), every block with its update proof, and
+// the previous certificate.
+func ecallInputSize(prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof) int {
+	if len(prevHeaders) == 0 {
+		prevHeaders = []*chain.Header{&prev.Header}
+	}
+	size := 0
+	for _, h := range prevHeaders {
+		size += h.EncodedSize()
+	}
+	for i := range blks {
+		size += len(blks[i].Marshal()) + proofs[i].EncodedSize()
+	}
 	if prevCert != nil {
 		size += prevCert.EncodedSize()
 	}
@@ -220,65 +231,31 @@ func ecallInputSize(prev, blk *chain.Block, prevCert *Certificate, proof *stated
 }
 
 // ProcessBlock runs Alg. 1 (gen_cert) for a block extending the CI's tip:
-// untrusted pre-processing, one Ecall for signature generation, certificate
-// assembly — then advances the CI's own full-node replica. The returned
-// breakdown feeds Figs. 8-9.
+// ProcessSegment of one block, whose certificate is byte for byte the
+// per-block certificate (SegmentDigest of one header is BlockDigest). The
+// returned breakdown feeds Figs. 8-9.
 func (ci *Issuer) ProcessBlock(blk *chain.Block) (*Certificate, CostBreakdown, error) {
-	var bd CostBreakdown
-	certifyStart := time.Now()
-	prev, prevCert := ci.certifiedTip()
-
-	proof, res, err := ci.prepare(blk, &bd)
+	seg, bd, err := ci.ProcessSegment([]*chain.Block{blk})
 	if err != nil {
 		return nil, bd, err
 	}
-
-	// Alg. 1 line 4: enter the enclave.
-	sig, err := ci.ecallSigGen(prev, prevCert, blk, proof, &bd)
-	if err != nil {
-		return nil, bd, err
-	}
-
-	// Alg. 1 lines 5-7: assemble cert_i, then advance the CI's replica (it
-	// is a full node; the enclave just established the block's validity).
-	cert := ci.newCert(BlockDigest(&blk.Header), sig)
-	if _, err := ci.node.State().Commit(res.WriteSet); err != nil {
-		return nil, bd, fmt.Errorf("core: advance state: %w", err)
-	}
-	if err := ci.adopt(blk, cert); err != nil {
-		return nil, bd, err
-	}
-	ci.met.certifySec.Observe(time.Since(certifyStart).Seconds())
-	return cert, bd, nil
+	return seg.Cert, bd, nil
 }
 
-// ecallSigGen runs the single block-certification Ecall, accounting its cost.
-//
-// When the certified tip is covered by a multi-block segment certificate (a
-// restart resumed from a segment checkpoint, or a per-block run follows a
-// segmented one), the recursion base must be verified over the segment digest,
-// not BlockDigest(prev) — so the call routes through the segment-aware trusted
-// entry with a one-block segment. SegmentDigest of one header IS BlockDigest,
-// so the signature — and the certificate built from it — is byte-identical to
-// the plain path.
-func (ci *Issuer) ecallSigGen(prev *chain.Block, prevCert *Certificate, blk *chain.Block, proof *statedb.UpdateProof, bd *CostBreakdown) ([]byte, error) {
-	prevHeaders := ci.lastSegmentHeaders()
-	segBase := len(prevHeaders) > 1 && prevHeaders[len(prevHeaders)-1].Hash() == prev.Hash()
-	size := ecallInputSize(prev, blk, prevCert, proof)
-	if segBase {
-		for _, h := range prevHeaders {
-			size += h.EncodedSize()
-		}
-	}
+// ecallSigGen runs the one block-certification Ecall (Alg. 1 line 4) for
+// prepared blocks extending the certified tip, accounting its cost. The
+// recursion base — tip block, its certificate and the headers that
+// certificate covers — is read here as one consistent snapshot: adopt and
+// ResumeIssuer publish all three under the same lock.
+func (ci *Issuer) ecallSigGen(blks []*chain.Block, proofs []*statedb.UpdateProof, bd *CostBreakdown) ([]byte, error) {
+	ci.mu.RLock()
+	prev, prevHeaders, prevCert := ci.node.Tip(), ci.lastSegHeaders, ci.lastCert
+	ci.mu.RUnlock()
 	var sig []byte
 	before := ci.encl.Stats()
-	err := ci.encl.Ecall(size, func(ctx *enclave.Context) error {
+	err := ci.encl.Ecall(ecallInputSize(prev, prevHeaders, prevCert, blks, proofs), func(ctx *enclave.Context) error {
 		var err error
-		if segBase {
-			sig, err = ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, []*chain.Block{blk}, []*statedb.UpdateProof{proof})
-		} else {
-			sig, err = ci.prog.EcallSigGen(ctx, prev, prevCert, blk, proof)
-		}
+		sig, err = ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, blks, proofs)
 		return err
 	})
 	after := ci.encl.Stats()
@@ -292,23 +269,23 @@ func (ci *Issuer) ecallSigGen(prev *chain.Block, prevCert *Certificate, blk *cha
 	return sig, nil
 }
 
-// adopt appends a certified block to the store and publishes its certificate
-// as one atomic transition, so concurrent readers (Checkpoint, LatestBundle,
-// certifiedTip) can never observe a new tip paired with a stale certificate.
-// The caller has already committed the block's state writes.
-func (ci *Issuer) adopt(blk *chain.Block, cert *Certificate) error {
+// adopt appends the certified blocks to the store and publishes their
+// certificate as one atomic transition (Alg. 1 lines 5-7), so concurrent
+// readers (Checkpoint, LatestBundle, certifiedTip) see either the old tip
+// with the old certificate or the new tip with the new one — never a new tip
+// paired with a stale certificate, never a partially adopted segment. The
+// caller has already committed the blocks' state writes.
+func (ci *Issuer) adopt(blks []*chain.Block, cert *Certificate) (*SegmentCert, error) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	if _, err := ci.node.Store().Add(blk); err != nil {
-		return fmt.Errorf("core: advance chain: %w", err)
+	for _, blk := range blks {
+		if _, err := ci.node.Store().Add(blk); err != nil {
+			return nil, fmt.Errorf("core: advance chain: %w", err)
+		}
+		ci.certs[blk.Hash()] = cert
+		ci.met.blocksCertified.Inc()
 	}
-	ci.certs[blk.Hash()] = cert
 	ci.lastCert = cert
 	ci.lastCertAt = time.Now()
-	ci.met.blocksCertified.Inc()
-	// A single-block certificate IS a one-block segment (SegmentDigest of one
-	// header == BlockDigest), so the segment serving history stays uniform
-	// across both certification paths.
-	ci.recordSegmentLocked([]*chain.Header{&blk.Header}, cert)
-	return nil
+	return ci.recordSegmentLocked(segmentHeaders(blks), cert), nil
 }

@@ -84,7 +84,7 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 			Witness:  job.Witness,
 		}
 		var sig []byte
-		inputSize := ecallInputSize(prev, blk, prevCert, proof) + len(job.Witness)
+		inputSize := ecallInputSize(prev, nil, prevCert, []*chain.Block{blk}, []*statedb.UpdateProof{proof}) + len(job.Witness)
 		before := ci.encl.Stats()
 		err := ci.encl.Ecall(inputSize, func(ctx *enclave.Context) error {
 			var err error
@@ -119,7 +119,7 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 // It returns the block certificate and the index certificates in job order.
 func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (*Certificate, []*Certificate, CostBreakdown, error) {
 	var bd CostBreakdown
-	prev, prevBlockCert := ci.certifiedTip()
+	prev, _ := ci.certifiedTip()
 
 	proof, res, err := ci.prepare(blk, &bd)
 	if err != nil {
@@ -127,7 +127,7 @@ func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (
 	}
 
 	// Line 1: gen_cert — the block certificate.
-	blkSig, err := ci.ecallSigGen(prev, prevBlockCert, blk, proof, &bd)
+	blkSig, err := ci.ecallSigGen([]*chain.Block{blk}, []*statedb.UpdateProof{proof}, &bd)
 	if err != nil {
 		return nil, nil, bd, err
 	}
@@ -146,7 +146,7 @@ func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (
 	if _, err := ci.node.State().Commit(res.WriteSet); err != nil {
 		return nil, nil, bd, fmt.Errorf("core: advance state: %w", err)
 	}
-	if err := ci.adopt(blk, blkCert); err != nil {
+	if _, err := ci.adopt([]*chain.Block{blk}, blkCert); err != nil {
 		return nil, nil, bd, err
 	}
 	for i, job := range jobs {

@@ -27,9 +27,10 @@ import (
 //	           against the speculative state, then a speculative state
 //	           commit (with an undo record) so block i+1 can execute
 //	           against block i's post-state before i is certified.
-//	commit   — one goroutine, block order; the recursive EcallSigGen (the
-//	           only stage the enclave serializes), then the atomic
-//	           store-append + certificate publication.
+//	commit   — one goroutine, block order; batches up to K prepared blocks
+//	           (SegmentPolicy, K=1 by default) into the recursive
+//	           EcallSegmentSigGen (the only stage the enclave serializes),
+//	           then the atomic store-append + certificate publication.
 //	index    — hierarchical index certification (Alg. 5) fanned out across
 //	           all registered indexes in parallel per block, reusing the
 //	           enclave write-set cache; ordered per index across blocks.
@@ -70,13 +71,13 @@ type PipelineConfig struct {
 	// track per-index recursion state. Nil disables index fan-out.
 	IndexJobs func(blk *chain.Block, writes map[string][]byte) ([]*IndexJob, error)
 
-	// Segment, when set with MaxBlocks > 1, replaces the per-block committer
-	// with the segment committer: up to MaxBlocks prepared blocks are
-	// certified by ONE EcallSegmentSigGen (closing early after MaxDelay so
-	// tip latency stays bounded under slow arrival). Mutually exclusive with
-	// IndexJobs — hierarchical index certification verifies per-block
-	// certificates, which multi-block segments do not produce. MaxBlocks ≤ 1
-	// keeps the per-block committer and its byte-identical certificates.
+	// Segment is the commit stage's batching policy: up to MaxBlocks prepared
+	// blocks are certified by ONE EcallSegmentSigGen (closing early after
+	// MaxDelay so tip latency stays bounded under slow arrival). Nil, or
+	// MaxBlocks ≤ 1, certifies every block on arrival under the per-block
+	// certificate bytes. MaxBlocks > 1 is mutually exclusive with IndexJobs —
+	// hierarchical index certification verifies per-block certificates, which
+	// multi-block segments do not produce.
 	Segment *SegmentPolicy
 
 	// proofHook, when set, substitutes the update proof handed from the
@@ -92,6 +93,11 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 	if c.Depth < 1 {
 		c.Depth = 2 * c.Workers
 	}
+	pol := SegmentPolicy{MaxBlocks: 1}
+	if c.Segment != nil && c.Segment.MaxBlocks > 1 {
+		pol = *c.Segment
+	}
+	c.Segment = &pol
 	return c
 }
 
@@ -110,10 +116,9 @@ type PipelineResult struct {
 	Breakdown CostBreakdown
 	// Err reports why this block was not certified.
 	Err error
-	// Segment is the covering segment certificate when this block was
-	// certified through the segment committer (shared by every covered
-	// block; Cert is then the segment's certificate). Nil on the per-block
-	// path.
+	// Segment is the covering segment certificate, shared by every block it
+	// covers (Cert is its certificate; nil on error). A one-block segment is
+	// the per-block certificate.
 	Segment *SegmentCert
 }
 
@@ -197,16 +202,13 @@ type Pipeline struct {
 // until the pipeline has drained or aborted.
 func NewPipeline(ci *Issuer, cfg PipelineConfig) (*Pipeline, error) {
 	cfg = cfg.withDefaults()
-	segmented := cfg.Segment != nil && cfg.Segment.MaxBlocks > 1
 	// Validate before claiming the issuer: a rejected config must not leave
 	// the pipelining latch set.
-	if segmented {
-		if cfg.IndexJobs != nil {
-			return nil, fmt.Errorf("%w: segment certification cannot be combined with index fan-out", ErrBadSegment)
-		}
-		if cfg.Segment.MaxBlocks > maxSegmentBlocks {
-			return nil, fmt.Errorf("%w: MaxBlocks %d beyond %d", ErrBadSegment, cfg.Segment.MaxBlocks, maxSegmentBlocks)
-		}
+	if cfg.Segment.MaxBlocks > 1 && cfg.IndexJobs != nil {
+		return nil, fmt.Errorf("%w: segment certification cannot be combined with index fan-out", ErrBadSegment)
+	}
+	if cfg.Segment.MaxBlocks > maxSegmentBlocks {
+		return nil, fmt.Errorf("%w: MaxBlocks %d beyond %d", ErrBadSegment, cfg.Segment.MaxBlocks, maxSegmentBlocks)
 	}
 	if !ci.pipelining.CompareAndSwap(false, true) {
 		return nil, ErrPipelineBusy
@@ -239,11 +241,7 @@ func NewPipeline(ci *Issuer, cfg PipelineConfig) (*Pipeline, error) {
 	}
 	pl.wg.Add(2)
 	go pl.executor()
-	if segmented {
-		go pl.committerSegmented()
-	} else {
-		go pl.committer()
-	}
+	go pl.committer()
 	if cfg.IndexJobs != nil {
 		pl.wg.Add(1)
 		go pl.indexer()
@@ -475,141 +473,83 @@ func (pl *Pipeline) executeSpeculative(specTip *chain.Block, item *pipeItem) err
 	return nil
 }
 
-// committer drains prepared blocks through the one-at-a-time recursive
-// Ecall, then atomically adopts block + certificate.
+// committer is the commit stage: it accumulates prepared blocks and certifies
+// each batch with ONE Ecall. A batch closes at MaxBlocks (at once, under the
+// default K=1), at MaxDelay after its first block arrived (the tip-latency
+// bound), at stream end, or at an error boundary. Items arrive in block
+// order, so the abort gate is local: blocks prepared before the first failed
+// one still certify even when a later block has already tripped the
+// pipeline-wide failed flag (the executor runs ahead of the Ecall), and
+// everything from the first failure onward aborts. A batch pending when the
+// pipeline has already failed is speculation and dies with it: those blocks
+// abort uncertified, their state commits roll back, and a restarted issuer
+// re-certifies them as the uncertified suffix.
 func (pl *Pipeline) committer() {
 	defer pl.wg.Done()
 	defer close(pl.indexCh)
-	prev, prevCert := pl.ci.certifiedTip()
-	// Items arrive in block order, so the abort gate is local: blocks
-	// before the first failed one must still certify even when a later
-	// block has already tripped the pipeline-wide failed flag (the
-	// executor runs ahead of the Ecall), and everything from the first
-	// failure onward aborts.
-	aborted := false
-	for item := range pl.commitCh {
-		pl.po.queueCommit.Add(-1)
-		if item.res.Err != nil {
-			aborted = true
-		} else if aborted {
-			item.res.Err = pl.abortErr()
-		} else {
-			sp := pl.ci.met.tracer.Start("pipeline.commit", item.span.ID())
-			start := time.Now()
-			err := pl.commitOne(prev, prevCert, item)
-			pl.po.observeStage(stageCommit, start)
-			sp.End()
-			if err != nil {
-				item.res.Err = err
-				pl.fail(err)
-				aborted = true
-			} else {
-				prev, prevCert = item.blk, item.res.Cert
-				pl.po.blocks.Inc()
-				pl.mu.Lock()
-				pl.stats.Blocks++
-				pl.mu.Unlock()
-			}
-		}
-		if pl.cfg.IndexJobs != nil {
-			pl.po.queueIndex.Add(1)
-			pl.indexCh <- item
-		} else {
-			item.span.End()
-			pl.out <- item.res
-		}
-	}
-}
-
-func (pl *Pipeline) commitOne(prev *chain.Block, prevCert *Certificate, item *pipeItem) error {
-	sig, err := pl.ci.ecallSigGen(prev, prevCert, item.blk, item.proof, &item.res.Breakdown)
-	if err != nil {
-		return err
-	}
-	cert := pl.ci.newCert(BlockDigest(&item.blk.Header), sig)
-	if err := pl.ci.adopt(item.blk, cert); err != nil {
-		return err
-	}
-	// The block is certified: its speculative commit is now durable, so its
-	// undo record (always the oldest) retires.
-	pl.mu.Lock()
-	if len(pl.undo) > 0 && pl.undo[0].blockHash == item.blk.Hash() {
-		pl.undo = pl.undo[1:]
-	}
-	pl.mu.Unlock()
-	item.res.Cert = cert
-	return nil
-}
-
-// committerSegmented is the amortizing commit stage: it accumulates prepared
-// blocks and certifies each batch with ONE segment Ecall. A batch closes at
-// MaxBlocks, at MaxDelay after its first block arrived (the tip-latency
-// bound), at stream end, or at an error boundary — blocks prepared before a
-// failure still certify, exactly like the per-block committer's local abort
-// gate. A batch pending when the pipeline has already failed is speculation
-// and dies with it: those blocks abort uncertified, their state commits roll
-// back, and a restarted issuer re-certifies them as the uncertified suffix.
-func (pl *Pipeline) committerSegmented() {
-	defer pl.wg.Done()
-	defer close(pl.indexCh)
 	pol := *pl.cfg.Segment
-	prev, prevCert := pl.ci.certifiedTip()
-	prevHeaders := pl.ci.lastSegmentHeaders()
 	var batch []*pipeItem
 	aborted := false
 
+	// emit hands a finished item to the index stage, or straight to the
+	// result stream without one.
 	emit := func(item *pipeItem) {
+		if pl.cfg.IndexJobs != nil {
+			pl.po.queueIndex.Add(1)
+			pl.indexCh <- item
+			return
+		}
 		item.span.End()
 		pl.out <- item.res
+	}
+	// kill abandons the open batch as speculation.
+	kill := func() {
+		for _, it := range batch {
+			it.res.Err = pl.abortErr()
+			emit(it)
+		}
+		batch = batch[:0]
 	}
 	flush := func() {
 		if len(batch) == 0 || aborted {
 			return
 		}
-		start := time.Now()
 		blks := make([]*chain.Block, len(batch))
 		proofs := make([]*statedb.UpdateProof, len(batch))
 		for i, it := range batch {
 			blks[i] = it.blk
 			proofs[i] = it.proof
 		}
+		// The batch's cost and its commit span are booked on the block that
+		// closed it.
 		tip := batch[len(batch)-1]
-		sig, err := pl.ci.ecallSegmentSigGen(prev, prevHeaders, prevCert, blks, proofs, &tip.res.Breakdown)
-		if err == nil {
-			headers := segmentHeaders(blks)
-			cert := pl.ci.newCert(SegmentDigest(headers), sig)
-			var seg *SegmentCert
-			seg, err = pl.ci.adoptSegment(blks, headers, cert)
-			if err == nil {
-				pl.mu.Lock()
-				for _, it := range batch {
-					// Each certified block's speculative commit is now
-					// durable; its undo record (always the oldest) retires.
-					if len(pl.undo) > 0 && pl.undo[0].blockHash == it.blk.Hash() {
-						pl.undo = pl.undo[1:]
-					}
-					pl.stats.Blocks++
-				}
-				pl.mu.Unlock()
-				prev, prevCert, prevHeaders = blks[len(blks)-1], cert, headers
-				for _, it := range batch {
-					it.res.Cert = cert
-					it.res.Segment = seg
-					pl.po.blocks.Inc()
-				}
-			}
-		}
+		sp := pl.ci.met.tracer.Start("pipeline.commit", tip.span.ID())
+		start := time.Now()
+		seg, err := pl.ci.certify(blks, proofs, &tip.res.Breakdown)
+		pl.po.observeStage(stageCommit, start)
+		sp.End()
 		if err != nil {
 			pl.fail(err)
 			aborted = true
+		} else {
+			// Each certified block's speculative commit is now durable; its
+			// undo record (always the oldest) retires.
+			pl.mu.Lock()
 			for _, it := range batch {
-				if it.res.Err == nil {
-					it.res.Err = err
+				if len(pl.undo) > 0 && pl.undo[0].blockHash == it.blk.Hash() {
+					pl.undo = pl.undo[1:]
 				}
+				pl.stats.Blocks++
 			}
+			pl.mu.Unlock()
 		}
-		pl.po.observeStage(stageCommit, start)
 		for _, it := range batch {
+			if err != nil {
+				it.res.Err = err
+			} else {
+				it.res.Cert, it.res.Segment = seg.Cert, seg
+				pl.po.blocks.Inc()
+			}
 			emit(it)
 		}
 		batch = batch[:0]
@@ -634,11 +574,7 @@ func (pl *Pipeline) committerSegmented() {
 				// Stream end: a healthy pipeline certifies its final partial
 				// batch; a failed one abandons it (the blocks roll back).
 				if pl.failed.Load() && !aborted {
-					for _, it := range batch {
-						it.res.Err = pl.abortErr()
-						emit(it)
-					}
-					batch = nil
+					kill()
 				} else {
 					flush()
 				}
@@ -650,13 +586,8 @@ func (pl *Pipeline) committerSegmented() {
 				disarm()
 				if errors.Is(item.res.Err, ErrPipelineAborted) {
 					// Abort boundary: the enclave is being torn down (Kill),
-					// so the open batch may not take a last-gasp Ecall — it
-					// is speculation and dies with the pipeline, rolling back.
-					for _, it := range batch {
-						it.res.Err = pl.abortErr()
-						emit(it)
-					}
-					batch = batch[:0]
+					// so the open batch may not take a last-gasp Ecall.
+					kill()
 				} else {
 					// Error boundary: everything before the failed block
 					// still certifies, everything from it onward aborts.

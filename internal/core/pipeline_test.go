@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -79,10 +80,12 @@ func mineBlocks(t testing.TB, kind workload.Kind, n, txs int) []*chain.Block {
 	return blks
 }
 
-// TestPipelineEquivalence is the core correctness property of the pipelined
-// engine: for any worker count, the pipeline must emit byte-identical block
-// certificates, byte-identical index certificates, and the same final state
-// root as the sequential ProcessBlockHierarchical loop.
+// TestPipelineEquivalence is the core correctness property of the one
+// certification path: for any worker count, under the default policy and an
+// explicit K=1, the pipeline must emit byte-identical block certificates,
+// byte-identical index certificates, and the same final state root as the
+// sequential ProcessBlockHierarchical loop — and so must ProcessSegment of one
+// block per height.
 func TestPipelineEquivalence(t *testing.T) {
 	const seed = "equivalence-v1"
 	const numBlocks, txsPerBlock = 6, 8
@@ -151,53 +154,161 @@ func TestPipelineEquivalence(t *testing.T) {
 		t.Fatalf("sequential tip = %d", want.tipHeight)
 	}
 
-	for _, workers := range []int{1, 4, 8} {
-		pi := newSeededIssuer(t, workload.KVStore, seed)
-		register(pi)
-		results, err := pi.ProcessBlocksPipelined(blks, PipelineConfig{
-			Workers:   workers,
-			IndexJobs: mockIndexJobs(indexNames),
-		})
-		if err != nil {
-			t.Fatalf("workers=%d: pipeline: %v", workers, err)
-		}
-		if len(results) != numBlocks {
-			t.Fatalf("workers=%d: %d results", workers, len(results))
-		}
-		var certs []*Certificate
-		var idx [][]*Certificate
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatalf("workers=%d: block %d: %v", workers, i, res.Err)
-			}
-			if res.Block.Hash() != blks[i].Hash() {
-				t.Fatalf("workers=%d: result %d out of order", workers, i)
-			}
-			certs = append(certs, res.Cert)
-			idx = append(idx, res.IndexCerts)
-		}
-		got := snapshot(pi, certs, idx)
-
+	// compare holds a run to the reference; a run without index fan-out
+	// (idxBytes nil) is compared on block certificates and state only.
+	compare := func(label string, got run) {
+		t.Helper()
 		if got.tipHeight != want.tipHeight {
-			t.Fatalf("workers=%d: tip %d, want %d", workers, got.tipHeight, want.tipHeight)
+			t.Fatalf("%s: tip %d, want %d", label, got.tipHeight, want.tipHeight)
 		}
 		if got.finalRoot != want.finalRoot {
-			t.Fatalf("workers=%d: final state root %s, want %s", workers, got.finalRoot, want.finalRoot)
+			t.Fatalf("%s: final state root %s, want %s", label, got.finalRoot, want.finalRoot)
+		}
+		if len(got.certBytes) != len(want.certBytes) {
+			t.Fatalf("%s: %d block certs, want %d", label, len(got.certBytes), len(want.certBytes))
 		}
 		for i := range want.certBytes {
 			if !bytes.Equal(got.certBytes[i], want.certBytes[i]) {
-				t.Fatalf("workers=%d: block cert %d differs from sequential", workers, i)
+				t.Fatalf("%s: block cert %d differs from sequential", label, i)
 			}
+		}
+		if got.idxBytes == nil {
+			return
 		}
 		for i := range want.idxBytes {
 			if len(got.idxBytes[i]) != len(want.idxBytes[i]) {
-				t.Fatalf("workers=%d: block %d index cert count", workers, i)
+				t.Fatalf("%s: block %d index cert count", label, i)
 			}
 			for j := range want.idxBytes[i] {
 				if !bytes.Equal(got.idxBytes[i][j], want.idxBytes[i][j]) {
-					t.Fatalf("workers=%d: index cert %d/%d differs from sequential", workers, i, j)
+					t.Fatalf("%s: index cert %d/%d differs from sequential", label, i, j)
 				}
 			}
+		}
+	}
+
+	// ProcessSegment of one block per height is the same certificate chain.
+	oneBlock := newSeededIssuer(t, workload.KVStore, seed)
+	var oneBlockCerts []*Certificate
+	for _, blk := range blks {
+		seg, _, err := oneBlock.ProcessSegment([]*chain.Block{blk})
+		if err != nil {
+			t.Fatalf("ProcessSegment(height %d): %v", blk.Header.Height, err)
+		}
+		oneBlockCerts = append(oneBlockCerts, seg.Cert)
+	}
+	compare("one-block segments", snapshot(oneBlock, oneBlockCerts, nil))
+
+	// The pipeline, under its default policy and under an explicit K=1.
+	for _, pol := range []*SegmentPolicy{nil, {MaxBlocks: 1}} {
+		for _, workers := range []int{1, 4, 8} {
+			label := fmt.Sprintf("segment=%v workers=%d", pol != nil, workers)
+			pi := newSeededIssuer(t, workload.KVStore, seed)
+			register(pi)
+			before := pi.Enclave().Stats().Ecalls
+			results, err := pi.ProcessBlocksPipelined(blks, PipelineConfig{
+				Workers:   workers,
+				IndexJobs: mockIndexJobs(indexNames),
+				Segment:   pol,
+			})
+			if err != nil {
+				t.Fatalf("%s: pipeline: %v", label, err)
+			}
+			if len(results) != numBlocks {
+				t.Fatalf("%s: %d results", label, len(results))
+			}
+			// One block Ecall per block, plus one per index.
+			if got, want := pi.Enclave().Stats().Ecalls-before, uint64(numBlocks*(1+len(indexNames))); got != want {
+				t.Fatalf("%s: %d Ecalls, want %d", label, got, want)
+			}
+			var certs []*Certificate
+			var idx [][]*Certificate
+			for i, res := range results {
+				if res.Err != nil {
+					t.Fatalf("%s: block %d: %v", label, i, res.Err)
+				}
+				if res.Block.Hash() != blks[i].Hash() {
+					t.Fatalf("%s: result %d out of order", label, i)
+				}
+				certs = append(certs, res.Cert)
+				idx = append(idx, res.IndexCerts)
+			}
+			compare(label, snapshot(pi, certs, idx))
+		}
+	}
+}
+
+// TestPipelineErrorBoundary: one bad transaction signature in block j of n
+// fails that block in the verify stage. Blocks before it certify (under
+// MaxBlocks 4 the open partial batch flushes at the boundary), block j carries
+// the verify error, every later block aborts, and the replica stands at the
+// last certified block with its state root.
+func TestPipelineErrorBoundary(t *testing.T) {
+	const n, j = 7, 5 // blks[j] is bad: heights 1..j certify
+	for _, maxBlocks := range []int{1, 4} {
+		e := newEnv(t, workload.KVStore, enclave.CostModel{})
+		var blks []*chain.Block
+		for i := 0; i < n; i++ {
+			blks = append(blks, e.mine(t, 5))
+		}
+		bad := &chain.Block{Header: blks[j].Header, Txs: append([]*chain.Transaction(nil), blks[j].Txs...)}
+		forged := *bad.Txs[2]
+		forged.Signature = append([]byte(nil), forged.Signature...)
+		forged.Signature[len(forged.Signature)-1] ^= 1
+		bad.Txs[2] = &forged
+		var err error
+		if bad.Header.TxRoot, err = chain.ComputeTxRoot(bad.Txs); err != nil {
+			t.Fatalf("ComputeTxRoot: %v", err)
+		}
+		if err := consensus.Seal(e.params, &bad.Header); err != nil {
+			t.Fatalf("Seal: %v", err)
+		}
+		blks[j] = bad
+
+		before := e.issuer.Enclave().Stats().Ecalls
+		results, err := e.issuer.ProcessBlocksPipelined(blks, PipelineConfig{
+			Workers: 2,
+			Segment: &SegmentPolicy{MaxBlocks: maxBlocks},
+		})
+		if !errors.Is(err, chain.ErrBadTx) {
+			t.Fatalf("K=%d: pipeline error %v, want the signature failure", maxBlocks, err)
+		}
+		if len(results) != n {
+			t.Fatalf("K=%d: %d results, want %d", maxBlocks, len(results), n)
+		}
+		for i, res := range results {
+			switch {
+			case i < j:
+				if res.Err != nil || res.Cert == nil {
+					t.Fatalf("K=%d: block %d before the bad one: %v", maxBlocks, i, res.Err)
+				}
+				if h := blks[i].Header.Height; res.Segment.HeaderAt(h) == nil {
+					t.Fatalf("K=%d: block %d not covered by its segment", maxBlocks, i)
+				}
+			case i == j:
+				if !errors.Is(res.Err, chain.ErrBadTx) || errors.Is(res.Err, ErrPipelineAborted) {
+					t.Fatalf("K=%d: bad block carries %v, want the verify error", maxBlocks, res.Err)
+				}
+			default:
+				if !errors.Is(res.Err, ErrPipelineAborted) {
+					t.Fatalf("K=%d: block %d after the bad one carries %v, want ErrPipelineAborted", maxBlocks, i, res.Err)
+				}
+			}
+		}
+		// j good blocks in batches of at most maxBlocks.
+		if got, want := e.issuer.Enclave().Stats().Ecalls-before, uint64((j+maxBlocks-1)/maxBlocks); got != want {
+			t.Fatalf("K=%d: %d Ecalls, want %d", maxBlocks, got, want)
+		}
+		tip := e.issuer.Node().Tip()
+		if tip.Hash() != blks[j-1].Hash() {
+			t.Fatalf("K=%d: tip at height %d, want %d", maxBlocks, tip.Header.Height, j)
+		}
+		root, err := e.issuer.Node().State().Root()
+		if err != nil {
+			t.Fatalf("Root: %v", err)
+		}
+		if root != tip.Header.StateRoot {
+			t.Fatalf("K=%d: state root %s does not match certified tip %s", maxBlocks, root, tip.Header.StateRoot)
 		}
 	}
 }

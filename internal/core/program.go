@@ -187,48 +187,22 @@ func replayWithWrites(prevRoot chash.Hash, proof *statedb.UpdateProof, reg *vm.R
 	return root, writes, nil
 }
 
-// verifyPrev dispatches the genesis/recursive check of Alg. 2 lines 3-6
-// for a digest function (block or index digest).
-func (p *TrustedProgram) verifyPrev(ctx *enclave.Context, prev *chain.Block, prevDigest chash.Hash, prevCert *Certificate) error {
-	if prev.Header.Height == 0 {
-		if prev.Hash() != p.genesis {
-			return fmt.Errorf("%w: %s", ErrGenesisMismatch, prev.Hash())
-		}
-		return nil
-	}
-	return p.certVerifyT(ctx, prevDigest, prevCert)
-}
-
-// EcallSigGen is ecall_sig_gen (Alg. 2 lines 1-9), run inside the enclave:
-// verify the previous certificate (or genesis), verify the new block, cache
-// its write set, and sign H(hdr_i).
-func (p *TrustedProgram) EcallSigGen(ctx *enclave.Context, prev *chain.Block, prevCert *Certificate, blk *chain.Block, proof *statedb.UpdateProof) ([]byte, error) {
-	if err := p.verifyPrev(ctx, prev, BlockDigest(&prev.Header), prevCert); err != nil {
-		return nil, err
-	}
-	writes, err := p.blkVerifyT(prev, blk, proof)
-	if err != nil {
-		return nil, err
-	}
-	p.cacheWrites(blk.Hash(), writes)
-	return ctx.Sign(BlockDigest(&blk.Header))
-}
-
-// EcallSegmentSigGen is the segment analogue of ecall_sig_gen: ONE enclave
-// entry that verifies the previous segment's certificate (or genesis),
-// verifies all K blocks of the new segment as a chained run, caches their
-// write sets, and signs the segment digest. Extending the recursion unit
-// from one block to K blocks amortizes the fixed per-Ecall cost (transition
-// + two signature operations) across K state transitions; the inductive
-// trust argument is unchanged because the previous certificate covers the
-// previous segment's digest, whose last header is exactly the block the new
-// segment's first header must extend.
+// EcallSegmentSigGen is ecall_sig_gen (Alg. 2 lines 1-9) with the recursion
+// unit extended from one block to K: ONE enclave entry that verifies the
+// previous segment's certificate (or genesis), verifies all K blocks of the
+// new segment as a chained run, caches their write sets, and signs the
+// segment digest. It is the only trusted block-certification entry. K > 1
+// amortizes the fixed per-Ecall cost (transition + two signature operations)
+// across K state transitions; the inductive trust argument is unchanged
+// because the previous certificate covers the previous segment's digest,
+// whose last header is exactly the block the new segment's first header must
+// extend.
 //
 // prevHeaders are the headers covered by prevCert (so their SegmentDigest is
 // prevCert's signed digest); their last element must be prev's header. For a
-// single-block segment over a single-block predecessor this is exactly
-// EcallSigGen: both digests collapse to BlockDigest, so the resulting
-// signature — and the certificate built from it — is byte-identical.
+// one-block segment over a one-block predecessor both digests collapse to
+// BlockDigest: this is the paper's per-block ecall_sig_gen, byte for byte
+// (golden-pinned by seg_k1_cert).
 func (p *TrustedProgram) EcallSegmentSigGen(ctx *enclave.Context, prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof) ([]byte, error) {
 	if len(blks) == 0 {
 		return nil, fmt.Errorf("%w: empty segment", ErrBadSegment)

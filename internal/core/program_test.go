@@ -9,6 +9,7 @@ import (
 	"dcert/internal/chash"
 	"dcert/internal/consensus"
 	"dcert/internal/enclave"
+	"dcert/internal/statedb"
 	"dcert/internal/workload"
 )
 
@@ -33,7 +34,7 @@ func TestEcallSigGenRejectsWrongGenesis(t *testing.T) {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
 	err = ecall(t, e, func(ctx *enclave.Context) error {
-		_, err := e.issuer.Program().EcallSigGen(ctx, forgedGenesis, nil, blk, proof)
+		_, err := e.issuer.Program().EcallSegmentSigGen(ctx, forgedGenesis, nil, nil, []*chain.Block{blk}, []*statedb.UpdateProof{proof})
 		return err
 	})
 	if !errors.Is(err, ErrGenesisMismatch) {
@@ -60,7 +61,7 @@ func TestEcallSigGenRejectsMissingPrevCert(t *testing.T) {
 	// Previous block is height 1 (not genesis) but no certificate supplied:
 	// the recursion base must not be skippable.
 	err = ecall(t, e, func(ctx *enclave.Context) error {
-		_, err := e.issuer.Program().EcallSigGen(ctx, b1, nil, b2, proof)
+		_, err := e.issuer.Program().EcallSegmentSigGen(ctx, b1, []*chain.Header{&b1.Header}, nil, []*chain.Block{b2}, []*statedb.UpdateProof{proof})
 		return err
 	})
 	if !errors.Is(err, ErrBadCertificate) {
@@ -90,11 +91,66 @@ func TestEcallSigGenRejectsSkippedHeight(t *testing.T) {
 	}
 	// Claim b3 extends b1 (skipping b2): linkage check must fire.
 	err = ecall(t, e, func(ctx *enclave.Context) error {
-		_, err := e.issuer.Program().EcallSigGen(ctx, b1, cert1, b3, proof)
+		_, err := e.issuer.Program().EcallSegmentSigGen(ctx, b1, []*chain.Header{&b1.Header}, cert1, []*chain.Block{b3}, []*statedb.UpdateProof{proof})
 		return err
 	})
 	if !errors.Is(err, chain.ErrBadBlock) {
 		t.Fatalf("want ErrBadBlock, got %v", err)
+	}
+}
+
+// TestEcallSigGenRejectsBadSegmentInputs covers the two refutations only the
+// segment entry can face: previous headers that do not end at the claimed
+// tip, and a proofs/blocks count mismatch.
+func TestEcallSigGenRejectsBadSegmentInputs(t *testing.T) {
+	e := newEnv(t, workload.DoNothing, enclave.CostModel{})
+	b1 := e.mine(t, 2)
+	cert1, _, err := e.issuer.ProcessBlock(b1)
+	if err != nil {
+		t.Fatalf("ProcessBlock: %v", err)
+	}
+	b2 := e.mine(t, 2)
+	cert2, _, err := e.issuer.ProcessBlock(b2)
+	if err != nil {
+		t.Fatalf("ProcessBlock: %v", err)
+	}
+	b3 := e.mine(t, 2)
+	res, err := e.issuer.Node().State().ExecuteBlock(e.issuer.Node().Registry(), b3.Txs)
+	if err != nil {
+		t.Fatalf("ExecuteBlock: %v", err)
+	}
+	proof, err := e.issuer.Node().State().UpdateProofFor(res)
+	if err != nil {
+		t.Fatalf("UpdateProofFor: %v", err)
+	}
+	prog := e.issuer.Program()
+	blks, proofs := []*chain.Block{b3}, []*statedb.UpdateProof{proof}
+
+	// b1's certificate is genuine and covers b1's header, but the claimed tip
+	// is b2: a valid certificate for another height must not be a base.
+	err = ecall(t, e, func(ctx *enclave.Context) error {
+		_, err := prog.EcallSegmentSigGen(ctx, b2, []*chain.Header{&b1.Header}, cert1, blks, proofs)
+		return err
+	})
+	if !errors.Is(err, ErrBadSegment) {
+		t.Fatalf("previous headers ending below the claimed tip: want ErrBadSegment, got %v", err)
+	}
+	for name, ps := range map[string][]*statedb.UpdateProof{"no": nil, "two": {proof, proof}} {
+		err = ecall(t, e, func(ctx *enclave.Context) error {
+			_, err := prog.EcallSegmentSigGen(ctx, b2, []*chain.Header{&b2.Header}, cert2, blks, ps)
+			return err
+		})
+		if !errors.Is(err, ErrBadSegment) {
+			t.Fatalf("%s proofs for one block: want ErrBadSegment, got %v", name, err)
+		}
+	}
+	// The honest inputs sign.
+	err = ecall(t, e, func(ctx *enclave.Context) error {
+		_, err := prog.EcallSegmentSigGen(ctx, b2, []*chain.Header{&b2.Header}, cert2, blks, proofs)
+		return err
+	})
+	if err != nil {
+		t.Fatalf("honest inputs refused: %v", err)
 	}
 }
 

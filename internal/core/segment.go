@@ -9,7 +9,6 @@ import (
 	"dcert/internal/chain"
 	"dcert/internal/chash"
 	"dcert/internal/consensus"
-	"dcert/internal/enclave"
 	"dcert/internal/statedb"
 )
 
@@ -207,20 +206,12 @@ func InterlinkHeights(start uint64) []uint64 {
 // comes first — steady-state throughput rides the amortization curve while
 // tip latency under slow arrival stays bounded by the deadline.
 type SegmentPolicy struct {
-	// MaxBlocks is K, the largest segment (values below 2 keep the
-	// single-block committer and its byte-identical certificates).
+	// MaxBlocks is K, the largest segment (values below 1 mean 1: every
+	// block certifies on arrival, under the per-block certificate bytes).
 	MaxBlocks int
 	// MaxDelay bounds how long a partial segment may wait for more blocks
 	// before certifying what it has (0 = wait for MaxBlocks or stream end).
 	MaxDelay time.Duration
-}
-
-// lastSegmentHeaders snapshots the headers of the issuer's newest certified
-// segment (nil before the first certificate).
-func (ci *Issuer) lastSegmentHeaders() []*chain.Header {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	return ci.lastSegHeaders
 }
 
 // buildInterlink resolves the interlink schedule for a segment starting at
@@ -303,14 +294,15 @@ func applyUndo(state *statedb.DB, recs []*undoRec) {
 // EcallSegmentSigGen, then atomic adoption of all K blocks under the one
 // segment certificate. On any failure every speculative state commit is
 // rolled back and the replica is left exactly at its certified tip.
+//
+// Apart from the certify step it shares no code with the Pipeline, which is
+// what lets the pipeline equivalence tests use it as the sequential oracle.
 func (ci *Issuer) ProcessSegment(blks []*chain.Block) (*SegmentCert, CostBreakdown, error) {
 	var bd CostBreakdown
 	if len(blks) == 0 {
 		return nil, bd, fmt.Errorf("%w: empty segment", ErrBadSegment)
 	}
 	certifyStart := time.Now()
-	prev, prevCert := ci.certifiedTip()
-	prevHeaders := ci.lastSegmentHeaders()
 
 	state := ci.node.State()
 	proofs := make([]*statedb.UpdateProof, len(blks))
@@ -335,20 +327,23 @@ func (ci *Issuer) ProcessSegment(blks []*chain.Block) (*SegmentCert, CostBreakdo
 		proofs[i] = proof
 	}
 
-	sig, err := ci.ecallSegmentSigGen(prev, prevHeaders, prevCert, blks, proofs, &bd)
-	if err != nil {
-		rollback()
-		return nil, bd, err
-	}
-	headers := segmentHeaders(blks)
-	cert := ci.newCert(SegmentDigest(headers), sig)
-	seg, err := ci.adoptSegment(blks, headers, cert)
+	seg, err := ci.certify(blks, proofs, &bd)
 	if err != nil {
 		rollback()
 		return nil, bd, err
 	}
 	ci.met.certifySec.Observe(time.Since(certifyStart).Seconds())
 	return seg, bd, nil
+}
+
+// certify is Alg. 1 lines 4-7 for prepared blocks whose state writes are
+// already committed: the one Ecall, certificate assembly, atomic adoption.
+func (ci *Issuer) certify(blks []*chain.Block, proofs []*statedb.UpdateProof, bd *CostBreakdown) (*SegmentCert, error) {
+	sig, err := ci.ecallSigGen(blks, proofs, bd)
+	if err != nil {
+		return nil, err
+	}
+	return ci.adopt(blks, ci.newCert(SegmentDigest(segmentHeaders(blks)), sig))
 }
 
 // segmentHeaders projects a block run onto its headers.
@@ -358,57 +353,6 @@ func segmentHeaders(blks []*chain.Block) []*chain.Header {
 		headers[i] = &blks[i].Header
 	}
 	return headers
-}
-
-// ecallSegmentSigGen runs the single segment-certification Ecall. The input
-// sizing covers everything marshalled through the boundary: every block and
-// its proof, the previous segment's headers, and the previous certificate.
-func (ci *Issuer) ecallSegmentSigGen(prev *chain.Block, prevHeaders []*chain.Header, prevCert *Certificate, blks []*chain.Block, proofs []*statedb.UpdateProof, bd *CostBreakdown) ([]byte, error) {
-	size := len(prev.Header.Marshal())
-	for i := range blks {
-		size += len(blks[i].Marshal()) + proofs[i].EncodedSize()
-	}
-	for _, h := range prevHeaders {
-		size += h.EncodedSize()
-	}
-	if prevCert != nil {
-		size += prevCert.EncodedSize()
-	}
-	var sig []byte
-	before := ci.encl.Stats()
-	err := ci.encl.Ecall(size, func(ctx *enclave.Context) error {
-		var err error
-		sig, err = ci.prog.EcallSegmentSigGen(ctx, prev, prevHeaders, prevCert, blks, proofs)
-		return err
-	})
-	after := ci.encl.Stats()
-	bd.InsideExec += (after.ExecTime - before.ExecTime).Seconds()
-	bd.InsideOverhead += (after.OverheadTime - before.OverheadTime).Seconds()
-	ci.met.ecallsBlock.Inc()
-	ci.met.enclaveBlockSec.Observe((after.InsideTime() - before.InsideTime()).Seconds())
-	if err != nil {
-		return nil, fmt.Errorf("core: ecall_segment_sig_gen: %w", err)
-	}
-	return sig, nil
-}
-
-// adoptSegment appends all covered blocks and publishes the segment
-// certificate as one atomic transition (the segment-wide analogue of adopt):
-// concurrent readers see either the old tip with the old certificate or the
-// new tip with the new one — never a partially adopted segment.
-func (ci *Issuer) adoptSegment(blks []*chain.Block, headers []*chain.Header, cert *Certificate) (*SegmentCert, error) {
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	for _, blk := range blks {
-		if _, err := ci.node.Store().Add(blk); err != nil {
-			return nil, fmt.Errorf("core: advance chain: %w", err)
-		}
-		ci.certs[blk.Hash()] = cert
-		ci.met.blocksCertified.Inc()
-	}
-	ci.lastCert = cert
-	ci.lastCertAt = time.Now()
-	return ci.recordSegmentLocked(headers, cert), nil
 }
 
 // ModelBootstrapFetches predicts BootstrapSublinear's fetch count for a

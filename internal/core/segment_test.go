@@ -16,6 +16,7 @@ import (
 	"dcert/internal/consensus"
 	"dcert/internal/enclave"
 	"dcert/internal/node"
+	"dcert/internal/statedb"
 	"dcert/internal/vm"
 	"dcert/internal/workload"
 )
@@ -97,9 +98,12 @@ func TestSegmentDigestK1Identity(t *testing.T) {
 }
 
 // TestSegmentK1ByteIdentity drives two issuers built from one seed over the
-// same blocks — one through the pre-segment ProcessBlock, one through
-// one-block ProcessSegment calls — and requires byte-identical certificates
-// at every height. K=1 is not a compatible mode; it is the same bytes.
+// same blocks — one through ProcessBlock, one through one-block
+// ProcessSegment calls — and requires byte-identical certificates at every
+// height. K=1 is not a compatible mode; it is the same bytes. ProcessBlock now
+// delegates to ProcessSegment, so the comparison holds by construction: the
+// reference for the per-block bytes is the seg_k1_cert golden digest below,
+// captured from the pre-segment code.
 func TestSegmentK1ByteIdentity(t *testing.T) {
 	const seed = "segment-k1-v1"
 	a := newSegRig(t, seed)
@@ -182,6 +186,49 @@ func TestSegmentGoldenDigests(t *testing.T) {
 		if got[name] != want {
 			t.Errorf("%s: encoding drifted from golden vector\n got %s\nwant %s", name, got[name], want)
 		}
+	}
+}
+
+// TestEcallInputSizing pins what a block-certification Ecall copies into the
+// enclave. A K=1 stream pays exactly the per-block input — previous header,
+// block, proof, previous certificate — and a segment counts the headers under
+// the previous certificate once each (the tip header used to be counted
+// twice).
+func TestEcallInputSizing(t *testing.T) {
+	e := newEnv(t, workload.KVStore, enclave.CostModel{})
+	var blks []*chain.Block
+	var proofs []*statedb.UpdateProof
+	for i := 0; i < 4; i++ {
+		blk := e.mine(t, 4)
+		prev, prevCert := e.issuer.certifiedTip()
+		proof, _, err := e.issuer.prepare(blk, &CostBreakdown{})
+		if err != nil {
+			t.Fatalf("prepare: %v", err)
+		}
+		want := len(prev.Header.Marshal()) + len(blk.Marshal()) + proof.EncodedSize()
+		if prevCert != nil {
+			want += prevCert.EncodedSize()
+		}
+		before := e.issuer.Enclave().Stats().BytesIn
+		if _, _, err := e.issuer.ProcessBlock(blk); err != nil {
+			t.Fatalf("ProcessBlock: %v", err)
+		}
+		if got := e.issuer.Enclave().Stats().BytesIn - before; got != uint64(want) {
+			t.Fatalf("height %d: Ecall copied %d bytes in, want %d", blk.Header.Height, got, want)
+		}
+		blks, proofs = append(blks, blk), append(proofs, proof)
+	}
+
+	prev, cert := blks[1], e.issuer.LatestCert()
+	want := cert.EncodedSize()
+	for _, h := range segmentHeaders(blks[:2]) {
+		want += len(h.Marshal())
+	}
+	for i := 2; i < 4; i++ {
+		want += len(blks[i].Marshal()) + proofs[i].EncodedSize()
+	}
+	if got := ecallInputSize(prev, segmentHeaders(blks[:2]), cert, blks[2:], proofs[2:]); got != want {
+		t.Fatalf("two blocks over a two-block segment: sized %d bytes, want %d", got, want)
 	}
 }
 

@@ -560,14 +560,28 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 	}
 	e.mBlocks.Inc()
 
-	if cert != nil && h%e.snapshotEvery == 0 {
-		return e.snapshotLocked()
+	if cert != nil {
+		return e.snapshotIfDueLocked(h)
 	}
 	return nil
 }
 
-// ApplyCert persists a certificate for an already-persisted block — the
-// issuer catch-up path, where re-certification arrives after the blocks.
+// snapshotIfDueLocked takes the periodic snapshot when the certificate that
+// has just been journaled is for a multiple-of-SnapshotEvery height. The
+// image is the mirror's, which stands above that height when blocks are
+// journaled ahead of their certificates; should a crash then lose the
+// uncertified blocks, recoverState finds the image above the recovered tip,
+// discards it, and the caller replays.
+func (e *Engine) snapshotIfDueLocked(certified uint64) error {
+	if certified%e.snapshotEvery != 0 {
+		return nil
+	}
+	return e.snapshotLocked()
+}
+
+// ApplyCert persists a certificate for an already-persisted block: the
+// mining routine journals a block first and its certificate when it lands,
+// and issuer catch-up re-certifies blocks long journaled.
 func (e *Engine) ApplyCert(blockHash chash.Hash, cert *core.Certificate) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -585,7 +599,7 @@ func (e *Engine) ApplyCert(blockHash chash.Hash, cert *core.Certificate) error {
 	if height == uint64(len(e.blocks))-1 {
 		e.tipCert = &core.IssuerCheckpoint{Height: height, BlockHash: blockHash, Cert: cert}
 	}
-	return nil
+	return e.snapshotIfDueLocked(height)
 }
 
 func (e *Engine) appendCertLocked(blockHash chash.Hash, cert *core.Certificate) error {

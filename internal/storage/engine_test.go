@@ -282,6 +282,81 @@ func TestEngineLateCertExtendsCertifiedPrefix(t *testing.T) {
 	}
 }
 
+// TestEngineSnapshotWhenCertificateLands: blocks journaled ahead of their
+// certificates (the mining routine's order) must still get the periodic
+// snapshot — it fires where the certificate for a multiple-of-N height lands,
+// with the mirror's image, which then stands above that height. A crash that
+// loses the uncertified blocks finds that image above the recovered tip:
+// recovery discards it and the node resumes by replay, at the right root.
+func TestEngineSnapshotWhenCertificateLands(t *testing.T) {
+	env := newEngineEnv(t)
+	dir := t.TempDir()
+	eng, err := OpenEngine(dir, Options{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	genesis := env.persist.Store().Best()
+	if err := eng.Bootstrap(genesis, nil); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	for i := 0; i < 6; i++ {
+		env.mine(t, eng, false)
+	}
+	if eng.snapHeight != 0 {
+		t.Fatalf("snapshot at height %d with nothing certified", eng.snapHeight)
+	}
+	for h := 1; h <= 4; h++ {
+		blk := env.blocks[h-1]
+		cert, _, err := env.issuer.ProcessBlock(blk)
+		if err != nil {
+			t.Fatalf("ProcessBlock(%d): %v", h, err)
+		}
+		if err := eng.ApplyCert(blk.Hash(), cert); err != nil {
+			t.Fatalf("ApplyCert(%d): %v", h, err)
+		}
+		if want := uint64(h / 4 * 6); eng.snapHeight != want {
+			t.Fatalf("certificate %d landed: snapshot at height %d, want %d", h, eng.snapHeight, want)
+		}
+	}
+	if size := eng.stateWAL.Size(); size != 0 {
+		t.Fatalf("state WAL holds %d bytes after the snapshot reset it", size)
+	}
+	// Crash with heights 5 and 6 uncertified.
+	if err := eng.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	eng.chainLog.Close()
+	eng.stateWAL.Close()
+
+	eng2, err := OpenEngine(dir, Options{SnapshotEvery: 4})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	rec := eng2.Recovery()
+	if rec.TipHeight() != 4 || rec.DroppedBlocks != 2 {
+		t.Fatalf("recovered tip %d dropping %d, want 4 dropping 2", rec.TipHeight(), rec.DroppedBlocks)
+	}
+	if rec.State != nil {
+		t.Fatalf("recovery trusted a state image at height %d above the certified tip", rec.StateHeight)
+	}
+	if err := eng2.Bootstrap(genesis, nil); err != nil {
+		t.Fatalf("re-Bootstrap: %v", err)
+	}
+	n, err := eng2.ResumeNode(env.resumeCfg())
+	if err != nil {
+		t.Fatalf("ResumeNode: %v", err)
+	}
+	root, err := n.State().Root()
+	if err != nil {
+		t.Fatalf("Root: %v", err)
+	}
+	if n.Tip().Hash() != env.blocks[3].Hash() || root != env.blocks[3].Header.StateRoot {
+		t.Fatalf("replayed node at height %d root %s, want height 4 root %s",
+			n.Tip().Header.Height, root, env.blocks[3].Header.StateRoot)
+	}
+}
+
 // TestEngineApplyCertLooksUpByHash pins that attaching a certificate costs
 // the same on a long chain as on a short one. The old lookup hashed every
 // header from genesis, and a header hash allocates its preimage, so on 2 000

@@ -79,6 +79,11 @@ func (d *Deployment) EnableObservability(logger *Logger) (*MetricsRegistry, *Tra
 	d.tracer = obs.NewTracer(4096)
 	d.logger = logger
 	d.net.Instrument(d.reg)
+	d.mineSteps = make(map[string]*obs.Histogram, len(mineStepNames))
+	for _, step := range mineStepNames {
+		d.mineSteps[step] = d.reg.Histogram("dcert_mine_step_seconds",
+			"Wall time per mined block of each serial step of the mining routine.", nil, obs.L("step", step))
+	}
 	d.issuer.Instrument(d.reg, d.tracer, logger, "ci0")
 	if d.engine != nil {
 		d.engine.Instrument(d.reg)
@@ -87,6 +92,56 @@ func (d *Deployment) EnableObservability(logger *Logger) (*MetricsRegistry, *Tra
 		f.Instrument(d.reg)
 	}
 	return d.reg, d.tracer
+}
+
+// mineStepNames are the timed steps of Deployment.mine, in order. "submit" is
+// inline certification or the pipelines' Submit; "serve" is the SP and fleet
+// feed plus the block's publication.
+var mineStepNames = [...]string{"gen", "propose", "journal", "submit", "serve"}
+
+// mineClock times the steps of one run of the mining routine into
+// dcert_mine_step_seconds and into spans under one "mine" root. Without
+// EnableObservability the clock is nil: its methods record nothing and read
+// no clock.
+type mineClock struct {
+	d     *Deployment
+	root  obs.SpanHandle
+	span  obs.SpanHandle
+	hist  *obs.Histogram // the open step's; nil between steps
+	start time.Time
+}
+
+func (d *Deployment) newMineClock() *mineClock {
+	if d.mineSteps == nil {
+		return nil
+	}
+	return &mineClock{d: d, root: d.tracer.Start("mine", 0)}
+}
+
+// step closes the open step and opens the named one.
+func (c *mineClock) step(name string) {
+	if c == nil {
+		return
+	}
+	c.closeStep()
+	c.hist, c.span, c.start = c.d.mineSteps[name], c.d.tracer.Start("mine."+name, c.root.ID()), time.Now()
+}
+
+func (c *mineClock) closeStep() {
+	if c.hist != nil {
+		c.hist.ObserveDuration(time.Since(c.start))
+		c.span.End()
+		c.hist = nil
+	}
+}
+
+// stop closes the open step and the root span.
+func (c *mineClock) stop() {
+	if c == nil {
+		return
+	}
+	c.closeStep()
+	c.root.End()
 }
 
 // Observability returns the deployment's instrumentation plane (all nil
