@@ -17,6 +17,7 @@ import (
 
 	"dcert"
 	"dcert/internal/chain"
+	"dcert/internal/statedb"
 	"dcert/internal/workload"
 )
 
@@ -287,15 +288,17 @@ func BenchmarkHeadlineStorage(b *testing.B) {
 // with 2 workers, a 2-replica fleet, 25-tx KVStore blocks) in one process.
 // One iteration mines one block. It reports where the serial call spends its
 // time — gen, propose, journal, submit, serve, in ms per block, read from the
-// dcert_mine_step_seconds histograms the mining routine itself fills — and two
-// counts that repeat exactly where the timings do not: signature
-// verifications per transaction over the whole path (pipeline and enclave
-// included), and the live heap each block leaves behind.
+// dcert_mine_step_seconds histograms the mining routine itself fills — and
+// what repeats where the timings do not: the state tries the deployment
+// builds, signature verifications per transaction over the whole path
+// (pipeline and enclave included), and the live heap each block leaves
+// behind.
 //
 //	make bench-mine-path                      # 400 blocks
 //	make bench-mine-path MINE_PATH_BLOCKS=1x  # CI smoke
 func BenchmarkMinePath(b *testing.B) {
 	const txsPerBlock = 25
+	dbsBefore := statedb.Instances()
 	dep, err := dcert.OpenDeployment(dcert.Config{
 		Workload:    dcert.KVStore,
 		Contracts:   20,
@@ -357,6 +360,7 @@ func BenchmarkMinePath(b *testing.B) {
 	for _, step := range steps {
 		b.ReportMetric((stepSeconds(step)-setUp[step])*1e3/blocks, step+"-ms/block")
 	}
+	b.ReportMetric(float64(statedb.Instances()-dbsBefore), "state-dbs")
 	b.ReportMetric(float64(chain.SigVerifications()-sigsBefore)/(blocks*txsPerBlock), "sigverifies/tx")
 	runtime.GC()
 	runtime.ReadMemStats(&mem)

@@ -45,6 +45,7 @@ import (
 
 	"dcert"
 	"dcert/internal/enclave"
+	"dcert/internal/network"
 	"dcert/internal/workload"
 )
 
@@ -131,14 +132,8 @@ func run() error {
 	}
 
 	client := dep.NewSuperlightClient()
-	var runErr error
-	if *pipeline > 0 {
-		runErr = runPipelined(dep, client, *blocks, *txs, *pipeline, *interval)
-	} else {
-		runErr = runSequential(dep, client, *blocks, *txs, *interval)
-	}
-	if runErr != nil {
-		return runErr
+	if err := mineAndValidate(dep, client, *blocks, *txs, *pipeline, *interval); err != nil {
+		return err
 	}
 
 	stats := dep.Issuer().Enclave().Stats()
@@ -198,95 +193,77 @@ func runServer(dep *dcert.Deployment, addr string, blocks, txs int, interval tim
 	return nil
 }
 
-// runSequential drives the inline certification loop (Alg. 1 per block).
-func runSequential(dep *dcert.Deployment, client *dcert.SuperlightClient, blocks, txs int, interval time.Duration) error {
-	for i := 1; i <= blocks; i++ {
-		blk, cert, err := dep.MineAndCertify(txs)
-		if err != nil {
-			return fmt.Errorf("block %d: %w", i, err)
-		}
-		start := time.Now()
-		if err := client.ValidateChain(&blk.Header, cert); err != nil {
-			return fmt.Errorf("client validation %d: %w", i, err)
-		}
-		validate := time.Since(start)
-		fmt.Printf("block %4d  hash=%s  txs=%d  cert=%dB  client-validate=%v  client-storage=%dB\n",
-			blk.Header.Height, blk.Hash(), len(blk.Txs), cert.EncodedSize(),
-			validate.Round(time.Microsecond), client.StorageSize())
-		if interval > 0 {
-			time.Sleep(interval)
-		}
-	}
-	return nil
-}
+// mineAndValidate mines the blocks through the deployment's mining routine —
+// inline, or with workers > 0 pipelined, so that block i+1 is mined, journaled
+// and speculatively executed while block i is still inside the enclave — and
+// has the client validate the certificate bundles as they land on the
+// certificate topic.
+func mineAndValidate(dep *dcert.Deployment, client *dcert.SuperlightClient, blocks, txs, workers int, interval time.Duration) error {
+	// One bundle per block; the fabric drops what a full queue cannot take.
+	certs := dep.Net().Subscribe(dcert.TopicCerts, blocks)
+	defer certs.Cancel()
+	validated := make(chan error, 1)
+	go func() { validated <- validateBundles(dep, client, certs, blocks) }()
 
-// runPipelined streams blocks through the pipelined certification engine:
-// block i+1 is mined and speculatively executed while block i is still
-// inside the enclave. The client validates certificates as they land.
-func runPipelined(dep *dcert.Deployment, client *dcert.SuperlightClient, blocks, txs, workers int, interval time.Duration) error {
-	pl, err := dcert.NewPipeline(dep.Issuer(), dcert.PipelineConfig{Workers: workers})
+	plane, err := dep.StartCertPlane(1)
 	if err != nil {
 		return err
 	}
-	consumed := make(chan error, 1)
-	go func() {
-		consumed <- func() error {
-			for res := range pl.Results() {
-				if res.Err != nil {
-					return fmt.Errorf("block %d: %w", res.Block.Header.Height, res.Err)
-				}
-				start := time.Now()
-				if err := client.ValidateChain(&res.Block.Header, res.Cert); err != nil {
-					return fmt.Errorf("client validation %d: %w", res.Block.Header.Height, err)
-				}
-				validate := time.Since(start)
-				if err := dep.Net().Publish(dcert.TopicCerts, "ci0", &dcert.CertBundle{Header: &res.Block.Header, Cert: res.Cert}); err != nil {
-					return err
-				}
-				fmt.Printf("block %4d  hash=%s  txs=%d  cert=%dB  client-validate=%v  client-storage=%dB\n",
-					res.Block.Header.Height, res.Block.Hash(), len(res.Block.Txs),
-					res.Cert.EncodedSize(), validate.Round(time.Microsecond), client.StorageSize())
-			}
-			return nil
-		}()
-	}()
-	for i := 1; i <= blocks; i++ {
-		batch, err := dep.GenerateBlockTxs(txs)
-		if err != nil {
-			pl.Abort()
-			<-consumed
+	defer plane.Stop()
+	mine := plane.MineAndBroadcast
+	if workers > 0 {
+		if err := plane.StartPipelines(dcert.PipelineConfig{Workers: workers}); err != nil {
 			return err
 		}
-		blk, err := dep.Miner().Propose(batch)
-		if err != nil {
-			pl.Abort()
-			<-consumed
-			return fmt.Errorf("propose %d: %w", i, err)
-		}
-		if err := pl.Submit(blk); err != nil {
-			<-consumed
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-		if err := dep.Net().Publish(dcert.TopicBlocks, "miner", blk); err != nil {
-			pl.Abort()
-			<-consumed
-			return err
-		}
-		if interval > 0 {
+		mine = plane.MineAndBroadcastPipelined
+	}
+	start := time.Now()
+	for i := 1; i <= blocks && err == nil; i++ {
+		if _, err = mine(txs); err != nil {
+			err = fmt.Errorf("block %d: %w", i, err)
+		} else if interval > 0 {
 			time.Sleep(interval)
 		}
 	}
-	pl.Close()
-	if err := <-consumed; err != nil {
-		pl.Wait()
-		return err
+	if workers > 0 {
+		if derr := plane.DrainPipelines(); err == nil {
+			err = derr
+		}
 	}
-	if err := pl.Wait(); err != nil {
-		return err
+	if err == nil {
+		err = <-validated
 	}
-	st := pl.Stats()
-	fmt.Printf("\npipeline: %d blocks, wall=%v, stage p99 verify=%v execute=%v commit=%v\n",
-		st.Blocks, st.Wall.Round(time.Millisecond),
-		st.VerifyP99.Round(time.Microsecond), st.ExecP99.Round(time.Microsecond), st.CommitP99.Round(time.Microsecond))
+	if err == nil && workers > 0 {
+		fmt.Printf("\npipeline: %d blocks, wall=%v\n", blocks, time.Since(start).Round(time.Millisecond))
+	}
+	return err
+}
+
+// validateBundles has the client validate the next n certificate bundles and
+// prints one line per block. It returns early when the subscription ends.
+func validateBundles(dep *dcert.Deployment, client *dcert.SuperlightClient, certs *network.Subscription, n int) error {
+	for i := 0; i < n; i++ {
+		m, ok := <-certs.C
+		if !ok {
+			return fmt.Errorf("certificate stream ended after %d of %d blocks", i, n)
+		}
+		bundle, ok := m.Payload.(*dcert.CertBundle)
+		if !ok {
+			return fmt.Errorf("unexpected %T on the certificate topic", m.Payload)
+		}
+		h := bundle.Header.Height
+		blk, err := dep.Miner().Store().AtHeight(h)
+		if err != nil {
+			return fmt.Errorf("block %d: %w", h, err)
+		}
+		start := time.Now()
+		if err := client.ValidateChain(bundle.Header, bundle.Cert); err != nil {
+			return fmt.Errorf("client validation %d: %w", h, err)
+		}
+		validate := time.Since(start)
+		fmt.Printf("block %4d  hash=%s  txs=%d  cert=%dB  client-validate=%v  client-storage=%dB\n",
+			h, blk.Hash(), len(blk.Txs), bundle.Cert.EncodedSize(),
+			validate.Round(time.Microsecond), client.StorageSize())
+	}
 	return nil
 }

@@ -93,10 +93,8 @@ type Deployment struct {
 	mineSteps map[string]*obs.Histogram // dcert_mine_step_seconds by step
 
 	// Durability plane, nil unless Config.Storage is set: the crash-safe
-	// engine plus the persistence replica that stands at the journal's height
-	// and adopts each block's write set into it (persistBlock).
-	engine  *storage.Engine
-	persist *node.FullNode
+	// engine the miner journals each proposal into (mine).
+	engine *storage.Engine
 }
 
 // newRegistry builds a contract registry for the deployment's workload.
@@ -194,20 +192,15 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		params:    params,
 	}
 	if cfg.Storage != nil {
-		persist, err := cfg.newFullNode(params)
-		if err != nil {
-			return nil, fmt.Errorf("dcert: persist replica: %w", err)
-		}
 		engine, err := storage.OpenEngine(cfg.Storage.Dir, cfg.Storage.engineOptions())
 		if err != nil {
 			return nil, fmt.Errorf("dcert: storage: %w", err)
 		}
-		if err := engine.Bootstrap(persist.Store().Best(), nil); err != nil {
+		if err := engine.Bootstrap(minerNode.Store().Best(), nil); err != nil {
 			engine.Close()
 			return nil, fmt.Errorf("dcert: storage bootstrap: %w", err)
 		}
 		d.engine = engine
-		d.persist = persist
 	}
 	return d, nil
 }
@@ -280,7 +273,8 @@ func (d *Deployment) primary() []certTarget {
 // consecutive blocks of n transactions and takes them through the ordered
 // steps every public entry point shares:
 //
-//	gen → propose → journal      per block
+//	gen → propose → journal      per block; the miner journals inside its
+//	                              proposal, before the block becomes its tip
 //	submit                        certify inline on every target (one segment
 //	                              Ecall for the run; Alg. 5 over one block
 //	                              with indexNames), or Submit to its pipeline
@@ -296,7 +290,16 @@ func (d *Deployment) primary() []certTarget {
 // uncertified, served and published).
 func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarget) ([]*Block, *SegmentCert, []*Certificate, error) {
 	clk := d.newMineClock()
+	// Uncertified: the certificate follows through persistCert.
+	journal := func(blk *Block, writes map[string][]byte) error {
+		clk.step("journal")
+		if d.engine == nil {
+			return nil
+		}
+		return d.engine.ApplyBlock(blk, nil, writes)
+	}
 	blks := make([]*Block, 0, blocks)
+	var writes map[string][]byte // the first block's, for its index jobs
 	for i := 0; i < blocks; i++ {
 		clk.step("gen")
 		txs, err := d.gen.Block(n)
@@ -304,13 +307,12 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 			return nil, nil, nil, err
 		}
 		clk.step("propose")
-		blk, writes, err := d.miner.ProposeWithWrites(txs)
+		blk, w, err := d.miner.ProposeWithWrites(txs, journal)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("dcert: propose: %w", err)
 		}
-		clk.step("journal")
-		if err := d.persistBlock(blk, writes); err != nil {
-			return nil, nil, nil, err
+		if i == 0 {
+			writes = w
 		}
 		blks = append(blks, blk)
 	}
@@ -319,7 +321,7 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 	var jobs []*IndexJob
 	if len(indexNames) > 0 {
 		var err error
-		if jobs, err = d.PrepareIndexJobs(blks[0], indexNames); err != nil {
+		if jobs, err = d.indexJobs(blks[0], writes, indexNames); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -452,12 +454,17 @@ func (d *Deployment) MineAndCertifyHierarchical(n int, indexNames []string) (*Bl
 }
 
 // PrepareIndexJobs builds the per-index certification inputs from the SP's
-// pre-block index state.
+// pre-block index state, validating blk against the SP for its write set.
 func (d *Deployment) PrepareIndexJobs(blk *Block, indexNames []string) ([]*IndexJob, error) {
 	writes, err := d.sp.Node().ValidateBlock(blk)
 	if err != nil {
 		return nil, fmt.Errorf("dcert: validate for index jobs: %w", err)
 	}
+	return d.indexJobs(blk, writes, indexNames)
+}
+
+// indexJobs is PrepareIndexJobs for a block whose write set is known.
+func (d *Deployment) indexJobs(blk *Block, writes map[string][]byte, indexNames []string) ([]*IndexJob, error) {
 	jobs := make([]*IndexJob, 0, len(indexNames))
 	for _, name := range indexNames {
 		ix, err := d.sp.Index(name)

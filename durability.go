@@ -20,11 +20,11 @@ import (
 // mined block, certificate, and state write set through the crash-safe
 // engine in internal/storage. Killing the process (or pulling the plug —
 // chaos plans inject disk faults under the vfs seam) and reopening the same
-// data directory resumes the deployment at its certified tip: the miner,
-// SP, and persistence replica rebuild from disk, and a fresh enclave
-// resumes the certificate recursion from the persisted checkpoint, exactly
-// as §4.3's re-certification argument requires — without re-signing any
-// height at or below the checkpoint.
+// data directory resumes the deployment at its certified tip: the miner, CI
+// and SP rebuild from disk, and a fresh enclave resumes the certificate
+// recursion from the persisted checkpoint, exactly as §4.3's
+// re-certification argument requires — without re-signing any height at or
+// below the checkpoint.
 
 // StorageConfig attaches a durable data directory to a deployment.
 type StorageConfig struct {
@@ -79,10 +79,10 @@ func OpenDeployment(cfg Config) (*Deployment, error) {
 
 // ResumeDeployment reopens a durable deployment from its data directory:
 // recovery truncates any torn log tail, reconstructs the certified prefix,
-// rebuilds the miner / CI / SP / persistence replicas at the recovered tip
-// (fast-path from the state snapshot+WAL image, transaction replay when
-// that image cannot be trusted), and resumes the certificate issuer from
-// the persisted checkpoint.
+// rebuilds the miner, CI and SP at the recovered tip (fast-path from the
+// state snapshot+WAL image, transaction replay when that image does not
+// reproduce the tip header's state root), and resumes the certificate issuer
+// from the persisted checkpoint.
 func ResumeDeployment(cfg Config) (*Deployment, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Storage == nil {
@@ -131,13 +131,10 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 			Restore:  restore,
 		})
 	}
-	// The persistence replica resumes first with Restore on: if the state
-	// image did not survive, its replay re-journals every write set.
-	persist, err := resumeNode(true)
-	if err != nil {
-		return fail(fmt.Errorf("dcert: resume persist replica: %w", err))
-	}
-	minerNode, err := resumeNode(false)
+	// The miner, which journals from here on, resumes first with Restore on:
+	// if the state image did not survive, its replay re-journals every write
+	// set.
+	minerNode, err := resumeNode(true)
 	if err != nil {
 		return fail(fmt.Errorf("dcert: resume miner: %w", err))
 	}
@@ -185,7 +182,6 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 		gen:       gen,
 		params:    params,
 		engine:    engine,
-		persist:   persist,
 	}, nil
 }
 
@@ -213,27 +209,6 @@ func (d *Deployment) Close() error {
 	err := d.engine.Close()
 	d.engine = nil
 	return err
-}
-
-// persistBlock journals a freshly mined block through the durability engine,
-// uncertified (its certificate follows through persistCert), advancing the
-// adopting persistence replica by the write set the miner committed for it.
-// The replica executes nothing: AdoptBlock checks that blk extends the
-// replica's tip and that committing writes yields exactly the header's state
-// root, then journals inside the adoption, so a refused write set or a failed
-// append leaves replica and journal where they were, at the same height. A
-// no-op for in-memory deployments.
-func (d *Deployment) persistBlock(blk *Block, writes map[string][]byte) error {
-	if d.engine == nil {
-		return nil
-	}
-	err := d.persist.AdoptBlock(blk, writes, func() error {
-		return d.engine.ApplyBlock(blk, nil, writes)
-	})
-	if err != nil {
-		return fmt.Errorf("dcert: persist height %d: %w", blk.Header.Height, err)
-	}
-	return nil
 }
 
 // persistCert journals the certificate of an already journaled block (the

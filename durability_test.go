@@ -2,11 +2,10 @@ package dcert
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"dcert/internal/chain"
-	"dcert/internal/node"
+	"dcert/internal/statedb"
 	"dcert/internal/storage/vfs"
 )
 
@@ -27,34 +26,79 @@ func newDurableTestDeployment(t *testing.T, fs vfs.FS) *Deployment {
 	return dep
 }
 
-// journalPosition is where the persistence replica and the journal stand;
-// the two heights must never differ.
+// journalPosition is where the miner and the journal stand; the two heights
+// must never differ.
 type journalPosition struct {
-	replicaTip, replicaRoot Hash
-	engineTip               uint64
+	minerTip, minerRoot Hash
+	engineTip           uint64
 }
 
 func journalPositionOf(t *testing.T, d *Deployment) journalPosition {
 	t.Helper()
-	root, err := d.persist.State().Root()
+	root, err := d.miner.State().Root()
 	if err != nil {
-		t.Fatalf("persist Root: %v", err)
+		t.Fatalf("miner Root: %v", err)
 	}
-	if rh, eh := d.persist.Tip().Header.Height, d.engine.TipHeight(); rh != eh {
-		t.Fatalf("persistence replica at height %d, journal at %d", rh, eh)
+	if mh, eh := d.miner.Tip().Header.Height, d.engine.TipHeight(); mh != eh {
+		t.Fatalf("miner at height %d, journal at %d", mh, eh)
 	}
-	return journalPosition{d.persist.Tip().Hash(), root, d.engine.TipHeight()}
+	return journalPosition{d.miner.Tip().Hash(), root, d.engine.TipHeight()}
+}
+
+// TestDurableDeploymentStateTries counts the state tries a durable deployment
+// with a fleet builds: one per party of the system model — miner, CI, SP —
+// and the fleet's snapshot. Resuming builds one more, the throwaway node that
+// derives the genesis the data directory is checked against.
+func TestDurableDeploymentStateTries(t *testing.T) {
+	cfg := durableTestConfig(t.TempDir(), nil)
+	before := statedb.Instances()
+	dep, err := NewDeployment(cfg)
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	if _, err := dep.StartFleet(2); err != nil {
+		t.Fatalf("StartFleet: %v", err)
+	}
+	if got := statedb.Instances() - before; got != 4 {
+		t.Fatalf("durable deployment + fleet built %d state tries, want 4 (miner, CI, SP, fleet snapshot)", got)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := dep.MineAndCertify(4); err != nil {
+			t.Fatalf("MineAndCertify: %v", err)
+		}
+	}
+	if err := dep.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	before = statedb.Instances()
+	resumed, err := ResumeDeployment(cfg)
+	if err != nil {
+		t.Fatalf("ResumeDeployment: %v", err)
+	}
+	defer resumed.Close()
+	if rec := resumed.StorageRecovery(); rec.State == nil || rec.StateHeight != 3 {
+		t.Fatalf("a clean close left no state image at height 3 (height %d): resume replayed", rec.StateHeight)
+	}
+	if _, err := resumed.StartFleet(2); err != nil {
+		t.Fatalf("StartFleet: %v", err)
+	}
+	if got := statedb.Instances() - before; got != 5 {
+		t.Fatalf("resumed deployment + fleet built %d state tries, want 5 (genesis check, miner, CI, SP, fleet snapshot)", got)
+	}
 }
 
 // TestMiningPathSignaturePasses counts — not times — the signature
 // verifications one block of N transactions costs on a durable deployment,
-// on the sequential and on the pipelined path.
+// on the sequential, the pipelined and the hierarchical path.
 func TestMiningPathSignaturePasses(t *testing.T) {
 	const n = 10
 	// Per transaction: the miner's proposal 1, the CI's untrusted host 1, the
 	// enclave 1, and the SP's ValidateBlock 2 (ExecuteBlock, then a
-	// non-preverified ReplayBlock — ROADMAP item 3, ingest follow-up 1, which
-	// takes this to 4). The journal replica adopts the miner's write set: 0.
+	// non-preverified ReplayBlock — ROADMAP item 1.3 takes this to 4). The
+	// miner journals its own proposal: 0. The hierarchical path's index jobs
+	// take the miner's write set too: 0 (they ran one more ValidateBlock, 2,
+	// for 7 in all).
 	const passes = 5
 
 	t.Run("sequential", func(t *testing.T) {
@@ -93,87 +137,29 @@ func TestMiningPathSignaturePasses(t *testing.T) {
 			t.Fatal("the pipelined block's certificate never reached the journal")
 		}
 	})
+
+	t.Run("hierarchical", func(t *testing.T) {
+		dep := newDurableTestDeployment(t, nil)
+		if _, err := dep.AddIndex(func() (*AuthIndex, error) { return NewHistoricalIndex("hist", "ct/") }); err != nil {
+			t.Fatalf("AddIndex: %v", err)
+		}
+		before := chain.SigVerifications()
+		if _, _, _, err := dep.MineAndCertifyHierarchical(n, []string{"hist"}); err != nil {
+			t.Fatalf("MineAndCertifyHierarchical: %v", err)
+		}
+		if got := chain.SigVerifications() - before; got != passes*n {
+			t.Fatalf("%d signature verifications for %d txs, want %d (%d passes)", got, n, passes*n, passes)
+		}
+	})
 }
 
-// TestPersistBlockRefusesWrongWriteSets hands persistBlock write sets that
-// are not the block's: each is refused with replica and journal unmoved, and
-// the honest one is then accepted.
-func TestPersistBlockRefusesWrongWriteSets(t *testing.T) {
-	dep := newDurableTestDeployment(t, nil)
-	mine := func() (*Block, map[string][]byte) {
-		t.Helper()
-		txs, err := dep.GenerateBlockTxs(6)
-		if err != nil {
-			t.Fatalf("GenerateBlockTxs: %v", err)
-		}
-		blk, writes, err := dep.miner.ProposeWithWrites(txs)
-		if err != nil {
-			t.Fatalf("ProposeWithWrites: %v", err)
-		}
-		return blk, writes
-	}
-	blk1, writes1 := mine()
-	if err := dep.persistBlock(blk1, writes1); err != nil {
-		t.Fatalf("persistBlock height 1: %v", err)
-	}
-	blk2, writes2 := mine()
-
-	// An account nonce changes in every block that carries a transaction of
-	// the account, so altering or dropping its write always changes the root.
-	victim := ""
-	for k := range writes2 {
-		if strings.HasPrefix(k, "sys/nonce/") && (victim == "" || k < victim) {
-			victim = k
-		}
-	}
-	if victim == "" {
-		t.Fatal("block 2 bumps no nonce")
-	}
-	tampered := make(map[string][]byte, len(writes2))
-	incomplete := make(map[string][]byte, len(writes2))
-	for k, v := range writes2 {
-		tampered[k] = v
-		if k != victim {
-			incomplete[k] = v
-		}
-	}
-	tampered[victim] = append([]byte{0xff}, writes2[victim]...)
-
-	start := journalPositionOf(t, dep)
-	for name, writes := range map[string]map[string][]byte{
-		"tampered":     tampered,
-		"incomplete":   incomplete,
-		"wrong height": writes1,
-	} {
-		if err := dep.persistBlock(blk2, writes); !errors.Is(err, node.ErrStateMismatch) {
-			t.Fatalf("%s write set: got %v, want ErrStateMismatch", name, err)
-		}
-		if got := journalPositionOf(t, dep); got != start {
-			t.Fatalf("%s write set moved the replica or the journal: %+v → %+v", name, start, got)
-		}
-	}
-	// A block that does not extend the replica's tip is refused whatever it
-	// comes with.
-	if err := dep.persistBlock(blk1, writes1); !errors.Is(err, node.ErrNotNextBlock) {
-		t.Fatalf("re-persisting height 1: got %v, want ErrNotNextBlock", err)
-	}
-
-	if err := dep.persistBlock(blk2, writes2); err != nil {
-		t.Fatalf("honest write set refused: %v", err)
-	}
-	if got := journalPositionOf(t, dep); got.engineTip != 2 || got.replicaRoot != blk2.Header.StateRoot {
-		t.Fatalf("after the honest write set: %+v, want height 2 at the header's root", got)
-	}
-}
-
-// TestFailedJournalAppendRevertsReplica fails, in turn, every disk write
-// mining one block performs. The replica used to commit and link the block
-// before the engine appended it, so a failed append left it one height ahead
-// of the journal for good; now the append runs inside the adoption and its
-// failure takes the replica back. The certificate frame is journaled when the
-// certificate lands, after the adoption: its failure finds replica and
-// journal one block on, together.
-func TestFailedJournalAppendRevertsReplica(t *testing.T) {
+// TestFailedJournalAppendRevertsMiner fails, in turn, every disk write
+// mining one block performs. The block frame and the state record are written
+// by the miner's journal hook, inside its proposal: their failure takes the
+// miner back, so miner and journal stay where they were. The certificate
+// frame is journaled when the certificate lands, after the proposal: its
+// failure finds miner and journal one block on, together.
+func TestFailedJournalAppendRevertsMiner(t *testing.T) {
 	const healthy = 2 // blocks journaled before the fault
 
 	// A fault-free run over the same seed counts the writes: those in
@@ -188,25 +174,22 @@ func TestFailedJournalAppendRevertsReplica(t *testing.T) {
 		}
 		last = probe.Stats().Writes
 	}
-	// One more block through the journal step alone counts the adoption's own
+	// One more proposal with the journal hook alone counts the proposal's own
 	// writes; the rest of (first, last] land the certificate.
 	txs, err := dep.GenerateBlockTxs(4)
 	if err != nil {
 		t.Fatalf("GenerateBlockTxs: %v", err)
 	}
-	blk, writes, err := dep.miner.ProposeWithWrites(txs)
-	if err != nil {
-		t.Fatalf("ProposeWithWrites: %v", err)
+	proposal := probe.Stats().Writes
+	journal := func(blk *Block, writes map[string][]byte) error { return dep.engine.ApplyBlock(blk, nil, writes) }
+	if _, _, err := dep.miner.ProposeWithWrites(txs, journal); err != nil {
+		t.Fatalf("probe ProposeWithWrites: %v", err)
 	}
-	adoption := probe.Stats().Writes
-	if err := dep.persistBlock(blk, writes); err != nil {
-		t.Fatalf("probe persistBlock: %v", err)
+	proposal = probe.Stats().Writes - proposal
+	if proposal == 0 || proposal >= last-first {
+		t.Fatalf("the proposal performed %d of the block's %d writes, want some but not all", proposal, last-first)
 	}
-	adoption = probe.Stats().Writes - adoption
-	if adoption == 0 || adoption >= last-first {
-		t.Fatalf("adoption performed %d of the block's %d writes, want some but not all", adoption, last-first)
-	}
-	t.Logf("mining block %d is writes %d..%d, the first %d inside the adoption", healthy+1, first+1, last, adoption)
+	t.Logf("mining block %d is writes %d..%d, the first %d inside the proposal", healthy+1, first+1, last, proposal)
 
 	for op := first + 1; op <= last; op++ {
 		dir := t.TempDir()
@@ -225,12 +208,12 @@ func TestFailedJournalAppendRevertsReplica(t *testing.T) {
 			t.Fatalf("write %d: got %v, want the injected disk fault", op, err)
 		}
 		want := start
-		if op > first+adoption {
+		if op > first+proposal {
 			mined := dep.miner.Store().Best()
 			want = journalPosition{mined.Hash(), mined.Header.StateRoot, healthy + 1}
 		}
 		if got := journalPositionOf(t, dep); got != want {
-			t.Fatalf("write %d: after the failed append replica and journal stand at %+v, want %+v (from %+v)", op, got, want, start)
+			t.Fatalf("write %d: after the failed append miner and journal stand at %+v, want %+v (from %+v)", op, got, want, start)
 		}
 		// The process dies here (no Close); the directory must reopen to a
 		// gapless certified prefix and keep certifying.

@@ -108,18 +108,12 @@ func ResumeFullNode(blocks []*chain.Block, db *statedb.DB, reg *vm.Registry, par
 	if len(blocks) == 0 {
 		return nil, errors.New("node: resume without blocks")
 	}
-	n, err := NewFullNode(blocks[0], db, reg, params)
-	if err != nil && len(blocks) > 1 {
-		// The replica is ahead of genesis; defer the root check to the tip.
-		store, serr := chain.NewStore(blocks[0])
-		if serr != nil {
-			return nil, serr
-		}
-		n, err = &FullNode{store: store, db: db, reg: reg, params: params}, nil
-	}
+	// The replica stands at the last block, so the root check waits for it.
+	store, err := chain.NewStore(blocks[0])
 	if err != nil {
 		return nil, err
 	}
+	n := &FullNode{store: store, db: db, reg: reg, params: params}
 	for _, blk := range blocks[1:] {
 		if _, err := n.store.Add(blk); err != nil {
 			return nil, fmt.Errorf("node: resume height %d: %w", blk.Header.Height, err)
@@ -273,7 +267,7 @@ func NewMiner(n *FullNode) *Miner {
 // Propose executes the transactions, seals a block extending the current
 // tip, commits it locally, and returns it for broadcast.
 func (m *Miner) Propose(txs []*chain.Transaction) (*chain.Block, error) {
-	blk, _, err := m.ProposeWithWrites(txs)
+	blk, _, err := m.ProposeWithWrites(txs, nil)
 	return blk, err
 }
 
@@ -281,7 +275,12 @@ func (m *Miner) Propose(txs []*chain.Transaction) (*chain.Block, error) {
 // has just committed, so a replica of the same chain at the same tip can
 // AdoptBlock it instead of executing the block again. Every signature is
 // checked exactly once, before anything executes or commits.
-func (m *Miner) ProposeWithWrites(txs []*chain.Transaction) (*chain.Block, map[string][]byte, error) {
+//
+// journal (may be nil) makes the proposal durable: it runs after the commit
+// and the seal, before the block becomes the tip. Proposal is all-or-nothing,
+// like AdoptBlock: a failing journal puts the state back and leaves the tip
+// and the store where they were.
+func (m *Miner) ProposeWithWrites(txs []*chain.Transaction, journal func(*chain.Block, map[string][]byte) error) (*chain.Block, map[string][]byte, error) {
 	for i, tx := range txs {
 		if err := tx.Verify(); err != nil {
 			return nil, nil, fmt.Errorf("node: propose tx %d: %w", i, err)
@@ -291,31 +290,52 @@ func (m *Miner) ProposeWithWrites(txs []*chain.Transaction) (*chain.Block, map[s
 	if err != nil {
 		return nil, nil, err
 	}
-	newRoot, err := m.db.Commit(res.WriteSet)
-	if err != nil {
-		return nil, nil, err
-	}
 	txRoot, err := chain.ComputeTxRoot(txs)
 	if err != nil {
 		return nil, nil, err
 	}
+	undo, err := m.db.CaptureUndo(res.WriteSet)
+	if err != nil {
+		return nil, nil, err
+	}
+	blk, err := m.seal(txs, txRoot, res.WriteSet, journal)
+	if err != nil {
+		if rerr := m.db.Revert(undo); rerr != nil {
+			return nil, nil, fmt.Errorf("%w (and the state could not be restored: %v)", err, rerr)
+		}
+		return nil, nil, err
+	}
+	return blk, res.WriteSet, nil
+}
+
+// seal is ProposeWithWrites' mutating half; the caller reverts on error.
+func (m *Miner) seal(txs []*chain.Transaction, txRoot chash.Hash, writes map[string][]byte, journal func(*chain.Block, map[string][]byte) error) (*chain.Block, error) {
+	newRoot, err := m.db.Commit(writes)
+	if err != nil {
+		return nil, err
+	}
 	tip := m.store.Best()
-	m.clock++
 	blk := &chain.Block{
 		Header: chain.Header{
 			Height:    tip.Header.Height + 1,
 			PrevHash:  tip.Hash(),
 			StateRoot: newRoot,
 			TxRoot:    txRoot,
-			Time:      m.clock,
+			Time:      m.clock + 1,
 		},
 		Txs: txs,
 	}
 	if err := consensus.Seal(m.params, &blk.Header); err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if journal != nil {
+		if err := journal(blk, writes); err != nil {
+			return nil, err
+		}
 	}
 	if _, err := m.store.Add(blk); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return blk, res.WriteSet, nil
+	m.clock++
+	return blk, nil
 }

@@ -198,7 +198,7 @@ func TestMinerRejectsInvalidTx(t *testing.T) {
 	const bad = 3
 	txs[bad].Signature[4] ^= 0xff
 	tip, root := minerPosition(t, tc.miner)
-	_, _, err = tc.miner.ProposeWithWrites(txs)
+	_, _, err = tc.miner.ProposeWithWrites(txs, nil)
 	if !errors.Is(err, chain.ErrBadTx) {
 		t.Fatalf("bad signature: got %v, want an error wrapping chain.ErrBadTx", err)
 	}
@@ -222,7 +222,7 @@ func TestProposeVerifiesEachSignatureOnce(t *testing.T) {
 		t.Fatalf("gen.Block: %v", err)
 	}
 	before := chain.SigVerifications()
-	blk, writes, err := tc.miner.ProposeWithWrites(txs)
+	blk, writes, err := tc.miner.ProposeWithWrites(txs, nil)
 	if err != nil {
 		t.Fatalf("ProposeWithWrites: %v", err)
 	}
@@ -238,6 +238,53 @@ func TestProposeVerifiesEachSignatureOnce(t *testing.T) {
 	}
 	if _, mr := minerPosition(t, tc.miner); mr != blk.Header.StateRoot {
 		t.Fatal("miner state is not at the proposed header's root")
+	}
+}
+
+// TestFailingJournalLeavesMinerUnchanged: the journal hook runs after the
+// commit and the seal, so its failure must take both back — tip, state root
+// and store as before, the block never linked — and the same transactions
+// must then propose at the same height.
+func TestFailingJournalLeavesMinerUnchanged(t *testing.T) {
+	tc := newTestChain(t, workload.KVStore)
+	tc.mine(t, 4)
+	txs, err := tc.gen.Block(6)
+	if err != nil {
+		t.Fatalf("gen.Block: %v", err)
+	}
+	tip, root := minerPosition(t, tc.miner)
+	height := tc.miner.Store().BestHeight()
+	errDisk := errors.New("disk full")
+	var journaled *chain.Block
+	_, _, err = tc.miner.ProposeWithWrites(txs, func(blk *chain.Block, writes map[string][]byte) error {
+		journaled = blk
+		if len(writes) == 0 {
+			t.Error("journal hook got an empty write set")
+		}
+		return errDisk
+	})
+	if !errors.Is(err, errDisk) {
+		t.Fatalf("failing journal: got %v, want the hook's error", err)
+	}
+	if journaled == nil {
+		t.Fatal("journal hook never ran")
+	}
+	if gotTip, gotRoot := minerPosition(t, tc.miner); gotTip != tip || gotRoot != root {
+		t.Fatal("a failed journal moved the miner's tip or state")
+	}
+	if got := tc.miner.Store().BestHeight(); got != height {
+		t.Fatalf("store at height %d after a failed journal, want %d", got, height)
+	}
+	if _, err := tc.miner.Store().Get(journaled.Hash()); err == nil {
+		t.Fatal("the unjournaled block was linked into the store")
+	}
+
+	blk, _, err := tc.miner.ProposeWithWrites(txs, func(*chain.Block, map[string][]byte) error { return nil })
+	if err != nil {
+		t.Fatalf("retry after a failed journal: %v", err)
+	}
+	if blk.Header.Height != height+1 || blk.Hash() != journaled.Hash() {
+		t.Fatalf("retry proposed height %d (same block %v), want height %d, the same block", blk.Header.Height, blk.Hash() == journaled.Hash(), height+1)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"dcert/internal/chain"
 	"dcert/internal/chash"
@@ -46,8 +47,20 @@ type DB struct {
 	smt  *smtState // BackendSMT
 }
 
+// instances counts the DBs New and NewWithBackend construct, process-wide.
+var instances atomic.Uint64
+
+// Instances reports how many state databases have been constructed in this
+// process. Tests and benchmarks read it before and after a step to count the
+// state tries the step builds (a count repeats exactly; a heap size does
+// not).
+func Instances() uint64 {
+	return instances.Load()
+}
+
 // New returns an empty MPT-backed state database.
 func New() *DB {
+	instances.Add(1)
 	return &DB{kind: BackendMPT, trie: mpt.New()}
 }
 
@@ -62,6 +75,7 @@ func NewWithBackend(kind BackendKind) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
+		instances.Add(1)
 		return &DB{kind: BackendSMT, smt: s}, nil
 	default:
 		return nil, fmt.Errorf("statedb: unknown backend %d", byte(kind))

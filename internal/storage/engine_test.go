@@ -8,44 +8,44 @@ import (
 	"dcert/internal/chash"
 	"dcert/internal/consensus"
 	"dcert/internal/core"
-	"dcert/internal/node"
 	"dcert/internal/statedb"
 	"dcert/internal/storage/vfs"
 )
 
-// engineEnv extends archiveEnv with a persistence replica that adopts the
-// miner's write sets and journals them, mirroring how the deployment drives
-// the engine.
+// engineEnv extends archiveEnv with the blocks and certificates mined into an
+// engine the way the deployment drives it: the miner journals each proposal
+// with its own write set, and the certificate lands afterwards.
 type engineEnv struct {
 	*archiveEnv
-	persist *node.FullNode
-	blocks  []*chain.Block
-	certs   []*core.Certificate
+	blocks []*chain.Block
+	certs  []*core.Certificate
 }
 
 func newEngineEnv(t *testing.T) *engineEnv {
 	t.Helper()
-	env := newArchiveEnv(t)
-	return &engineEnv{archiveEnv: env, persist: env.mkNode()}
+	return &engineEnv{archiveEnv: newArchiveEnv(t)}
 }
 
 func (e *engineEnv) resumeCfg() ResumeConfig {
 	return ResumeConfig{
 		Backend:  statedb.BackendMPT,
-		Registry: e.persist.Registry(),
+		Registry: e.miner.Registry(),
 		Params:   consensus.Params{Difficulty: 2},
 	}
 }
 
-// mine produces one certified block and applies it to the engine. withCert
-// false models an issuer outage: the block is persisted uncertified.
+// mine produces one block, journals it and, with withCert, certifies it and
+// journals the certificate. withCert false models an issuer outage: the block
+// is persisted uncertified.
 func (e *engineEnv) mine(t *testing.T, eng *Engine, withCert bool) {
 	t.Helper()
 	txs, err := e.gen.Block(4)
 	if err != nil {
 		t.Fatalf("gen.Block: %v", err)
 	}
-	blk, writes, err := e.miner.ProposeWithWrites(txs)
+	blk, _, err := e.miner.ProposeWithWrites(txs, func(blk *chain.Block, writes map[string][]byte) error {
+		return eng.ApplyBlock(blk, nil, writes)
+	})
 	if err != nil {
 		t.Fatalf("ProposeWithWrites: %v", err)
 	}
@@ -54,10 +54,9 @@ func (e *engineEnv) mine(t *testing.T, eng *Engine, withCert bool) {
 		if cert, _, err = e.issuer.ProcessBlock(blk); err != nil {
 			t.Fatalf("ProcessBlock: %v", err)
 		}
-	}
-	journal := func() error { return eng.ApplyBlock(blk, cert, writes) }
-	if err := e.persist.AdoptBlock(blk, writes, journal); err != nil {
-		t.Fatalf("AdoptBlock: %v", err)
+		if err := eng.ApplyCert(blk.Hash(), cert); err != nil {
+			t.Fatalf("ApplyCert: %v", err)
+		}
 	}
 	e.blocks = append(e.blocks, blk)
 	e.certs = append(e.certs, cert)
@@ -70,7 +69,7 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -107,14 +106,14 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResumeNode: %v", err)
 	}
-	if n.Tip().Hash() != env.persist.Tip().Hash() {
+	if n.Tip().Hash() != env.miner.Tip().Hash() {
 		t.Fatal("resumed tip differs from pre-shutdown tip")
 	}
 	root, err := n.State().Root()
 	if err != nil {
 		t.Fatalf("Root: %v", err)
 	}
-	if root != env.persist.Tip().Header.StateRoot {
+	if root != env.miner.Tip().Header.StateRoot {
 		t.Fatal("resumed state root differs")
 	}
 	// The recovered tip certificate still verifies.
@@ -135,7 +134,7 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -190,7 +189,7 @@ func TestEngineDropsUncertifiedTail(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -246,7 +245,7 @@ func TestEngineLateCertExtendsCertifiedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -295,7 +294,7 @@ func TestEngineSnapshotWhenCertificateLands(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -369,14 +368,14 @@ func TestEngineApplyCertLooksUpByHash(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	defer eng.Close()
-	if err := eng.Bootstrap(env.persist.Store().Best(), nil); err != nil {
+	if err := eng.Bootstrap(env.miner.Store().Best(), nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	const blocks = 2000
 	hashes := make([]chash.Hash, 0, blocks)
 	var cert *core.Certificate
 	for i := 0; i < blocks; i++ {
-		blk, writes, err := env.miner.ProposeWithWrites(nil)
+		blk, writes, err := env.miner.ProposeWithWrites(nil, nil)
 		if err != nil {
 			t.Fatalf("ProposeWithWrites: %v", err)
 		}
@@ -430,7 +429,7 @@ func TestEngineIdempotentApply(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	defer eng.Close()
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -456,7 +455,7 @@ func TestEngineRejectsForeignGenesis(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenEngine: %v", err)
 	}
-	genesis := env.persist.Store().Best()
+	genesis := env.miner.Store().Best()
 	if err := eng.Bootstrap(genesis, nil); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
@@ -473,4 +472,105 @@ func TestEngineRejectsForeignGenesis(t *testing.T) {
 	if err := eng2.Bootstrap(other, nil); err == nil {
 		t.Fatal("foreign genesis must be refused")
 	}
+}
+
+// TestEngineResumeRefusesWrongWriteSet: the journal takes a block's write set
+// as given — the miner journals its own commit — so what guards the disk is
+// resume. A block journaled under a write set that does not reproduce its
+// header's state root leaves a snapshot+WAL image recovery cannot tell from a
+// good one (its records carry the header's root). ResumeNode computes the
+// image's root, refuses it, and replays the chain to the header's root; with
+// Restore it re-journals the write sets execution produced, so the next open
+// finds an image that holds.
+func TestEngineResumeRefusesWrongWriteSet(t *testing.T) {
+	env := newEngineEnv(t)
+	dir := t.TempDir()
+	eng, err := OpenEngine(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	genesis := env.miner.Store().Best()
+	if err := eng.Bootstrap(genesis, nil); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	env.mine(t, eng, true)
+	txs, err := env.gen.Block(4)
+	if err != nil {
+		t.Fatalf("gen.Block: %v", err)
+	}
+	blk, writes, err := env.miner.ProposeWithWrites(txs, nil)
+	if err != nil {
+		t.Fatalf("ProposeWithWrites: %v", err)
+	}
+	cert, _, err := env.issuer.ProcessBlock(blk)
+	if err != nil {
+		t.Fatalf("ProcessBlock: %v", err)
+	}
+	wrong := map[string][]byte{"not/in/the/block": []byte("x")}
+	for k, v := range writes {
+		wrong[k] = v
+	}
+	if err := eng.ApplyBlock(blk, cert, wrong); err != nil {
+		t.Fatalf("ApplyBlock: %v", err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	eng2, err := OpenEngine(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	rec := eng2.Recovery()
+	if rec.State == nil || rec.StateHeight != 2 {
+		t.Fatalf("recovery kept no image at height 2 (height %d, nil=%v)", rec.StateHeight, rec.State == nil)
+	}
+	if imageRoot(t, rec.State) == blk.Header.StateRoot {
+		t.Fatal("the wrong write set reproduces the header's root")
+	}
+	if err := eng2.Bootstrap(genesis, nil); err != nil {
+		t.Fatalf("re-Bootstrap: %v", err)
+	}
+	cfg := env.resumeCfg()
+	cfg.Restore = true
+	n, err := eng2.ResumeNode(cfg)
+	if err != nil {
+		t.Fatalf("ResumeNode: %v", err)
+	}
+	root, err := n.State().Root()
+	if err != nil {
+		t.Fatalf("Root: %v", err)
+	}
+	if n.Tip().Hash() != blk.Hash() || root != blk.Header.StateRoot {
+		t.Fatalf("resumed at height %d root %s, want height 2 at the header's root %s", n.Tip().Header.Height, root, blk.Header.StateRoot)
+	}
+	if err := eng2.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	eng3, err := OpenEngine(dir, Options{})
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer eng3.Close()
+	if img := eng3.Recovery().State; img == nil || imageRoot(t, img) != blk.Header.StateRoot {
+		t.Fatal("the replay did not re-journal the block's own write set")
+	}
+}
+
+// imageRoot is the state root a recovered key/value image commits to.
+func imageRoot(t *testing.T, img map[string][]byte) chash.Hash {
+	t.Helper()
+	db := statedb.New()
+	for k, v := range img {
+		if err := db.Set([]byte(k), v); err != nil {
+			t.Fatalf("Set: %v", err)
+		}
+	}
+	root, err := db.Root()
+	if err != nil {
+		t.Fatalf("Root: %v", err)
+	}
+	return root
 }

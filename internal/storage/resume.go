@@ -24,8 +24,9 @@ type ResumeConfig struct {
 	GenesisState map[string][]byte
 	// Restore re-journals replayed write sets into the engine's state WAL,
 	// rebuilding durability as the replay proceeds. Set it on exactly one
-	// resumed node per engine (the others share the recovered image without
-	// touching the journal).
+	// resumed node per engine, the one that journals from then on (a
+	// deployment's miner); the others share the recovered image without
+	// touching the journal.
 	Restore bool
 }
 

@@ -100,6 +100,7 @@ type Log struct {
 	lastSync time.Time
 	met      logMetrics
 	rec      LogRecovery
+	err      error // the first write or fsync failure, sticky (see Append)
 }
 
 // segName renders a segment file name.
@@ -232,6 +233,9 @@ func (l *Log) instrument(reg *obs.Registry, name string) {
 // Append writes one tagged record and applies the fsync policy. With a zero
 // FsyncInterval the record is durable when Append returns; otherwise
 // durability lags by at most the interval (group commit).
+// A write or fsync failure is sticky until the log is reopened: the next open
+// cuts a torn frame together with every record behind it, and after a failed
+// fsync the page cache cannot be trusted.
 func (l *Log) Append(tag byte, payload []byte) error {
 	if len(payload)+1 > maxRecord {
 		return fmt.Errorf("storage: append: record of %d bytes exceeds limit", len(payload))
@@ -243,6 +247,9 @@ func (l *Log) Append(tag byte, payload []byte) error {
 	if l.cur == nil {
 		return errors.New("storage: append to closed log")
 	}
+	if l.err != nil {
+		return l.err
+	}
 	if l.curSize > 0 && l.curSize+int64(len(frame)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			return err
@@ -251,7 +258,8 @@ func (l *Log) Append(tag byte, payload []byte) error {
 	n, err := l.cur.Write(frame)
 	l.curSize += int64(n)
 	if err != nil {
-		return fmt.Errorf("storage: append: %w", err)
+		l.err = fmt.Errorf("storage: append: %w", err)
+		return l.err
 	}
 	l.dirty = true
 	l.met.appends.Inc()
@@ -285,12 +293,16 @@ func (l *Log) Sync() error {
 }
 
 func (l *Log) syncLocked() error {
+	if l.err != nil {
+		return l.err
+	}
 	if !l.dirty {
 		return nil
 	}
 	start := time.Now()
 	if err := l.cur.Sync(); err != nil {
-		return fmt.Errorf("storage: fsync: %w", err)
+		l.err = fmt.Errorf("storage: fsync: %w", err)
+		return l.err
 	}
 	l.met.fsyncs.Inc()
 	l.met.fsyncSec.Observe(time.Since(start).Seconds())

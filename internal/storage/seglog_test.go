@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -430,4 +431,70 @@ func FuzzFrameRecovery(f *testing.F) {
 			t.Fatalf("reopen lost records: %d != %d+1", m, n)
 		}
 	})
+}
+
+// TestLogWriteFailureIsSticky fails the k-th append's write (torn at the
+// syscall boundary) or fsync. The failed Append reports it, and so must every
+// later Append and Sync: behind a torn frame a record would be cut off at the
+// next open after its Append returned nil, and after a failed fsync the page
+// cache cannot be trusted. Reopening holds exactly the k-1 records before the
+// failure, and appends again.
+func TestLogWriteFailureIsSticky(t *testing.T) {
+	const k = 4
+	cases := []struct {
+		name     string
+		plan     vfs.FaultPlan
+		powerCut bool // the failed fsync's record is lost only with the power
+	}{
+		{name: "short write", plan: vfs.FaultPlan{ShortWriteOp: k}},
+		{name: "failed fsync", plan: vfs.FaultPlan{FailSyncOp: k}, powerCut: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			fault := vfs.NewFault(vfs.OS{}, tc.plan)
+			l, err := OpenLog(fault, dir, LogOptions{})
+			if err != nil {
+				t.Fatalf("OpenLog: %v", err)
+			}
+			for i := 1; i < k; i++ {
+				if err := l.Append(1, []byte(fmt.Sprintf("record-%d", i))); err != nil {
+					t.Fatalf("Append %d: %v", i, err)
+				}
+			}
+			if err := l.Append(1, []byte(fmt.Sprintf("record-%d", k))); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Append %d: got %v, want the injected fault", k, err)
+			}
+			if err := l.Append(1, []byte("behind-the-failure")); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Append %d after the failure: got %v, want the first failure again", k+1, err)
+			}
+			if err := l.Sync(); !errors.Is(err, vfs.ErrInjected) {
+				t.Fatalf("Sync after the failure: got %v, want the first failure again", err)
+			}
+			l.Close()
+			if tc.powerCut {
+				if err := fault.PowerCut(); err != nil {
+					t.Fatalf("PowerCut: %v", err)
+				}
+			}
+
+			l2, err := OpenLog(vfs.OS{}, dir, LogOptions{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer l2.Close()
+			got := collect(t, l2)
+			if len(got) != k-1 {
+				t.Fatalf("reopened log holds %d records, want the %d before the failure", len(got), k-1)
+			}
+			for i, r := range got {
+				if want := fmt.Sprintf("record-%d", i+1); string(r.payload) != want {
+					t.Fatalf("record %d = %q, want %q", i, r.payload, want)
+				}
+			}
+			if err := l2.Append(1, []byte("after-reopen")); err != nil {
+				t.Fatalf("Append after reopen: %v", err)
+			}
+		})
+	}
 }
