@@ -103,13 +103,16 @@ bench-json:
 	$(GO) run ./cmd/dcert-bench -exp serving -json BENCH_serving.json
 	$(GO) run ./cmd/dcert-bench -exp certify -json BENCH_certify.json
 
-# Fuzz smoke for the query wire codecs (the batch multiproof decoder and the
-# canonical request round trip). Short budgets: CI regression surface, not a
-# campaign — run with a longer -fuzztime locally when touching the codecs.
+# Fuzz smoke for the decoders of untrusted bytes: the query wire codecs (the
+# batch multiproof decoder and the canonical request round trip), the segment
+# certificate codec, and the state record the storage engine reads back from
+# its WAL and snapshot. Short budgets: CI regression surface, not a campaign —
+# run with a longer -fuzztime locally when touching the codecs.
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStateRecord$$' -fuzztime=10s ./internal/storage/
 
 clean:
 	$(GO) clean ./...

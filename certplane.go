@@ -33,8 +33,6 @@ type (
 	FollowerStats = core.FollowerStats
 	// CertResponder answers catch-up requests for one issuer.
 	CertResponder = core.CertResponder
-	// IssuerCheckpoint is a CI's crash-recovery record.
-	IssuerCheckpoint = core.IssuerCheckpoint
 )
 
 // FollowCerts starts a certificate follower for a client on the
@@ -49,10 +47,11 @@ type ciSlot struct {
 	issuer    *core.Issuer // nil while crashed
 	node      *node.FullNode
 	responder *core.CertResponder
-	// checkpoint holds the serialized recovery record persisted before the
-	// crash (in a real deployment the CI writes it after every certificate).
-	checkpoint []byte
-	alive      bool
+	// tipCert is the certificate of the replica's tip kept across a crash,
+	// as the host's chain log keeps it (nil when it crashed before
+	// certifying).
+	tipCert *core.Certificate
+	alive   bool
 	// pipe is the slot's certification pipeline while pipelined mining is on.
 	pipe *core.Pipeline
 	// pipeDone closes when the slot's bundle-publishing consumer exits.
@@ -289,8 +288,9 @@ func (p *CertPlane) DrainPipelines() error {
 	return firstErr
 }
 
-// CheckpointHeight reports the certified height recorded in a crashed
-// issuer's persisted checkpoint (zero when it crashed before certifying).
+// CheckpointHeight reports the certified height a crashed issuer restarts
+// from: its replica's tip, if it holds that tip's certificate (zero when it
+// crashed before certifying).
 func (p *CertPlane) CheckpointHeight(name string) (uint64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -298,23 +298,19 @@ func (p *CertPlane) CheckpointHeight(name string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if s.checkpoint == nil {
+	if s.tipCert == nil {
 		return 0, nil
 	}
-	ckpt, err := core.UnmarshalIssuerCheckpoint(s.checkpoint)
-	if err != nil {
-		return 0, err
-	}
-	return ckpt.Height, nil
+	return s.node.Tip().Header.Height, nil
 }
 
 // Kill crashes an issuer: its enclave (and sealed key) is destroyed, its
 // responder stops answering, and the plane stops feeding it blocks. The
-// issuer's full-node replica and its last persisted certificate survive, as
-// they would on the untrusted host's disk. If the issuer was running a
-// certification pipeline, every speculative (uncertified) state commit is
-// rolled back first, so the surviving replica and checkpoint describe
-// exactly the certified tip — in-flight speculation dies with the enclave.
+// issuer's full-node replica and its tip certificate survive, as they would
+// on the untrusted host's disk. If the issuer was running a certification
+// pipeline, every speculative (uncertified) state commit is rolled back
+// first, so the surviving replica and certificate describe exactly the
+// certified tip — in-flight speculation dies with the enclave.
 func (p *CertPlane) Kill(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -330,16 +326,7 @@ func (p *CertPlane) Kill(name string) error {
 		<-s.pipeDone
 		s.pipe, s.pipeDone, s.pipeErr = nil, nil, nil
 	}
-	if ckpt := s.issuer.Checkpoint(); ckpt != nil {
-		s.checkpoint = ckpt.Marshal()
-		if p.d.engine != nil && s.name == "ci0" {
-			// The primary's recovery record also lands on disk, so a full
-			// process restart resumes the recursion from the same point.
-			if err := p.d.engine.SaveCheckpoint(ckpt); err != nil {
-				return fmt.Errorf("dcert: kill %s: persist checkpoint: %w", name, err)
-			}
-		}
-	}
+	s.tipCert, _ = s.issuer.CertFor(s.node.Tip().Hash())
 	s.responder.Stop()
 	s.responder = nil
 	s.issuer = nil
@@ -348,7 +335,7 @@ func (p *CertPlane) Kill(name string) error {
 }
 
 // Restart recovers a crashed issuer: a fresh enclave resumes from the
-// persisted checkpoint, re-certifies only the blocks mined while it was
+// kept tip certificate, re-certifies only the blocks mined while it was
 // down (fetching them from the miner, as a recovering full node would from
 // its peers), re-publishes its newest bundle, and resumes serving catch-up
 // requests.
@@ -362,17 +349,11 @@ func (p *CertPlane) Restart(name string) error {
 	if s.alive {
 		return fmt.Errorf("dcert: issuer %q is not down", name)
 	}
-	var ckpt *core.IssuerCheckpoint
-	if s.checkpoint != nil {
-		if ckpt, err = core.UnmarshalIssuerCheckpoint(s.checkpoint); err != nil {
-			return fmt.Errorf("dcert: restart %s: %w", name, err)
-		}
-	}
 	platform, err := p.d.authority.NewPlatform()
 	if err != nil {
 		return fmt.Errorf("dcert: restart %s: %w", name, err)
 	}
-	ci, err := core.ResumeIssuer(s.node, p.d.authority, platform, p.d.cfg.EnclaveCost, ckpt)
+	ci, err := core.ResumeIssuer(s.node, p.d.authority, platform, p.d.cfg.EnclaveCost, s.tipCert)
 	if err != nil {
 		return fmt.Errorf("dcert: restart %s: %w", name, err)
 	}
@@ -383,7 +364,7 @@ func (p *CertPlane) Restart(name string) error {
 		ci.Instrument(p.d.reg, p.d.tracer, p.d.logger, name)
 	}
 	// Catch up: certify the blocks missed while down, continuing the
-	// recursion from the checkpointed certificate. The missed blocks form a
+	// recursion from the tip certificate. The missed blocks form a
 	// batch, so they stream through a catch-up pipeline (the recovering CI's
 	// enclave never idles waiting for the host to prepare the next block).
 	minerStore := p.d.miner.Store()
@@ -421,14 +402,8 @@ func (p *CertPlane) Restart(name string) error {
 			}
 		}
 	}
-	if bundle := ci.LatestBundle(); bundle != nil {
-		if err := p.d.net.Publish(TopicCerts, name, bundle); err != nil {
-			return err
-		}
-	} else if seg := ci.LatestSegment(); seg != nil {
-		// The resumed tip certificate covers a multi-block segment, so there
-		// is no per-block bundle for it — re-publish the segment instead.
-		if err := p.d.net.Publish(TopicCerts, name, seg); err != nil {
+	if seg := ci.LatestSegment(); seg != nil {
+		if err := p.d.certLanded(name, seg); err != nil {
 			return err
 		}
 	}

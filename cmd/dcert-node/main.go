@@ -29,8 +29,8 @@
 // set through the crash-safe storage engine. Kill the process at any point
 // and rerun with the same -data-dir: recovery truncates any torn log tail,
 // resumes from the certified tip, and a fresh enclave continues the
-// certificate recursion from the persisted checkpoint without re-signing any
-// certified height. -fsync-interval batches fsyncs (group commit); 0 syncs
+// certificate recursion from the chain log's tip certificate without
+// re-signing any certified height. -fsync-interval batches fsyncs (group commit); 0 syncs
 // every append.
 package main
 

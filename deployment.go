@@ -196,7 +196,7 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dcert: storage: %w", err)
 		}
-		if err := engine.Bootstrap(minerNode.Store().Best(), nil); err != nil {
+		if err := engine.Bootstrap(minerNode.Store().Best()); err != nil {
 			engine.Close()
 			return nil, fmt.Errorf("dcert: storage bootstrap: %w", err)
 		}

@@ -22,9 +22,9 @@ import (
 // chaos plans inject disk faults under the vfs seam) and reopening the same
 // data directory resumes the deployment at its certified tip: the miner, CI
 // and SP rebuild from disk, and a fresh enclave resumes the certificate
-// recursion from the persisted checkpoint, exactly as §4.3's
+// recursion from the tip certificate on the chain log, exactly as §4.3's
 // re-certification argument requires — without re-signing any height at or
-// below the checkpoint.
+// below that tip.
 
 // StorageConfig attaches a durable data directory to a deployment.
 type StorageConfig struct {
@@ -82,7 +82,7 @@ func OpenDeployment(cfg Config) (*Deployment, error) {
 // rebuilds the miner, CI and SP at the recovered tip (fast-path from the
 // state snapshot+WAL image, transaction replay when that image does not
 // reproduce the tip header's state root), and resumes the certificate issuer
-// from the persisted checkpoint.
+// from the chain log's tip certificate.
 func ResumeDeployment(cfg Config) (*Deployment, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Storage == nil {
@@ -115,7 +115,7 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 		return fail(fmt.Errorf("dcert: resume genesis: %w", err))
 	}
 	genesis := scratch.Store().Best()
-	if err := engine.Bootstrap(genesis, nil); err != nil {
+	if err := engine.Bootstrap(genesis); err != nil {
 		return fail(fmt.Errorf("dcert: resume: %w", err))
 	}
 
@@ -147,11 +147,13 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 		return fail(fmt.Errorf("dcert: resume SP node: %w", err))
 	}
 
-	// A fresh enclave (fresh sealed key, same measurement) adopts the
-	// persisted checkpoint: certificate verification is measurement-based,
-	// so the recursion continues across the restart without double-signing
-	// any certified height.
-	issuer, err := core.ResumeIssuer(ciNode, authority, platform, cfg.EnclaveCost, engine.Checkpoint())
+	// A fresh enclave (fresh sealed key, same measurement) adopts the tip
+	// certificate on the chain log: certificate verification is
+	// measurement-based, so the recursion continues across the restart
+	// without double-signing any certified height. Recovery keeps only a
+	// certified prefix, so the tip has a certificate unless it is genesis.
+	tipCert, _ := engine.CertFor(ciNode.Tip().Hash())
+	issuer, err := core.ResumeIssuer(ciNode, authority, platform, cfg.EnclaveCost, tipCert)
 	if err != nil {
 		return fail(fmt.Errorf("dcert: resume issuer: %w", err))
 	}

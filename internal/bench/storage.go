@@ -20,7 +20,7 @@ import (
 //     default;
 //   - cold-start-to-certifying time: close a deployment with a six-figure
 //     certified chain, reopen it, and measure how long until recovery,
-//     node resume, issuer checkpoint adoption, and the first new
+//     node resume, tip-certificate adoption, and the first new
 //     certificate complete;
 //   - torn-tail recovery time: damage the chain log's tail (a torn final
 //     frame, as a mid-write power cut leaves behind) and measure the
@@ -54,7 +54,7 @@ type StorageResult struct {
 	// CloseSeconds is the shutdown cost (final snapshot + sync).
 	CloseSeconds float64 `json:"close_seconds"`
 	// ColdStartSeconds is OpenDeployment on the closed directory: log scan,
-	// state image load, four full-node resumes, issuer checkpoint adoption.
+	// state image load, four full-node resumes, tip-certificate adoption.
 	ColdStartSeconds float64 `json:"cold_start_seconds"`
 	// FirstCertSeconds is cold start plus mining and certifying one new
 	// block — the cold-start-to-certifying figure.

@@ -170,7 +170,7 @@ func (ci *Issuer) LatestCert() *Certificate {
 // certifiedTip atomically snapshots the ⟨tip block, tip certificate⟩ pair.
 // Reading the two separately (the pre-pipeline code did) races against a
 // concurrent adopt: the tip can advance between the reads, pairing block i
-// with cert i-1 — which corrupts checkpoints and makes the recursive Ecall
+// with cert i-1 — which corrupts restart records and makes the recursive Ecall
 // verify the wrong predecessor. All readers that need a consistent pair go
 // through here; adopt publishes both under the same lock.
 func (ci *Issuer) certifiedTip() (*chain.Block, *Certificate) {
@@ -271,7 +271,7 @@ func (ci *Issuer) ecallSigGen(blks []*chain.Block, proofs []*statedb.UpdateProof
 
 // adopt appends the certified blocks to the store and publishes their
 // certificate as one atomic transition (Alg. 1 lines 5-7), so concurrent
-// readers (Checkpoint, LatestBundle, certifiedTip) see either the old tip
+// readers (LatestBundle, certifiedTip) see either the old tip
 // with the old certificate or the new tip with the new one — never a new tip
 // paired with a stale certificate, never a partially adopted segment. The
 // caller has already committed the blocks' state writes.

@@ -42,7 +42,7 @@ import (
 // pipeline is aborted, or the host crashes mid-stream, every state commit
 // past the last certified block is rolled back from the undo log (newest
 // first), leaving the replica exactly at its certified tip — which is what
-// makes checkpointed recovery (ResumeIssuer) oblivious to the pipeline.
+// makes tip-certificate recovery (ResumeIssuer) oblivious to the pipeline.
 
 // Pipeline errors.
 var (

@@ -440,13 +440,13 @@ func TestPipelineExclusive(t *testing.T) {
 }
 
 // TestCheckpointCertConsistency is the regression test for the tip/cert read
-// skew: Checkpoint and LatestBundle used to read the store tip and the latest
-// certificate without a common critical section, so a concurrent ProcessBlock
-// could advance the tip between the two reads and pair block i's identity
-// with block i-1's certificate — a checkpoint that ResumeIssuer then rejects.
-// Readers hammer both accessors while the issuer certifies; every observed
-// pair must be self-consistent (the cert's digest matches the checkpointed
-// header). Run under -race this also proves the accesses are synchronized.
+// skew: LatestBundle used to read the store tip and the latest certificate
+// without a common critical section, so a concurrent ProcessBlock could
+// advance the tip between the two reads and pair block i's header with block
+// i-1's certificate. Readers hammer the accessor while the issuer certifies;
+// every observed pair must be self-consistent (the cert's digest matches the
+// bundled header). Run under -race this also proves the accesses are
+// synchronized.
 func TestCheckpointCertConsistency(t *testing.T) {
 	e := newEnv(t, workload.KVStore, enclave.CostModel{})
 	const numBlocks = 12
@@ -467,14 +467,6 @@ func TestCheckpointCertConsistency(t *testing.T) {
 				case <-stop:
 					return
 				default:
-				}
-				if ckpt := e.issuer.Checkpoint(); ckpt != nil {
-					blk, err := e.issuer.Node().Store().Get(ckpt.BlockHash)
-					if err != nil || blk.Header.Height != ckpt.Height ||
-						ckpt.Cert.Digest != BlockDigest(&blk.Header) {
-						violations[r]++
-						return
-					}
 				}
 				if bundle := e.issuer.LatestBundle(); bundle != nil {
 					if bundle.Cert.Digest != BlockDigest(bundle.Header) {

@@ -13,134 +13,68 @@ import (
 
 // Issuer crash/restart recovery. A CI that dies loses its enclave (the
 // sealed key is gone for good), but the untrusted host keeps the chain
-// replica and the last issued certificate on disk. Because cert_verify_t
+// replica and the certificates on its chain log. Because cert_verify_t
 // checks certificates against the enclave *measurement* — not the signing
 // key — a fresh enclave running the same trusted program can verify its
 // predecessor's certificate and continue the recursion from there: no
-// re-certification from genesis, ever. The checkpoint is untrusted input,
-// so ResumeIssuer re-verifies it through the full attestation chain before
-// adopting it.
+// re-certification from genesis, ever. The certificate of the replica's tip
+// recursively attests everything below it, so it is the whole restart
+// record. It is untrusted input, so ResumeIssuer re-verifies it through the
+// full attestation chain before adopting it.
 
 // Recovery errors.
 var (
-	// ErrBadCheckpoint is returned when a recovery checkpoint fails
+	// ErrBadCheckpoint is returned when a restart certificate fails
 	// validation against the node's tip or the attestation chain.
 	ErrBadCheckpoint = errors.New("core: bad issuer checkpoint")
 )
 
-// IssuerCheckpoint is the CI's minimal crash-recovery record: the identity
-// of the last certified block plus its certificate. Together with the full
-// node's own persistent chain state this is everything a restarted CI needs.
-type IssuerCheckpoint struct {
-	// Height is the last certified block's height.
-	Height uint64
-	// BlockHash is the last certified block's hash.
-	BlockHash chash.Hash
-	// Cert is the certificate issued for that block.
-	Cert *Certificate
-}
-
-// Checkpoint captures the issuer's current recovery record, or nil when
-// nothing has been certified yet (a restart from genesis needs no record).
-func (ci *Issuer) Checkpoint() *IssuerCheckpoint {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	if ci.lastCert == nil {
-		return nil
-	}
-	tip := ci.node.Tip()
-	return &IssuerCheckpoint{
-		Height:    tip.Header.Height,
-		BlockHash: tip.Hash(),
-		Cert:      ci.lastCert,
-	}
-}
-
-// Marshal serializes the checkpoint for persistence.
-func (c *IssuerCheckpoint) Marshal() []byte {
-	cert := c.Cert.Marshal()
-	e := chash.NewEncoder(64 + len(cert))
-	e.PutUint64(c.Height)
-	e.PutHash(c.BlockHash)
-	e.PutBytes(cert)
-	return e.Bytes()
-}
-
-// UnmarshalIssuerCheckpoint parses a persisted checkpoint.
-func UnmarshalIssuerCheckpoint(raw []byte) (*IssuerCheckpoint, error) {
-	d := chash.NewDecoder(raw)
-	var c IssuerCheckpoint
-	var err error
-	if c.Height, err = d.Uint64(); err != nil {
-		return nil, fmt.Errorf("core: unmarshal checkpoint: %w", err)
-	}
-	if c.BlockHash, err = d.ReadHash(); err != nil {
-		return nil, fmt.Errorf("core: unmarshal checkpoint: %w", err)
-	}
-	certRaw, err := d.ReadBytes()
-	if err != nil {
-		return nil, fmt.Errorf("core: unmarshal checkpoint: %w", err)
-	}
-	if c.Cert, err = UnmarshalCertificate(certRaw); err != nil {
-		return nil, fmt.Errorf("core: unmarshal checkpoint: %w", err)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("core: unmarshal checkpoint: %w", err)
-	}
-	return &c, nil
-}
-
 // ResumeIssuer restarts a crashed CI on its surviving full-node replica: a
 // new enclave (fresh sealed key, fresh attestation report, same measured
-// program) adopts the checkpointed certificate as the base of its recursive
-// chain and continues certifying from the node's tip — never from genesis.
+// program) adopts tipCert as the base of its recursive chain and continues
+// certifying from the node's tip — never from genesis.
 //
-// The checkpoint must describe the node's current tip, and its certificate
+// tipCert must certify a segment ending at the node's current tip, and it
 // must verify through the complete attestation chain (it may have been
 // issued by any enclave running the same trusted program, including the
-// crashed predecessor). A nil checkpoint is only valid at genesis, where
-// plain initialization suffices.
-func ResumeIssuer(n *node.FullNode, authority *attest.Authority, platform *attest.Platform, cost enclave.CostModel, ckpt *IssuerCheckpoint) (*Issuer, error) {
+// crashed predecessor). A nil tipCert is only valid at genesis, where plain
+// initialization suffices.
+func ResumeIssuer(n *node.FullNode, authority *attest.Authority, platform *attest.Platform, cost enclave.CostModel, tipCert *Certificate) (*Issuer, error) {
 	tip := n.Tip()
-	if ckpt == nil {
+	if tipCert == nil {
 		if tip.Header.Height != 0 {
-			return nil, fmt.Errorf("%w: nil checkpoint with tip at height %d", ErrBadCheckpoint, tip.Header.Height)
+			return nil, fmt.Errorf("%w: no certificate with tip at height %d", ErrBadCheckpoint, tip.Header.Height)
 		}
 		return NewIssuer(n, authority, platform, cost)
 	}
-	if ckpt.BlockHash != tip.Hash() || ckpt.Height != tip.Header.Height {
-		return nil, fmt.Errorf("%w: checkpoint (height %d, %s) does not match node tip (height %d, %s)",
-			ErrBadCheckpoint, ckpt.Height, ckpt.BlockHash, tip.Header.Height, tip.Hash())
+	// The certificate came from untrusted storage: verify it exactly as the
+	// enclave would a peer's (authority signature, program measurement,
+	// signature over the certified digest). It may cover a K-block segment
+	// ending at the tip, so recover the covered suffix first; a certificate
+	// for any other block matches no suffix and is refused.
+	headers, err := segmentSuffixFor(n, tip.Header.Height, tipCert.Digest)
+	if err != nil {
+		return nil, err
 	}
 	ci, err := NewIssuer(n, authority, platform, cost)
 	if err != nil {
 		return nil, err
 	}
-	// The checkpoint came from untrusted storage: verify its certificate
-	// exactly as the enclave would a peer's (authority signature, program
-	// measurement, signature over the certified digest). The certificate may
-	// cover a K-block segment ending at the tip, so recover the covered
-	// suffix first — for a single-block certificate the one-header suffix
-	// matches immediately, keeping pre-segment checkpoints valid unchanged.
-	headers, err := segmentSuffixFor(n, tip.Header.Height, ckpt.Cert.Digest)
-	if err != nil {
-		return nil, err
-	}
-	if err := ckpt.Cert.Verify(authority.PublicKey(), ci.Measurement(), SegmentDigest(headers)); err != nil {
+	if err := tipCert.Verify(authority.PublicKey(), ci.Measurement(), SegmentDigest(headers)); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
 	}
 	ci.mu.Lock()
-	ci.lastCert = ckpt.Cert
+	ci.lastCert = tipCert
 	for _, h := range headers {
-		ci.certs[h.Hash()] = ckpt.Cert
+		ci.certs[h.Hash()] = tipCert
 	}
-	ci.recordSegmentLocked(headers, ckpt.Cert)
+	ci.recordSegmentLocked(headers, tipCert)
 	ci.mu.Unlock()
 	return ci, nil
 }
 
 // segmentSuffixFor finds the chain suffix ending at the tip whose segment
-// digest matches a checkpointed certificate's digest — i.e. which blocks the
+// digest matches the tip certificate's digest — i.e. which blocks the
 // certificate covers. Single-block certificates match at length 1 (their
 // segment digest IS the block digest); a certificate from a K-block segment
 // committer matches at its segment length.

@@ -19,31 +19,8 @@ func certifyBlocks(t *testing.T, e *env, n int) {
 	}
 }
 
-func TestIssuerCheckpointMarshalRoundTrip(t *testing.T) {
-	e := newEnv(t, workload.KVStore, enclave.CostModel{})
-	if ckpt := e.issuer.Checkpoint(); ckpt != nil {
-		t.Fatalf("checkpoint before any certification: %+v", ckpt)
-	}
-	certifyBlocks(t, e, 3)
-
-	ckpt := e.issuer.Checkpoint()
-	if ckpt == nil || ckpt.Height != 3 {
-		t.Fatalf("checkpoint = %+v", ckpt)
-	}
-	parsed, err := UnmarshalIssuerCheckpoint(ckpt.Marshal())
-	if err != nil {
-		t.Fatalf("UnmarshalIssuerCheckpoint: %v", err)
-	}
-	if parsed.Height != ckpt.Height || parsed.BlockHash != ckpt.BlockHash || parsed.Cert.Digest != ckpt.Cert.Digest {
-		t.Fatalf("round trip mismatch: %+v vs %+v", parsed, ckpt)
-	}
-	if _, err := UnmarshalIssuerCheckpoint([]byte{1, 2, 3}); err == nil {
-		t.Fatal("want error for garbage checkpoint")
-	}
-}
-
 // TestIssuerCrashRestartResumesFromCheckpoint is the recovery contract: a
-// restarted CI adopts the persisted certificate and continues the recursion
+// restarted CI adopts the persisted tip certificate and continues the recursion
 // from the crash point — its fresh enclave performs zero Ecalls for already
 // certified history (it never re-executes certification from genesis), and
 // clients accept its certificates after one new attestation check.
@@ -57,21 +34,21 @@ func TestIssuerCrashRestartResumesFromCheckpoint(t *testing.T) {
 	}
 	oldKey := string(e.issuer.Enclave().PublicKey().Marshal())
 
-	// Persist the checkpoint, then "crash": the enclave (and its sealed key)
-	// is gone; the full-node replica and the checkpoint bytes survive.
-	raw := e.issuer.Checkpoint().Marshal()
+	// "Crash": the enclave (and its sealed key) is gone; the full-node
+	// replica and the tip certificate's bytes on the chain log survive.
+	raw := e.issuer.LatestCert().Marshal()
 	survivingNode := e.issuer.Node()
 	e.issuer = nil
 
-	ckpt, err := UnmarshalIssuerCheckpoint(raw)
+	tipCert, err := UnmarshalCertificate(raw)
 	if err != nil {
-		t.Fatalf("UnmarshalIssuerCheckpoint: %v", err)
+		t.Fatalf("UnmarshalCertificate: %v", err)
 	}
 	platform, err := e.authority.NewPlatform()
 	if err != nil {
 		t.Fatalf("NewPlatform: %v", err)
 	}
-	resumed, err := ResumeIssuer(survivingNode, e.authority, platform, enclave.CostModel{}, ckpt)
+	resumed, err := ResumeIssuer(survivingNode, e.authority, platform, enclave.CostModel{}, tipCert)
 	if err != nil {
 		t.Fatalf("ResumeIssuer: %v", err)
 	}
@@ -82,7 +59,7 @@ func TestIssuerCrashRestartResumesFromCheckpoint(t *testing.T) {
 		t.Fatal("restarted enclave must generate a fresh sealed key")
 	}
 
-	// Certification resumes from the checkpoint: the next block's enclave
+	// Certification resumes from the tip certificate: the next block's enclave
 	// call verifies the predecessor's certificate and extends the chain.
 	e.issuer = resumed
 	blk := e.mine(t, 4)
@@ -106,8 +83,8 @@ func TestIssuerCrashRestartResumesFromCheckpoint(t *testing.T) {
 func TestResumeIssuerRejectsBadCheckpoints(t *testing.T) {
 	e := newEnv(t, workload.KVStore, enclave.CostModel{})
 	certifyBlocks(t, e, 2)
-	stale := e.issuer.Checkpoint()
-	certifyBlocks(t, e, 2) // tip moves past the stale checkpoint
+	stale := e.issuer.LatestCert()
+	certifyBlocks(t, e, 2) // tip moves past the stale certificate
 
 	platform, err := e.authority.NewPlatform()
 	if err != nil {
@@ -116,22 +93,22 @@ func TestResumeIssuerRejectsBadCheckpoints(t *testing.T) {
 	n := e.issuer.Node()
 
 	if _, err := ResumeIssuer(n, e.authority, platform, enclave.CostModel{}, stale); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("stale checkpoint: want ErrBadCheckpoint, got %v", err)
+		t.Fatalf("stale certificate: want ErrBadCheckpoint, got %v", err)
 	}
 	if _, err := ResumeIssuer(n, e.authority, platform, enclave.CostModel{}, nil); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("nil checkpoint past genesis: want ErrBadCheckpoint, got %v", err)
+		t.Fatalf("nil certificate past genesis: want ErrBadCheckpoint, got %v", err)
 	}
 
-	tampered := e.issuer.Checkpoint()
-	sig := append([]byte(nil), tampered.Cert.Sig...)
+	tip := e.issuer.LatestCert()
+	sig := append([]byte(nil), tip.Sig...)
 	sig[0] ^= 0xFF
-	tampered.Cert = &Certificate{
-		PubKey: tampered.Cert.PubKey,
-		Report: tampered.Cert.Report,
-		Digest: tampered.Cert.Digest,
+	tampered := &Certificate{
+		PubKey: tip.PubKey,
+		Report: tip.Report,
+		Digest: tip.Digest,
 		Sig:    sig,
 	}
 	if _, err := ResumeIssuer(n, e.authority, platform, enclave.CostModel{}, tampered); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("tampered checkpoint: want ErrBadCheckpoint, got %v", err)
+		t.Fatalf("tampered certificate: want ErrBadCheckpoint, got %v", err)
 	}
 }

@@ -14,7 +14,7 @@ import (
 )
 
 // tagState frames a state-WAL record (height, post-root, write set) in the
-// engine's state log. tagBlock/tagCert are shared with the chain archive.
+// engine's state log.
 const tagState byte = 3
 
 // Engine is the crash-safe durable backend for a DCert deployment. It
@@ -23,7 +23,9 @@ const tagState byte = 3
 //	<dir>/chain/NNNNNNNN.seg   append-only block+certificate segment log
 //	<dir>/state/wal/*.seg      state write-set WAL since the last snapshot
 //	<dir>/state/snap           atomic-rename snapshot of the full state image
-//	<dir>/ckpt                 atomic-rename issuer checkpoint snapshot
+//
+// The certificate of the recovered tip, read from the chain log, is the
+// issuer's restart record: it recursively attests every block below it.
 //
 // Durability ordering: a block frame is appended before its certificate
 // frame, and the certificate frame before the state WAL record, all within
@@ -49,7 +51,6 @@ type Engine struct {
 	blocks  []*chain.Block        // height-indexed, blocks[0] = genesis
 	heights map[chash.Hash]uint64 // block hash → height, for every block in blocks
 	certs   map[chash.Hash]*core.Certificate
-	tipCert *core.IssuerCheckpoint
 
 	// mirror is the engine's own key/value image of the statedb at
 	// mirrorHeight, maintained from write sets (the statedb interface has no
@@ -77,8 +78,8 @@ type Options struct {
 	FsyncInterval time.Duration
 	// SegmentBytes rotates log segments at this size (default 64 MiB).
 	SegmentBytes int64
-	// SnapshotEvery writes a state snapshot + checkpoint every N certified
-	// blocks and resets the WAL (default 4096).
+	// SnapshotEvery writes a state snapshot every N certified blocks and
+	// resets the WAL (default 4096).
 	SnapshotEvery uint64
 }
 
@@ -87,11 +88,10 @@ type Recovery struct {
 	// Blocks is the recovered certified prefix, including genesis. Empty for
 	// a fresh data directory.
 	Blocks []*chain.Block
-	// Certs maps recovered block hashes to certificates.
+	// Certs maps recovered block hashes to certificates. The recovered tip
+	// is the highest block with a certificate, so above genesis its
+	// certificate is always here: it is the issuer's restart record.
 	Certs map[chash.Hash]*core.Certificate
-	// Checkpoint is the issuer checkpoint at the recovered tip (nil when the
-	// tip is genesis).
-	Checkpoint *core.IssuerCheckpoint
 	// State is the durable state image at StateHeight, or nil when the
 	// snapshot+WAL could not cover the recovered chain (the caller replays
 	// transactions from genesis instead).
@@ -183,9 +183,9 @@ type chainRecord struct {
 	decoded bool
 }
 
-// recover reconstructs the certified prefix from the chain log, the state
-// image from snapshot+WAL, and the issuer checkpoint. It physically
-// truncates both logs to exactly what it keeps.
+// recover reconstructs the certified prefix from the chain log and the state
+// image from snapshot+WAL. It physically truncates both logs to exactly what
+// it keeps.
 func (e *Engine) recover() error {
 	rec := &Recovery{Certs: e.certs}
 	chainRec := e.chainLog.Recovery()
@@ -218,18 +218,7 @@ func (e *Engine) recover() error {
 			byHash[r.hash] = blk.Header.Height
 			nextHeight++
 		case tagCert:
-			d := chash.NewDecoder(payload)
-			h, err := d.ReadHash()
-			if err != nil {
-				anomaly = true
-				return nil
-			}
-			certRaw, err := d.ReadBytes()
-			if err != nil || d.Finish() != nil {
-				anomaly = true
-				return nil
-			}
-			cert, err := core.UnmarshalCertificate(certRaw)
+			h, cert, err := decodeCertPayload(payload)
 			if err != nil {
 				anomaly = true
 				return nil
@@ -318,26 +307,6 @@ func (e *Engine) recover() error {
 	rec.DroppedBlocks += len(records) - 1 - lastKeep
 	rec.Blocks = e.blocks
 
-	// Checkpoint: prefer the checkpoint snapshot when it matches the
-	// recovered tip, else derive from the tip certificate on the log.
-	if len(e.blocks) > 0 {
-		tip := e.blocks[len(e.blocks)-1]
-		if cert, ok := e.certs[tip.Hash()]; ok {
-			e.tipCert = &core.IssuerCheckpoint{
-				Height:    tip.Header.Height,
-				BlockHash: tip.Hash(),
-				Cert:      cert,
-			}
-		}
-		if raw, err := readSnapshot(e.fs, vfs.Join(e.dir, "ckpt")); err == nil {
-			if ckpt, err := core.UnmarshalIssuerCheckpoint(raw); err == nil &&
-				ckpt.Height == tip.Header.Height && ckpt.BlockHash == tip.Hash() {
-				e.tipCert = ckpt
-			}
-		}
-	}
-	rec.Checkpoint = e.tipCert
-
 	// State: snapshot first, then WAL records on top, capped at the
 	// recovered tip. A snapshot ahead of the recovered chain (tail was
 	// dropped after the snapshot was cut) is unusable.
@@ -363,11 +332,7 @@ func (e *Engine) rewriteChainLog(records []*chainRecord) error {
 		case tagBlock:
 			payload = r.block.Marshal()
 		case tagCert:
-			certRaw := r.cert.Marshal()
-			enc := chash.NewEncoder(8 + chash.Size + len(certRaw))
-			enc.PutHash(r.hash)
-			enc.PutBytes(certRaw)
-			payload = enc.Bytes()
+			payload = encodeCertPayload(r.hash, r.cert)
 		}
 		if err := e.chainLog.Append(r.tag, payload); err != nil {
 			return err
@@ -383,7 +348,7 @@ func (e *Engine) recoverState(tipHeight uint64) error {
 	raw, err := readSnapshot(e.fs, snapPath)
 	switch {
 	case err == nil:
-		height, root, kv, derr := decodeStateImage(raw)
+		height, root, kv, derr := decodeStateRecord(raw)
 		if derr != nil || height > tipHeight {
 			// Corrupt image, or a snapshot ahead of the recovered chain.
 			e.mirror = make(map[string][]byte)
@@ -476,12 +441,11 @@ func (e *Engine) recoverState(tipHeight uint64) error {
 	return nil
 }
 
-// Bootstrap fixes the genesis block and its state image for a fresh
-// engine, or verifies them against the recovered chain. Must be called once
-// before ApplyBlock. genesisState is the full key/value image at height 0:
-// the WAL only ever carries per-block write sets, so every snapshot chain
-// must be rooted in a complete genesis image.
-func (e *Engine) Bootstrap(genesis *chain.Block, genesisState map[string][]byte) error {
+// Bootstrap fixes the genesis block for a fresh engine, or verifies it
+// against the recovered chain. Must be called once before ApplyBlock. The
+// genesis state image is empty: the WAL carries per-block write sets, and
+// every snapshot chain is rooted at height 0.
+func (e *Engine) Bootstrap(genesis *chain.Block) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.blocks) == 0 {
@@ -496,7 +460,7 @@ func (e *Engine) Bootstrap(genesis *chain.Block, genesisState map[string][]byte)
 		}
 		e.blocks = append(e.blocks, genesis)
 		e.heights[genesis.Hash()] = 0
-		e.mirror = copyImage(genesisState)
+		e.mirror = make(map[string][]byte)
 		e.mirrorHeight, e.mirrorRoot = 0, genesis.Header.StateRoot
 		return e.snapshotLocked()
 	}
@@ -507,13 +471,7 @@ func (e *Engine) Bootstrap(genesis *chain.Block, genesisState map[string][]byte)
 		// The snapshot+WAL image did not survive; re-root the mirror at
 		// genesis so the transaction replay (ResumeNode) can re-journal
 		// every block's write set on a complete base image.
-		e.mirror = copyImage(genesisState)
-		e.mirrorHeight, e.mirrorRoot = 0, genesis.Header.StateRoot
-		e.snapHeight = 0
-		if err := e.stateWAL.Reset(); err != nil {
-			return err
-		}
-		return e.snapshotLocked()
+		return e.resetStateLocked(genesis.Header.StateRoot)
 	}
 	return nil
 }
@@ -554,13 +512,10 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 	e.heights[hash] = h
 	applyWrites(e.mirror, writes)
 	e.mirrorHeight, e.mirrorRoot = h, blk.Header.StateRoot
-	if cert != nil {
-		e.certs[hash] = cert
-		e.tipCert = &core.IssuerCheckpoint{Height: h, BlockHash: hash, Cert: cert}
-	}
 	e.mBlocks.Inc()
 
 	if cert != nil {
+		e.certs[hash] = cert
 		return e.snapshotIfDueLocked(h)
 	}
 	return nil
@@ -596,18 +551,11 @@ func (e *Engine) ApplyCert(blockHash chash.Hash, cert *core.Certificate) error {
 		return err
 	}
 	e.certs[blockHash] = cert
-	if height == uint64(len(e.blocks))-1 {
-		e.tipCert = &core.IssuerCheckpoint{Height: height, BlockHash: blockHash, Cert: cert}
-	}
 	return e.snapshotIfDueLocked(height)
 }
 
 func (e *Engine) appendCertLocked(blockHash chash.Hash, cert *core.Certificate) error {
-	certRaw := cert.Marshal()
-	enc := chash.NewEncoder(8 + chash.Size + len(certRaw))
-	enc.PutHash(blockHash)
-	enc.PutBytes(certRaw)
-	return e.chainLog.Append(tagCert, enc.Bytes())
+	return e.chainLog.Append(tagCert, encodeCertPayload(blockHash, cert))
 }
 
 // RestoreState advances the engine's state mirror during a transaction
@@ -628,13 +576,17 @@ func (e *Engine) RestoreState(height uint64, root chash.Hash, writes map[string]
 	return nil
 }
 
-// resetState re-roots the engine's state mirror and journal at genesis,
-// discarding whatever image recovery produced. Used before a full replay
-// re-journals every write set.
-func (e *Engine) resetState(genesisState map[string][]byte, genesisRoot chash.Hash) error {
+// resetState re-roots the engine's state mirror and journal at the empty
+// genesis image, discarding whatever image recovery produced. Used before a
+// full replay re-journals every write set.
+func (e *Engine) resetState(genesisRoot chash.Hash) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.mirror = copyImage(genesisState)
+	return e.resetStateLocked(genesisRoot)
+}
+
+func (e *Engine) resetStateLocked(genesisRoot chash.Hash) error {
+	e.mirror = make(map[string][]byte)
 	e.mirrorHeight, e.mirrorRoot = 0, genesisRoot
 	e.snapHeight = 0
 	if err := e.stateWAL.Reset(); err != nil {
@@ -643,9 +595,9 @@ func (e *Engine) resetState(genesisState map[string][]byte, genesisRoot chash.Ha
 	return e.snapshotLocked()
 }
 
-// snapshotLocked writes the state image + issuer checkpoint durably and
-// resets the WAL. The chain log is synced first so the snapshot never
-// claims a height the chain could lose.
+// snapshotLocked writes the state image durably and resets the WAL. The
+// chain log is synced first so the snapshot never claims a height the chain
+// could lose.
 func (e *Engine) snapshotLocked() error {
 	start := time.Now()
 	if err := e.chainLog.Sync(); err != nil {
@@ -654,7 +606,7 @@ func (e *Engine) snapshotLocked() error {
 	if err := e.stateWAL.Sync(); err != nil {
 		return err
 	}
-	img := encodeStateImage(e.mirrorHeight, e.mirrorRoot, e.mirror)
+	img := encodeStateRecord(e.mirrorHeight, e.mirrorRoot, e.mirror)
 	if err := writeSnapshot(e.fs, vfs.Join(e.dir, "state", "snap"), img); err != nil {
 		return err
 	}
@@ -662,35 +614,16 @@ func (e *Engine) snapshotLocked() error {
 	if err := e.stateWAL.Reset(); err != nil {
 		return err
 	}
-	if e.tipCert != nil {
-		if err := writeSnapshot(e.fs, vfs.Join(e.dir, "ckpt"), e.tipCert.Marshal()); err != nil {
-			return err
-		}
-	}
 	e.mSnapshots.Inc()
 	e.mSnapSecs.Observe(time.Since(start).Seconds())
 	return nil
 }
 
-// Snapshot forces a state snapshot + checkpoint write now.
+// Snapshot forces a state snapshot write now.
 func (e *Engine) Snapshot() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.snapshotLocked()
-}
-
-// SaveCheckpoint durably replaces the issuer checkpoint snapshot (used by
-// CertPlane.Kill so a deliberate shutdown captures the freshest cert).
-func (e *Engine) SaveCheckpoint(ckpt *core.IssuerCheckpoint) error {
-	if ckpt == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.chainLog.Sync(); err != nil {
-		return err
-	}
-	return writeSnapshot(e.fs, vfs.Join(e.dir, "ckpt"), ckpt.Marshal())
 }
 
 // Recovery returns what Open reconstructed.
@@ -722,14 +655,6 @@ func (e *Engine) CertFor(blockHash chash.Hash) (*core.Certificate, bool) {
 	defer e.mu.Unlock()
 	c, ok := e.certs[blockHash]
 	return c, ok
-}
-
-// Checkpoint returns the issuer checkpoint at the persisted certified tip
-// (nil when only genesis is persisted).
-func (e *Engine) Checkpoint() *core.IssuerCheckpoint {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.tipCert
 }
 
 // Sync forces both logs to stable storage (a durability barrier).
@@ -783,9 +708,10 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 		"Bytes truncated from torn/corrupt log tails at last recovery.").Set(e.rec.TruncatedBytes)
 }
 
-// --- state record / image codecs ---
+// --- state record codec ---
 
-// encodeStateRecord frames one WAL entry: height, post-state root, writes.
+// encodeStateRecord frames one WAL entry (height, post-state root, writes);
+// a state snapshot is the same record over the full image.
 func encodeStateRecord(height uint64, root chash.Hash, writes map[string][]byte) []byte {
 	size := 16 + chash.Size
 	for k, v := range writes {
@@ -816,8 +742,10 @@ func decodeStateRecord(payload []byte) (uint64, chash.Hash, map[string][]byte, e
 	if err != nil {
 		return 0, chash.Hash{}, nil, err
 	}
-	if n > maxRecord {
-		return 0, chash.Hash{}, nil, fmt.Errorf("%w: %d state writes", ErrCorrupt, n)
+	// Each entry carries at least its two length prefixes, so a count the
+	// remaining bytes cannot hold is refused before it sizes an allocation.
+	if n > uint64(d.Remaining())/8 {
+		return 0, chash.Hash{}, nil, fmt.Errorf("%w: %d state writes in %d bytes", ErrCorrupt, n, d.Remaining())
 	}
 	writes := make(map[string][]byte, n)
 	for i := uint64(0); i < n; i++ {
@@ -829,33 +757,15 @@ func decodeStateRecord(payload []byte) (uint64, chash.Hash, map[string][]byte, e
 		if err != nil {
 			return 0, chash.Hash{}, nil, err
 		}
+		if _, dup := writes[k]; dup {
+			return 0, chash.Hash{}, nil, fmt.Errorf("%w: state write %q repeated", ErrCorrupt, k)
+		}
 		writes[k] = v
 	}
 	if err := d.Finish(); err != nil {
 		return 0, chash.Hash{}, nil, err
 	}
 	return height, root, writes, nil
-}
-
-// encodeStateImage frames a full state snapshot payload.
-func encodeStateImage(height uint64, root chash.Hash, kv map[string][]byte) []byte {
-	size := 16 + chash.Size
-	for k, v := range kv {
-		size += 16 + len(k) + len(v)
-	}
-	enc := chash.NewEncoder(size)
-	enc.PutUint64(height)
-	enc.PutHash(root)
-	enc.PutUint64(uint64(len(kv)))
-	for k, v := range kv {
-		enc.PutString(k)
-		enc.PutBytes(v)
-	}
-	return enc.Bytes()
-}
-
-func decodeStateImage(payload []byte) (uint64, chash.Hash, map[string][]byte, error) {
-	return decodeStateRecord(payload)
 }
 
 // applyWrites merges a write set into a state image (nil value = delete,

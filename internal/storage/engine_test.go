@@ -4,26 +4,79 @@ import (
 	"testing"
 	"time"
 
+	"dcert/internal/attest"
 	"dcert/internal/chain"
 	"dcert/internal/chash"
 	"dcert/internal/consensus"
 	"dcert/internal/core"
+	"dcert/internal/enclave"
+	"dcert/internal/node"
 	"dcert/internal/statedb"
 	"dcert/internal/storage/vfs"
+	"dcert/internal/vm"
+	"dcert/internal/workload"
 )
 
-// engineEnv extends archiveEnv with the blocks and certificates mined into an
-// engine the way the deployment drives it: the miner journals each proposal
-// with its own write set, and the certificate lands afterwards.
+// engineEnv wires a miner + issuer and records the blocks and certificates
+// mined into an engine the way the deployment drives it: the miner journals
+// each proposal with its own write set, and the certificate lands afterwards.
 type engineEnv struct {
-	*archiveEnv
-	blocks []*chain.Block
-	certs  []*core.Certificate
+	authority *attest.Authority
+	miner     *node.Miner
+	issuer    *core.Issuer
+	gen       *workload.Generator
+	blocks    []*chain.Block
+	certs     []*core.Certificate
 }
 
 func newEngineEnv(t *testing.T) *engineEnv {
 	t.Helper()
-	return &engineEnv{archiveEnv: newArchiveEnv(t)}
+	params := consensus.Params{Difficulty: 2}
+	cfg := workload.Config{Kind: workload.KVStore, Contracts: 3, Seed: 7, KeySpace: 40}
+
+	mkNode := func() *node.FullNode {
+		t.Helper()
+		reg := vm.NewRegistry()
+		if err := workload.Register(reg, cfg.Kind, cfg.Contracts); err != nil {
+			t.Fatalf("Register: %v", err)
+		}
+		genesis, db, err := node.BuildGenesis(node.GenesisConfig{Time: 1, Consensus: params})
+		if err != nil {
+			t.Fatalf("BuildGenesis: %v", err)
+		}
+		n, err := node.NewFullNode(genesis, db, reg, params)
+		if err != nil {
+			t.Fatalf("NewFullNode: %v", err)
+		}
+		return n
+	}
+
+	authority, err := attest.NewAuthority()
+	if err != nil {
+		t.Fatalf("NewAuthority: %v", err)
+	}
+	platform, err := authority.NewPlatform()
+	if err != nil {
+		t.Fatalf("NewPlatform: %v", err)
+	}
+	issuer, err := core.NewIssuer(mkNode(), authority, platform, enclave.CostModel{})
+	if err != nil {
+		t.Fatalf("NewIssuer: %v", err)
+	}
+	accounts, err := workload.NewAccounts(6)
+	if err != nil {
+		t.Fatalf("NewAccounts: %v", err)
+	}
+	gen, err := workload.NewGenerator(cfg, accounts)
+	if err != nil {
+		t.Fatalf("NewGenerator: %v", err)
+	}
+	return &engineEnv{
+		authority: authority,
+		miner:     node.NewMiner(mkNode()),
+		issuer:    issuer,
+		gen:       gen,
+	}
 }
 
 func (e *engineEnv) resumeCfg() ResumeConfig {
@@ -70,7 +123,7 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	for i := 0; i < 10; i++ {
@@ -92,14 +145,14 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 	if rec.Torn || rec.DroppedBlocks != 0 {
 		t.Fatalf("clean shutdown recovered dirty: %+v", rec)
 	}
-	if rec.Checkpoint == nil || rec.Checkpoint.Height != 10 {
-		t.Fatalf("checkpoint = %+v, want height 10", rec.Checkpoint)
+	if _, ok := rec.Certs[rec.Blocks[10].Hash()]; !ok {
+		t.Fatal("recovered tip has no certificate")
 	}
 	// Clean shutdown snapshots at the tip: the fast path needs no replay.
 	if rec.State == nil || rec.StateHeight != 10 {
 		t.Fatalf("state image at %d (nil=%v), want 10", rec.StateHeight, rec.State == nil)
 	}
-	if err := eng2.Bootstrap(genesis, nil); err != nil {
+	if err := eng2.Bootstrap(genesis); err != nil {
 		t.Fatalf("re-Bootstrap: %v", err)
 	}
 	n, err := eng2.ResumeNode(env.resumeCfg())
@@ -135,7 +188,7 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	for i := 0; i < 8; i++ {
@@ -163,10 +216,10 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 			t.Fatalf("recovered block %d diverges from mined chain", i+1)
 		}
 	}
-	if rec.Checkpoint == nil || rec.Checkpoint.Height != tip {
-		t.Fatalf("checkpoint %+v, want height %d", rec.Checkpoint, tip)
+	if _, ok := rec.Certs[rec.Blocks[tip].Hash()]; !ok {
+		t.Fatalf("recovered tip %d has no certificate", tip)
 	}
-	if err := eng2.Bootstrap(genesis, nil); err != nil {
+	if err := eng2.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	n, err := eng2.ResumeNode(env.resumeCfg())
@@ -190,7 +243,7 @@ func TestEngineDropsUncertifiedTail(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	env.mine(t, eng, true)
@@ -246,7 +299,7 @@ func TestEngineLateCertExtendsCertifiedPrefix(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	env.mine(t, eng, true)
@@ -295,7 +348,7 @@ func TestEngineSnapshotWhenCertificateLands(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	for i := 0; i < 6; i++ {
@@ -339,7 +392,7 @@ func TestEngineSnapshotWhenCertificateLands(t *testing.T) {
 	if rec.State != nil {
 		t.Fatalf("recovery trusted a state image at height %d above the certified tip", rec.StateHeight)
 	}
-	if err := eng2.Bootstrap(genesis, nil); err != nil {
+	if err := eng2.Bootstrap(genesis); err != nil {
 		t.Fatalf("re-Bootstrap: %v", err)
 	}
 	n, err := eng2.ResumeNode(env.resumeCfg())
@@ -368,7 +421,7 @@ func TestEngineApplyCertLooksUpByHash(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	defer eng.Close()
-	if err := eng.Bootstrap(env.miner.Store().Best(), nil); err != nil {
+	if err := eng.Bootstrap(env.miner.Store().Best()); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	const blocks = 2000
@@ -403,8 +456,8 @@ func TestEngineApplyCertLooksUpByHash(t *testing.T) {
 	if allocs > blocks/10 {
 		t.Fatalf("ApplyCert allocates %.0f times on a %d-block chain: it walks the chain", allocs, blocks)
 	}
-	if ck := eng.Checkpoint(); ck == nil || ck.Height != blocks {
-		t.Fatalf("checkpoint %+v, want the certified tip %d", ck, blocks)
+	if _, ok := eng.CertFor(hashes[blocks-1]); !ok {
+		t.Fatalf("no certificate for the tip %d", blocks)
 	}
 
 	// Idempotent: a second slot landing the same certificate appends nothing.
@@ -430,7 +483,7 @@ func TestEngineIdempotentApply(t *testing.T) {
 	}
 	defer eng.Close()
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	env.mine(t, eng, true)
@@ -456,7 +509,7 @@ func TestEngineRejectsForeignGenesis(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	env.mine(t, eng, true)
@@ -469,7 +522,7 @@ func TestEngineRejectsForeignGenesis(t *testing.T) {
 	}
 	defer eng2.Close()
 	other := &chain.Block{Header: chain.Header{Height: 0, Time: 999}}
-	if err := eng2.Bootstrap(other, nil); err == nil {
+	if err := eng2.Bootstrap(other); err == nil {
 		t.Fatal("foreign genesis must be refused")
 	}
 }
@@ -490,7 +543,7 @@ func TestEngineResumeRefusesWrongWriteSet(t *testing.T) {
 		t.Fatalf("OpenEngine: %v", err)
 	}
 	genesis := env.miner.Store().Best()
-	if err := eng.Bootstrap(genesis, nil); err != nil {
+	if err := eng.Bootstrap(genesis); err != nil {
 		t.Fatalf("Bootstrap: %v", err)
 	}
 	env.mine(t, eng, true)
@@ -529,7 +582,7 @@ func TestEngineResumeRefusesWrongWriteSet(t *testing.T) {
 	if imageRoot(t, rec.State) == blk.Header.StateRoot {
 		t.Fatal("the wrong write set reproduces the header's root")
 	}
-	if err := eng2.Bootstrap(genesis, nil); err != nil {
+	if err := eng2.Bootstrap(genesis); err != nil {
 		t.Fatalf("re-Bootstrap: %v", err)
 	}
 	cfg := env.resumeCfg()

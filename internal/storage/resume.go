@@ -19,9 +19,6 @@ type ResumeConfig struct {
 	Registry *vm.Registry
 	// Params are the consensus parameters.
 	Params consensus.Params
-	// GenesisState is the full key/value image at height 0, used when the
-	// durable state image cannot be trusted and the chain must be replayed.
-	GenesisState map[string][]byte
 	// Restore re-journals replayed write sets into the engine's state WAL,
 	// rebuilding durability as the replay proceeds. Set it on exactly one
 	// resumed node per engine, the one that journals from then on (a
@@ -115,23 +112,18 @@ func (e *Engine) replayBlocks(n *node.FullNode, blocks []*chain.Block, restore b
 }
 
 // resumeReplay rebuilds the node by replaying every block's transactions
-// from the genesis state — the slow, trust-nothing path.
+// from the empty genesis state — the slow, trust-nothing path.
 func (e *Engine) resumeReplay(cfg ResumeConfig, blocks []*chain.Block) (*node.FullNode, error) {
 	if cfg.Restore {
 		// Re-root the journal at genesis so the replayed write sets form a
 		// contiguous WAL on a complete base image.
-		if err := e.resetState(cfg.GenesisState, blocks[0].Header.StateRoot); err != nil {
+		if err := e.resetState(blocks[0].Header.StateRoot); err != nil {
 			return nil, err
 		}
 	}
 	db, err := statedb.NewWithBackend(cfg.Backend)
 	if err != nil {
 		return nil, err
-	}
-	for k, v := range cfg.GenesisState {
-		if err := db.Set([]byte(k), v); err != nil {
-			return nil, err
-		}
 	}
 	n, err := node.NewFullNode(blocks[0], db, cfg.Registry, cfg.Params)
 	if err != nil {

@@ -9,12 +9,12 @@ import (
 	"dcert/internal/storage/vfs"
 )
 
-// Snapshots are single-shot durable files (issuer checkpoints, state
-// images) written with the classic atomic-replace discipline: write to a
-// temp path, fsync, close, rename over the target. A reader therefore sees
-// either the old complete snapshot or the new complete snapshot, never a
-// partial write. A CRC32C header catches bit rot and torn tmp files that a
-// power cut promoted anyway.
+// Snapshots are single-shot durable files (the state image) written with
+// the classic atomic-replace discipline: write to a temp path, fsync, close,
+// rename over the target. A reader therefore sees either the old complete
+// snapshot or the new complete snapshot, never a partial write. A CRC32C
+// header catches bit rot and torn tmp files that a power cut promoted
+// anyway.
 //
 // Layout (big-endian): [4B magic][4B CRC32C of payload][8B payload len][payload]
 

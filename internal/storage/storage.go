@@ -1,253 +1,35 @@
 // Package storage persists the canonical chain and its DCert certificates.
 //
-// Two layers live here. Archive is the portable single-file chain archive
-// (written by dcert-archive, replayed into fresh nodes); Engine is the
-// crash-safe data directory a running deployment appends to (segment log +
-// snapshot/WAL + checkpoint, see engine.go). Both share the CRC32C record
-// framing defined in seglog.go, so a torn or bit-flipped record is detected
-// rather than replayed.
+// Engine (engine.go) is the crash-safe data directory a durable deployment
+// appends to: a segment log of blocks and certificates plus a state
+// snapshot/WAL. The segment log is the one on-disk chain format; the newest
+// certificate on it is the only restart record a certificate issuer needs,
+// since the certificate at height h recursively attests the chain below it.
+// Every record uses the CRC32C framing defined in seglog.go, so a torn or
+// bit-flipped record is detected rather than replayed.
 package storage
 
 import (
 	"errors"
 	"fmt"
-	"os"
 
-	"dcert/internal/chain"
 	"dcert/internal/chash"
 	"dcert/internal/core"
-	"dcert/internal/node"
-	"dcert/internal/storage/vfs"
 )
 
-// Package errors.
-var (
-	// ErrCorrupt is returned when an archive fails structural validation.
-	ErrCorrupt = errors.New("storage: corrupt archive")
-	// ErrExists is returned by Create when the target archive already holds
-	// data; use Open to append or Recover to repair.
-	ErrExists = errors.New("storage: archive already exists")
-)
+// ErrCorrupt is returned when a record or snapshot fails structural
+// validation.
+var ErrCorrupt = errors.New("storage: corrupt record")
 
-// Record tags.
+// Chain-log record tags.
 const (
 	tagBlock byte = 1
 	tagCert  byte = 2
 )
 
-// maxRecord bounds any single archive record (a block with thousands of
+// maxRecord bounds any single record (a block with thousands of
 // transactions stays far below this).
 const maxRecord = 256 << 20
-
-// Archive is an append-only chain archive: a single file of CRC32C-framed,
-// length-prefixed records (the same frame layout as the engine's segment
-// log).
-//
-// Archive is not safe for concurrent use.
-type Archive struct {
-	fs vfs.FS
-	f  vfs.File
-}
-
-// Create opens a fresh archive for writing. It refuses to overwrite an
-// archive that already holds data (ErrExists): truncating an existing
-// archive must be an explicit caller decision, not a side effect.
-func Create(path string) (*Archive, error) {
-	return createFS(vfs.OS{}, path)
-}
-
-func createFS(fs vfs.FS, path string) (*Archive, error) {
-	if info, err := fs.Stat(path); err == nil && info.Size() > 0 {
-		return nil, fmt.Errorf("%w: %s (%d bytes)", ErrExists, path, info.Size())
-	}
-	f, err := fs.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: create archive: %w", err)
-	}
-	return &Archive{fs: fs, f: f}, nil
-}
-
-// Open opens an existing archive for appending. The current contents are
-// structurally validated first; a corrupt archive is refused (run Recover
-// to repair it), so appends always extend a valid record sequence.
-func Open(path string) (*Archive, error) {
-	return openFS(vfs.OS{}, path)
-}
-
-func openFS(fs vfs.FS, path string) (*Archive, error) {
-	raw, err := vfs.ReadFile(fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open archive: %w", err)
-	}
-	if valid := validPrefix(raw); valid != int64(len(raw)) {
-		return nil, fmt.Errorf("%w: %s has a torn tail at byte %d (run Recover)", ErrCorrupt, path, valid)
-	}
-	f, err := fs.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open archive: %w", err)
-	}
-	return &Archive{fs: fs, f: f}, nil
-}
-
-// appendRecord writes one tagged, CRC-framed record in a single Write.
-func (a *Archive) appendRecord(tag byte, payload []byte) error {
-	if len(payload)+1 > maxRecord {
-		return fmt.Errorf("storage: append: record of %d bytes exceeds limit", len(payload))
-	}
-	if _, err := a.f.Write(buildFrame(tag, payload)); err != nil {
-		return fmt.Errorf("storage: append: %w", err)
-	}
-	return nil
-}
-
-// AppendBlock persists a block.
-func (a *Archive) AppendBlock(blk *chain.Block) error {
-	return a.appendRecord(tagBlock, blk.Marshal())
-}
-
-// AppendCert persists a block's certificate.
-func (a *Archive) AppendCert(blockHash chash.Hash, cert *core.Certificate) error {
-	return a.appendRecord(tagCert, encodeCertPayload(blockHash, cert))
-}
-
-// Sync flushes appended records to stable storage.
-func (a *Archive) Sync() error {
-	if err := a.f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync: %w", err)
-	}
-	return nil
-}
-
-// Close syncs and closes the archive. The descriptor is closed even when
-// the sync fails, and the first error wins.
-func (a *Archive) Close() error {
-	err := a.f.Sync()
-	if cerr := a.f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("storage: close: %w", err)
-	}
-	return nil
-}
-
-// Contents is a loaded archive.
-type Contents struct {
-	// Blocks are the archived blocks in append order (height order for a
-	// canonical chain archive).
-	Blocks []*chain.Block
-	// Certs maps block hashes to their certificates.
-	Certs map[chash.Hash]*core.Certificate
-}
-
-// ArchiveRecovery describes what Recover repaired.
-type ArchiveRecovery struct {
-	// Records is the number of valid records kept.
-	Records int
-	// TruncatedBytes counts bytes cut from the torn/corrupt tail.
-	TruncatedBytes int64
-	// Torn reports whether any repair happened.
-	Torn bool
-}
-
-// Load reads an archive strictly: any structural defect — torn frame, CRC
-// mismatch, oversized length, undecodable record — fails the load. Use
-// Recover to salvage the valid prefix of a damaged archive.
-func Load(path string) (*Contents, error) {
-	return loadFS(vfs.OS{}, path)
-}
-
-func loadFS(fs vfs.FS, path string) (*Contents, error) {
-	raw, err := vfs.ReadFile(fs, path)
-	if err != nil {
-		return nil, fmt.Errorf("storage: open archive: %w", err)
-	}
-	out := &Contents{Certs: make(map[chash.Hash]*core.Certificate)}
-	off := 0
-	for off < len(raw) {
-		n, ok := nextFrame(raw[off:])
-		if !ok {
-			return nil, fmt.Errorf("%w: torn frame at byte %d", ErrCorrupt, off)
-		}
-		body := raw[off+frameHeaderSize : off+n]
-		if err := decodeArchiveRecord(body[0], body[1:], out); err != nil {
-			return nil, err
-		}
-		off += n
-	}
-	return out, nil
-}
-
-// Recover reads the valid prefix of a possibly damaged archive, truncates
-// the file to that prefix (fsyncing the repair), and returns what survived.
-// A record whose frame passes CRC but whose contents do not decode also
-// ends the prefix: nothing corrupt is ever served.
-func Recover(path string) (*Contents, *ArchiveRecovery, error) {
-	return recoverFS(vfs.OS{}, path)
-}
-
-func recoverFS(fs vfs.FS, path string) (*Contents, *ArchiveRecovery, error) {
-	raw, err := vfs.ReadFile(fs, path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("storage: open archive: %w", err)
-	}
-	out := &Contents{Certs: make(map[chash.Hash]*core.Certificate)}
-	rec := &ArchiveRecovery{}
-	off := 0
-	for off < len(raw) {
-		n, ok := nextFrame(raw[off:])
-		if !ok {
-			break
-		}
-		body := raw[off+frameHeaderSize : off+n]
-		if err := decodeArchiveRecord(body[0], body[1:], out); err != nil {
-			break
-		}
-		off += n
-		rec.Records++
-	}
-	if off < len(raw) {
-		if err := truncateSegment(fs, path, int64(off)); err != nil {
-			return nil, nil, err
-		}
-		rec.TruncatedBytes = int64(len(raw) - off)
-		rec.Torn = true
-	}
-	return out, rec, nil
-}
-
-// validPrefix returns the byte length of the valid frame prefix of raw.
-func validPrefix(raw []byte) int64 {
-	off := 0
-	for {
-		n, ok := nextFrame(raw[off:])
-		if !ok {
-			return int64(off)
-		}
-		off += n
-	}
-}
-
-// decodeArchiveRecord dispatches one record into Contents.
-func decodeArchiveRecord(tag byte, payload []byte, out *Contents) error {
-	switch tag {
-	case tagBlock:
-		blk, err := chain.UnmarshalBlock(payload)
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		out.Blocks = append(out.Blocks, blk)
-	case tagCert:
-		h, cert, err := decodeCertPayload(payload)
-		if err != nil {
-			return err
-		}
-		out.Certs[h] = cert
-	default:
-		return fmt.Errorf("%w: unknown tag %d", ErrCorrupt, tag)
-	}
-	return nil
-}
 
 // encodeCertPayload frames a certificate record body.
 func encodeCertPayload(blockHash chash.Hash, cert *core.Certificate) []byte {
@@ -277,55 +59,4 @@ func decodeCertPayload(payload []byte) (chash.Hash, *core.Certificate, error) {
 		return chash.Hash{}, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return h, cert, nil
-}
-
-// Replay feeds archived blocks (beyond genesis) into a freshly initialized
-// full node, re-running the complete full-node validation for each. It
-// returns the number of blocks applied.
-func Replay(n *node.FullNode, c *Contents) (int, error) {
-	applied := 0
-	for _, blk := range c.Blocks {
-		if blk.Header.Height == 0 {
-			if blk.Hash() != n.Store().Genesis() {
-				return applied, fmt.Errorf("%w: archive genesis mismatch", ErrCorrupt)
-			}
-			continue
-		}
-		if err := n.ProcessBlock(blk); err != nil {
-			return applied, fmt.Errorf("storage: replay height %d: %w", blk.Header.Height, err)
-		}
-		applied++
-	}
-	return applied, nil
-}
-
-// WriteChain archives a node's entire canonical chain plus the certificates
-// the issuer holds for it (certificates may be absent for some blocks, e.g.
-// pre-DCert history).
-func WriteChain(path string, n *node.FullNode, certFor func(chash.Hash) (*core.Certificate, bool)) error {
-	a, err := Create(path)
-	if err != nil {
-		return err
-	}
-	store := n.Store()
-	for h := uint64(0); h <= store.BestHeight(); h++ {
-		blk, err := store.AtHeight(h)
-		if err != nil {
-			a.Close()
-			return fmt.Errorf("storage: write height %d: %w", h, err)
-		}
-		if err := a.AppendBlock(blk); err != nil {
-			a.Close()
-			return err
-		}
-		if certFor != nil {
-			if cert, ok := certFor(blk.Hash()); ok {
-				if err := a.AppendCert(blk.Hash(), cert); err != nil {
-					a.Close()
-					return err
-				}
-			}
-		}
-	}
-	return a.Close()
 }
