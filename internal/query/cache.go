@@ -87,12 +87,11 @@ func (c *ResponseCache) Do(key string, compute func() []byte) ([]byte, CacheOutc
 		return resp, CacheHit
 	}
 	if f, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		<-f.done
-		c.mu.Lock()
+		// Counted on joining, so Stats sees a waiter while it waits.
 		c.collapsedN++
 		c.mu.Unlock()
 		c.met.collapsed.Inc()
+		<-f.done
 		return f.resp, CacheCollapsed
 	}
 	f := &flight{done: make(chan struct{})}
