@@ -105,14 +105,17 @@ bench-json:
 
 # Fuzz smoke for the decoders of untrusted bytes: the query wire codecs (the
 # batch multiproof decoder and the canonical request round trip), the segment
-# certificate codec, and the state record the storage engine reads back from
-# its WAL and snapshot. Short budgets: CI regression surface, not a campaign —
+# certificate codec, the block and transaction codecs (network bytes, and
+# every block a durable node reads back from its chain log), and the state
+# record the storage engine reads back from its WAL and snapshot. Short budgets: CI regression surface, not a campaign —
 # run with a longer -fuzztime locally when touching the codecs.
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStateRecord$$' -fuzztime=10s ./internal/storage/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBlock$$' -fuzztime=10s ./internal/chain/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalTransaction$$' -fuzztime=10s ./internal/chain/
 
 clean:
 	$(GO) clean ./...

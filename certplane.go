@@ -367,20 +367,15 @@ func (p *CertPlane) Restart(name string) error {
 	// recursion from the tip certificate. The missed blocks form a
 	// batch, so they stream through a catch-up pipeline (the recovering CI's
 	// enclave never idles waiting for the host to prepare the next block).
+	// In a durable deployment the miner's store reads every body older than
+	// its window back from the chain log: a real recovering CI reads its
+	// host's disk before asking peers.
 	minerStore := p.d.miner.Store()
 	var missed []*Block
 	for h := s.node.Tip().Header.Height + 1; h <= minerStore.BestHeight(); h++ {
-		// Prefer the durable engine's copy — a real recovering CI reads its
-		// host's disk before asking peers — falling back to the live miner.
-		blk, ok := (*Block)(nil), false
-		if p.d.engine != nil {
-			blk, ok = p.d.engine.BlockAt(h)
-		}
-		if !ok {
-			var err error
-			if blk, err = minerStore.AtHeight(h); err != nil {
-				return fmt.Errorf("dcert: restart %s: fetch height %d: %w", name, h, err)
-			}
+		blk, err := minerStore.AtHeight(h)
+		if err != nil {
+			return fmt.Errorf("dcert: restart %s: fetch height %d: %w", name, h, err)
 		}
 		missed = append(missed, blk)
 	}

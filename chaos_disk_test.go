@@ -60,17 +60,17 @@ func assertRecovered(t *testing.T, dep *dcert.Deployment, mined []dcert.Hash) ui
 	if rec == nil {
 		t.Fatal("resumed deployment reports no recovery")
 	}
-	if len(rec.Blocks) == 0 {
+	if len(rec.Headers) == 0 {
 		t.Fatal("recovery lost the genesis")
 	}
 	if got, max := rec.TipHeight(), uint64(len(mined)-1); got > max {
 		t.Fatalf("recovered tip %d beyond mined tip %d", got, max)
 	}
-	for i, blk := range rec.Blocks {
-		if blk.Header.Height != uint64(i) {
-			t.Fatalf("recovered chain has a gap: block %d at height %d", i, blk.Header.Height)
+	for i, hdr := range rec.Headers {
+		if hdr.Height != uint64(i) {
+			t.Fatalf("recovered chain has a gap: block %d at height %d", i, hdr.Height)
 		}
-		if blk.Hash() != mined[i] {
+		if hdr.Hash() != mined[i] {
 			t.Fatalf("recovered block %d is not the mined block (corrupt record served)", i)
 		}
 	}
@@ -80,7 +80,7 @@ func assertRecovered(t *testing.T, dep *dcert.Deployment, mined []dcert.Hash) ui
 	// ending at the tip, so recover the covered suffix first — a
 	// single-block certificate matches at suffix length 1.
 	tip := rec.TipHeight()
-	tipCert, ok := rec.Certs[rec.Blocks[tip].Hash()]
+	tipCert, ok := rec.Certs[rec.Headers[tip].Hash()]
 	if !ok && tip > 0 {
 		t.Fatalf("recovered tip %d has no certificate on the chain log", tip)
 	}
@@ -88,7 +88,7 @@ func assertRecovered(t *testing.T, dep *dcert.Deployment, mined []dcert.Hash) ui
 		var headers []*dcert.Header
 		matched := false
 		for k := uint64(0); k < tip; k++ {
-			headers = append([]*dcert.Header{&rec.Blocks[tip-k].Header}, headers...)
+			headers = append([]*dcert.Header{rec.Headers[tip-k]}, headers...)
 			if dcert.SegmentDigest(headers) == tipCert.Digest {
 				matched = true
 				break

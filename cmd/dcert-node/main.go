@@ -105,9 +105,9 @@ func run() error {
 		return err
 	}
 	defer dep.Close()
-	if rec := dep.StorageRecovery(); rec != nil && len(rec.Blocks) > 0 {
+	if rec := dep.StorageRecovery(); rec != nil && len(rec.Headers) > 0 {
 		fmt.Printf("  recovered from %s: height=%d blocks=%d certs=%d torn=%v truncated=%dB dropped=%d in %v\n",
-			*dataDir, rec.TipHeight(), len(rec.Blocks), len(rec.Certs), rec.Torn,
+			*dataDir, rec.TipHeight(), len(rec.Headers), len(rec.Certs), rec.Torn,
 			rec.TruncatedBytes, rec.DroppedBlocks, rec.Elapsed.Round(time.Millisecond))
 	} else if *dataDir != "" {
 		fmt.Printf("  data directory:         %s (fresh, fsync-interval=%v)\n", *dataDir, *fsyncInterval)

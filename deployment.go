@@ -201,8 +201,22 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			return nil, fmt.Errorf("dcert: storage bootstrap: %w", err)
 		}
 		d.engine = engine
+		for _, n := range []*node.FullNode{minerNode, ciNode, spNode} {
+			d.readBodiesFromDisk(n)
+		}
 	}
 	return d, nil
+}
+
+// readBodiesFromDisk makes a durable deployment's engine the body source of
+// a node's store: the store keeps only its recent block bodies in memory
+// and reads older ones back from the chain log, which holds every block the
+// miner has journaled. In-memory deployments have no log, so their nodes
+// keep every body.
+func (d *Deployment) readBodiesFromDisk(n *node.FullNode) {
+	if d.engine != nil {
+		n.Store().SetBodySource(d.engine)
+	}
 }
 
 // Authority returns the attestation authority (clients pin its public key).
@@ -511,6 +525,7 @@ func (d *Deployment) AddIssuer() (*Issuer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcert: add issuer node: %w", err)
 	}
+	d.readBodiesFromDisk(n)
 	issuer, err := core.NewIssuer(n, d.authority, platform, d.cfg.EnclaveCost)
 	if err != nil {
 		return nil, fmt.Errorf("dcert: add issuer: %w", err)

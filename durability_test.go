@@ -228,8 +228,8 @@ func TestFailedJournalAppendRevertsMiner(t *testing.T) {
 		if tip := rec.TipHeight(); tip < healthy || tip > healthy+1 {
 			t.Fatalf("write %d: recovered tip %d, want %d or %d", op, tip, healthy, healthy+1)
 		}
-		for h, blk := range rec.Blocks {
-			if blk.Header.Height != uint64(h) {
+		for h, hdr := range rec.Headers {
+			if hdr.Height != uint64(h) {
 				t.Fatalf("write %d: recovered chain has a gap at %d", op, h)
 			}
 		}

@@ -51,6 +51,7 @@ func (d *Deployment) StartFleet(n int) (*QueryFleet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dcert: fleet node: %w", err)
 	}
+	d.readBodiesFromDisk(node)
 	sp := query.NewServiceProvider(node)
 	for _, mk := range d.indexFactories {
 		ix, err := mk()

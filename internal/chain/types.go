@@ -262,8 +262,10 @@ func UnmarshalTransaction(raw []byte) (*Transaction, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: unmarshal tx: %w", err)
 	}
-	if nArgs > 1<<16 {
-		return nil, fmt.Errorf("chain: unmarshal tx: %d args", nArgs)
+	// Every argument carries a 4-byte length prefix, so a count the
+	// remaining bytes cannot hold is refused before it sizes an allocation.
+	if nArgs > 1<<16 || int(nArgs) > d.Remaining()/4 {
+		return nil, fmt.Errorf("chain: unmarshal tx: %d args in %d bytes", nArgs, d.Remaining())
 	}
 	tx.Args = make([][]byte, 0, nArgs)
 	for i := uint32(0); i < nArgs; i++ {
@@ -355,8 +357,9 @@ func UnmarshalBlock(raw []byte) (*Block, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chain: unmarshal block: %w", err)
 	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("chain: unmarshal block: %d txs", n)
+	// Every transaction carries a 4-byte length prefix (see nArgs above).
+	if n > 1<<20 || int(n) > d.Remaining()/4 {
+		return nil, fmt.Errorf("chain: unmarshal block: %d txs in %d bytes", n, d.Remaining())
 	}
 	b := &Block{Header: *hdr, Txs: make([]*Transaction, 0, n)}
 	for i := uint32(0); i < n; i++ {

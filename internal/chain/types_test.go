@@ -3,6 +3,7 @@ package chain
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"dcert/internal/chash"
@@ -230,5 +231,51 @@ func TestAddressOfStable(t *testing.T) {
 	}
 	if len(AddressOf(pk).Hex()) != 2*AddressSize {
 		t.Fatal("hex address length")
+	}
+}
+
+// decodeAllocs reports the bytes one decode allocates.
+func decodeAllocs(decode func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestDecodersBoundCountsByInput feeds each block decoder a short input whose
+// element count is far beyond what its bytes can hold: the decode must fail
+// without sizing an allocation from the count.
+func TestDecodersBoundCountsByInput(t *testing.T) {
+	hdr := Header{Height: 1}
+	blk := chash.NewEncoder(0)
+	blk.PutBytes(hdr.Marshal())
+	blk.PutUint32(1 << 20) // transactions claimed, none present
+	tx := chash.NewEncoder(0)
+	tx.PutBytes(make([]byte, AddressSize))
+	tx.PutUint64(0)
+	tx.PutString("a")
+	tx.PutString("b")
+	tx.PutUint32(1 << 16) // arguments claimed, none present
+
+	const limit = 64 << 10
+	cases := []struct {
+		name   string
+		raw    []byte
+		decode func([]byte) error
+	}{
+		{"block", blk.Bytes(), func(raw []byte) error { _, err := UnmarshalBlock(raw); return err }},
+		{"tx", tx.Bytes(), func(raw []byte) error { _, err := UnmarshalTransaction(raw); return err }},
+	}
+	for _, c := range cases {
+		var err error
+		n := decodeAllocs(func() { err = c.decode(c.raw) })
+		if err == nil {
+			t.Errorf("%s: %d-byte input with a hostile count decoded", c.name, len(c.raw))
+		}
+		if n > limit {
+			t.Errorf("%s: %d-byte input allocated %d bytes, want under %d", c.name, len(c.raw), n, limit)
+		}
 	}
 }

@@ -82,11 +82,11 @@ func segmentSuffixFor(n *node.FullNode, tipHeight uint64, digest chash.Hash) ([]
 	var suffix []*chain.Header
 	for k := 1; k <= maxSegmentBlocks; k++ {
 		h := tipHeight + 1 - uint64(k)
-		blk, err := n.Store().AtHeight(h)
+		hdr, err := n.Store().HeaderAt(h)
 		if err != nil {
 			break // ran out of chain below the tip
 		}
-		suffix = append([]*chain.Header{&blk.Header}, suffix...)
+		suffix = append([]*chain.Header{hdr}, suffix...)
 		if SegmentDigest(suffix) == digest {
 			return suffix, nil
 		}

@@ -221,11 +221,11 @@ func (ci *Issuer) buildInterlink(start uint64) []chash.Hash {
 	heights := InterlinkHeights(start)
 	links := make([]chash.Hash, 0, len(heights))
 	for _, h := range heights {
-		blk, err := ci.node.Store().AtHeight(h)
+		hash, err := ci.node.Store().HashAt(h)
 		if err != nil {
-			return nil // unreachable on a contiguous store; degrade to no hints
+			return nil // a pruned store; degrade to no hints
 		}
-		links = append(links, blk.Hash())
+		links = append(links, hash)
 	}
 	return links
 }
@@ -346,13 +346,18 @@ func (ci *Issuer) certify(blks []*chain.Block, proofs []*statedb.UpdateProof, bd
 	return ci.adopt(blks, ci.newCert(SegmentDigest(segmentHeaders(blks)), sig))
 }
 
-// segmentHeaders projects a block run onto its headers.
+// segmentHeaders projects a block run onto copies of its headers. The
+// issuer keeps a segment's headers for as long as it serves the segment, so
+// they must not point into the blocks: an interior pointer would keep each
+// whole block, transactions included, alive with them.
 func segmentHeaders(blks []*chain.Block) []*chain.Header {
-	headers := make([]*chain.Header, len(blks))
-	for i := range blks {
-		headers[i] = &blks[i].Header
+	headers := make([]chain.Header, len(blks))
+	out := make([]*chain.Header, len(blks))
+	for i, blk := range blks {
+		headers[i] = blk.Header
+		out[i] = &headers[i]
 	}
-	return headers
+	return out
 }
 
 // ModelBootstrapFetches predicts BootstrapSublinear's fetch count for a

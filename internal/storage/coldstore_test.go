@@ -37,12 +37,32 @@ func writeChain(t *testing.T, env *engineEnv, blocks int) string {
 // reopen opens a data directory and returns what recovery found in it.
 func reopen(t *testing.T, dir string) *Recovery {
 	t.Helper()
+	return reopenEngine(t, dir).Recovery()
+}
+
+// reopenEngine opens a data directory, closing it when the test ends.
+func reopenEngine(t *testing.T, dir string) *Engine {
+	t.Helper()
 	eng, err := OpenEngine(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	t.Cleanup(func() { eng.Close() })
-	return eng.Recovery()
+	return eng
+}
+
+// readBack reads every recovered block back from the chain log.
+func readBack(t *testing.T, eng *Engine) []*chain.Block {
+	t.Helper()
+	var blocks []*chain.Block
+	for h := range eng.Recovery().Headers {
+		blk, err := eng.BlockAt(uint64(h))
+		if err != nil {
+			t.Fatalf("BlockAt(%d): %v", h, err)
+		}
+		blocks = append(blocks, blk)
+	}
+	return blocks
 }
 
 // freshNode is a full node at the recovered genesis with an empty history:
@@ -62,17 +82,19 @@ func freshNode(t *testing.T, env *engineEnv, genesis *chain.Block) *node.FullNod
 
 func TestArchiveRoundTrip(t *testing.T) {
 	env := newEngineEnv(t)
-	rec := reopen(t, writeChain(t, env, 6))
-	if len(rec.Blocks) != 7 { // genesis + 6
-		t.Fatalf("recovered %d blocks", len(rec.Blocks))
+	eng := reopenEngine(t, writeChain(t, env, 6))
+	rec := eng.Recovery()
+	if len(rec.Headers) != 7 { // genesis + 6
+		t.Fatalf("recovered %d blocks", len(rec.Headers))
 	}
 	if len(rec.Certs) != 6 {
 		t.Fatalf("recovered %d certs", len(rec.Certs))
 	}
 
 	// Restore into a fresh full node: full re-validation.
-	fresh := freshNode(t, env, rec.Blocks[0])
-	for _, blk := range rec.Blocks[1:] {
+	blocks := readBack(t, eng)
+	fresh := freshNode(t, env, blocks[0])
+	for _, blk := range blocks[1:] {
 		if err := fresh.ProcessBlock(blk); err != nil {
 			t.Fatalf("ProcessBlock height %d: %v", blk.Header.Height, err)
 		}
@@ -104,7 +126,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 func TestArchivedCertificateStillValidates(t *testing.T) {
 	env := newEngineEnv(t)
 	rec := reopen(t, writeChain(t, env, 5))
-	tip := rec.Blocks[len(rec.Blocks)-1]
+	tip := rec.Headers[len(rec.Headers)-1]
 	cert := rec.Certs[tip.Hash()]
 	if cert == nil {
 		t.Fatal("tip cert missing")
@@ -112,7 +134,7 @@ func TestArchivedCertificateStillValidates(t *testing.T) {
 	// The client needs only its pinned trust anchors, the tip header, and
 	// the stored certificate.
 	client := core.NewSuperlightClient(env.authority.PublicKey(), env.issuer.Measurement(), consensus.Params{Difficulty: 2})
-	if err := client.ValidateChain(&tip.Header, cert); err != nil {
+	if err := client.ValidateChain(tip, cert); err != nil {
 		t.Fatalf("ValidateChain from cold storage: %v", err)
 	}
 }
@@ -151,21 +173,20 @@ func TestCreateRefusesToClobber(t *testing.T) {
 	}
 
 	rec := reopen(t, dir)
-	if len(rec.Blocks) != 3 {
-		t.Fatalf("data directory damaged: %d blocks", len(rec.Blocks))
+	if len(rec.Headers) != 3 {
+		t.Fatalf("data directory damaged: %d blocks", len(rec.Headers))
 	}
-	if rec.Blocks[2].Hash() != env.miner.Tip().Hash() {
+	if rec.Headers[2].Hash() != env.miner.Tip().Hash() {
 		t.Fatal("data directory damaged: tip differs")
 	}
 }
 
 func TestReplayRejectsTamperedBlocks(t *testing.T) {
 	env := newEngineEnv(t)
-	rec := reopen(t, writeChain(t, env, 4))
+	blocks := readBack(t, reopenEngine(t, writeChain(t, env, 4)))
 	// Tamper with a mid-chain block's state root: full-node replay rejects.
-	forged := *rec.Blocks[2]
+	forged := *blocks[2]
 	forged.Header.StateRoot[0] ^= 0xFF
-	blocks := append([]*chain.Block(nil), rec.Blocks...)
 	blocks[2] = &forged
 
 	fresh := freshNode(t, env, blocks[0])
@@ -209,7 +230,7 @@ func TestReplayRejectsWrongGenesis(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	rec := reopen(t, dir)
-	if len(rec.Blocks) != 1 || rec.Blocks[0].Hash() != foreign.Hash() {
+	if len(rec.Headers) != 1 || rec.Headers[0].Hash() != foreign.Hash() {
 		t.Fatal("refused bootstrap changed the data directory")
 	}
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -145,7 +147,7 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 	if rec.Torn || rec.DroppedBlocks != 0 {
 		t.Fatalf("clean shutdown recovered dirty: %+v", rec)
 	}
-	if _, ok := rec.Certs[rec.Blocks[10].Hash()]; !ok {
+	if _, ok := rec.Certs[rec.Headers[10].Hash()]; !ok {
 		t.Fatal("recovered tip has no certificate")
 	}
 	// Clean shutdown snapshots at the tip: the fast path needs no replay.
@@ -211,12 +213,12 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 		t.Fatalf("recovered tip %d, want within [6,8] (snapshot sync floor)", tip)
 	}
 	// The recovered blocks are an exact prefix of what was mined.
-	for i, blk := range rec.Blocks[1:] {
-		if blk.Hash() != env.blocks[i].Hash() {
+	for i, hdr := range rec.Headers[1:] {
+		if hdr.Hash() != env.blocks[i].Hash() {
 			t.Fatalf("recovered block %d diverges from mined chain", i+1)
 		}
 	}
-	if _, ok := rec.Certs[rec.Blocks[tip].Hash()]; !ok {
+	if _, ok := rec.Certs[rec.Headers[tip].Hash()]; !ok {
 		t.Fatalf("recovered tip %d has no certificate", tip)
 	}
 	if err := eng2.Bootstrap(genesis); err != nil {
@@ -230,7 +232,7 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Root: %v", err)
 	}
-	if root != rec.Blocks[tip].Header.StateRoot {
+	if root != rec.Headers[tip].StateRoot {
 		t.Fatal("resumed state does not match recovered tip")
 	}
 }
@@ -626,4 +628,71 @@ func imageRoot(t *testing.T, img map[string][]byte) chash.Hash {
 		t.Fatalf("Root: %v", err)
 	}
 	return root
+}
+
+// TestEngineBlockAtAfterRewrite: a certificate journaled behind a dropped
+// block forces recovery to rewrite the chain log, which moves every frame.
+// The blocks must still read back from where the rewrite put them, and
+// appending resumes behind them.
+func TestEngineBlockAtAfterRewrite(t *testing.T) {
+	env := newEngineEnv(t)
+	dir := t.TempDir()
+	eng, err := OpenEngine(dir, Options{SnapshotEvery: 100})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	genesis := env.miner.Store().Best()
+	if err := eng.Bootstrap(genesis); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	env.mine(t, eng, true)
+	env.mine(t, eng, false)
+	env.mine(t, eng, false)
+	// Block 2's certificate lands after block 3, which stays uncertified.
+	cert, _, err := env.issuer.ProcessBlock(env.blocks[1])
+	if err != nil {
+		t.Fatalf("catch-up ProcessBlock: %v", err)
+	}
+	if err := eng.ApplyCert(env.blocks[1].Hash(), cert); err != nil {
+		t.Fatalf("ApplyCert: %v", err)
+	}
+	if err := eng.Sync(); err != nil {
+		t.Fatalf("Sync: %v", err)
+	}
+	eng.chainLog.Close()
+	eng.stateWAL.Close()
+
+	eng2, err := OpenEngine(dir, Options{SnapshotEvery: 100})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	if rec := eng2.Recovery(); rec.TipHeight() != 2 || rec.DroppedBlocks != 1 {
+		t.Fatalf("recovered tip %d dropping %d, want tip 2 dropping 1", rec.TipHeight(), rec.DroppedBlocks)
+	}
+	for h := uint64(0); h <= 2; h++ {
+		want := genesis
+		if h > 0 {
+			want = env.blocks[h-1]
+		}
+		got, err := eng2.BlockAt(h)
+		if err != nil {
+			t.Fatalf("BlockAt(%d) after rewrite: %v", h, err)
+		}
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("BlockAt(%d) after rewrite returned another block", h)
+		}
+		if byHash, err := eng2.BlockByHash(want.Hash()); err != nil || byHash.Hash() != want.Hash() {
+			t.Fatalf("BlockByHash(height %d): %v", h, err)
+		}
+	}
+	if _, err := eng2.BlockAt(3); !errors.Is(err, chain.ErrNotFound) {
+		t.Fatalf("BlockAt(3) of the dropped block: want ErrNotFound, got %v", err)
+	}
+	if err := eng2.ApplyBlock(env.blocks[2], nil, nil); err != nil {
+		t.Fatalf("ApplyBlock after rewrite: %v", err)
+	}
+	if got, err := eng2.BlockAt(3); err != nil || got.Hash() != env.blocks[2].Hash() {
+		t.Fatalf("BlockAt(3) after re-append: %v", err)
+	}
 }

@@ -28,36 +28,42 @@ type ResumeConfig struct {
 }
 
 // ResumeNode rebuilds a full node at the engine's recovered tip. The fast
-// path loads the snapshot+WAL state image and links recovered blocks
+// path loads the snapshot+WAL state image and links the recovered headers
 // without re-execution; if the image does not reproduce the chain's state
 // root commitment, the node falls back to replaying transactions from
 // genesis (and, with Restore, re-journals the write sets so the next cold
-// start is fast again). Call after Bootstrap.
+// start is fast again). Only the blocks it replays are read back from the
+// chain log; the node's store reads any other body back from the engine on
+// demand. Call after Bootstrap.
 func (e *Engine) ResumeNode(cfg ResumeConfig) (*node.FullNode, error) {
 	if cfg.Backend == 0 {
 		cfg.Backend = statedb.BackendMPT
 	}
 	e.mu.Lock()
-	blocks := append([]*chain.Block(nil), e.blocks...)
+	headers := append([]*chain.Header(nil), e.headers...)
 	e.mu.Unlock()
-	if len(blocks) == 0 {
+	if len(headers) == 0 {
 		return nil, fmt.Errorf("storage: resume before bootstrap")
+	}
+	genesis, err := e.BlockAt(0)
+	if err != nil {
+		return nil, err
 	}
 
 	rec := e.rec
-	if rec.State != nil && rec.StateHeight < uint64(len(blocks)) {
-		n, err := e.resumeFast(cfg, blocks)
+	if rec.State != nil && rec.StateHeight < uint64(len(headers)) {
+		n, err := e.resumeFast(cfg, genesis, headers)
 		if err == nil {
 			return n, nil
 		}
 		// The image is unusable after all; fall through to full replay.
 	}
-	return e.resumeReplay(cfg, blocks)
+	return e.resumeReplay(cfg, genesis, headers)
 }
 
-// resumeFast builds the statedb from the recovered image and links blocks
+// resumeFast builds the statedb from the recovered image and links headers
 // without re-execution, validating only blocks past the image height.
-func (e *Engine) resumeFast(cfg ResumeConfig, blocks []*chain.Block) (*node.FullNode, error) {
+func (e *Engine) resumeFast(cfg ResumeConfig, genesis *chain.Block, headers []*chain.Header) (*node.FullNode, error) {
 	rec := e.rec
 	db, err := statedb.NewWithBackend(cfg.Backend)
 	if err != nil {
@@ -73,27 +79,32 @@ func (e *Engine) resumeFast(cfg ResumeConfig, blocks []*chain.Block) (*node.Full
 		return nil, err
 	}
 	m := rec.StateHeight
-	if root != blocks[m].Header.StateRoot {
+	if root != headers[m].StateRoot {
 		return nil, fmt.Errorf("%w: state image root mismatch at height %d", ErrCorrupt, m)
 	}
-	n, err := node.ResumeFullNode(blocks[:m+1], db, cfg.Registry, cfg.Params)
+	n, err := node.ResumeFullNode(genesis, headers[1:m+1], e, db, cfg.Registry, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
 	// Validate and apply any certified blocks past the image height.
-	if err := e.replayBlocks(n, blocks[m+1:], cfg.Restore); err != nil {
+	if err := e.replayBlocks(n, headers[m+1:], cfg.Restore); err != nil {
 		return nil, err
 	}
 	return n, nil
 }
 
-// replayBlocks advances a resuming node over recovered blocks: each one is
-// validated in full (the disk is not trusted with a state transition) and
-// adopted with the write set validation produced. With restore, the write set
-// is re-journaled inside the adoption, so a failed append leaves the node at
-// the height the journal holds.
-func (e *Engine) replayBlocks(n *node.FullNode, blocks []*chain.Block, restore bool) error {
-	for _, blk := range blocks {
+// replayBlocks advances a resuming node over recovered blocks, read back
+// from the chain log one at a time: each one is validated in full (the disk
+// is not trusted with a state transition) and adopted with the write set
+// validation produced. With restore, the write set is re-journaled inside
+// the adoption, so a failed append leaves the node at the height the journal
+// holds.
+func (e *Engine) replayBlocks(n *node.FullNode, headers []*chain.Header, restore bool) error {
+	for _, hdr := range headers {
+		blk, err := e.BlockAt(hdr.Height)
+		if err != nil {
+			return fmt.Errorf("storage: resume read height %d: %w", hdr.Height, err)
+		}
 		writes, err := n.ValidateBlock(blk)
 		if err != nil {
 			return fmt.Errorf("storage: resume validate height %d: %w", blk.Header.Height, err)
@@ -113,11 +124,11 @@ func (e *Engine) replayBlocks(n *node.FullNode, blocks []*chain.Block, restore b
 
 // resumeReplay rebuilds the node by replaying every block's transactions
 // from the empty genesis state — the slow, trust-nothing path.
-func (e *Engine) resumeReplay(cfg ResumeConfig, blocks []*chain.Block) (*node.FullNode, error) {
+func (e *Engine) resumeReplay(cfg ResumeConfig, genesis *chain.Block, headers []*chain.Header) (*node.FullNode, error) {
 	if cfg.Restore {
 		// Re-root the journal at genesis so the replayed write sets form a
 		// contiguous WAL on a complete base image.
-		if err := e.resetState(blocks[0].Header.StateRoot); err != nil {
+		if err := e.resetState(genesis.Header.StateRoot); err != nil {
 			return nil, err
 		}
 	}
@@ -125,11 +136,12 @@ func (e *Engine) resumeReplay(cfg ResumeConfig, blocks []*chain.Block) (*node.Fu
 	if err != nil {
 		return nil, err
 	}
-	n, err := node.NewFullNode(blocks[0], db, cfg.Registry, cfg.Params)
+	n, err := node.NewFullNode(genesis, db, cfg.Registry, cfg.Params)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.replayBlocks(n, blocks[1:], cfg.Restore); err != nil {
+	n.Store().SetBodySource(e)
+	if err := e.replayBlocks(n, headers[1:], cfg.Restore); err != nil {
 		return nil, err
 	}
 	return n, nil

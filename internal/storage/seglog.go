@@ -41,6 +41,17 @@ const frameHeaderSize = 8
 // segSuffix names segment files: 00000001.seg, 00000002.seg, ...
 const segSuffix = ".seg"
 
+// framePos locates one frame in a log: its segment, the byte offset of its
+// first header byte within that segment, and its size including the header.
+type framePos struct {
+	seg  int
+	off  int64
+	size int
+}
+
+// end is the offset just past the frame.
+func (p framePos) end() int64 { return p.off + int64(p.size) }
+
 // LogOptions tunes a segment log.
 type LogOptions struct {
 	// SegmentBytes rotates to a new segment once the current one exceeds
@@ -237,37 +248,66 @@ func (l *Log) instrument(reg *obs.Registry, name string) {
 // cuts a torn frame together with every record behind it, and after a failed
 // fsync the page cache cannot be trusted.
 func (l *Log) Append(tag byte, payload []byte) error {
+	_, err := l.appendPos(tag, payload)
+	return err
+}
+
+// appendPos is Append that also reports where the frame landed, so that it
+// can be read back with readFrame.
+func (l *Log) appendPos(tag byte, payload []byte) (framePos, error) {
 	if len(payload)+1 > maxRecord {
-		return fmt.Errorf("storage: append: record of %d bytes exceeds limit", len(payload))
+		return framePos{}, fmt.Errorf("storage: append: record of %d bytes exceeds limit", len(payload))
 	}
 	frame := buildFrame(tag, payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.cur == nil {
-		return errors.New("storage: append to closed log")
+		return framePos{}, errors.New("storage: append to closed log")
 	}
 	if l.err != nil {
-		return l.err
+		return framePos{}, l.err
 	}
 	if l.curSize > 0 && l.curSize+int64(len(frame)) > l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
-			return err
+			return framePos{}, err
 		}
 	}
+	pos := framePos{seg: l.curIdx, off: l.curSize, size: len(frame)}
 	n, err := l.cur.Write(frame)
 	l.curSize += int64(n)
 	if err != nil {
 		l.err = fmt.Errorf("storage: append: %w", err)
-		return l.err
+		return framePos{}, l.err
 	}
 	l.dirty = true
 	l.met.appends.Inc()
 	l.met.bytes.Add(uint64(len(frame)))
 	if l.opts.FsyncInterval == 0 || time.Since(l.lastSync) >= l.opts.FsyncInterval {
-		return l.syncLocked()
+		return pos, l.syncLocked()
 	}
-	return nil
+	return pos, nil
+}
+
+// readFrame reads one frame back from disk, through a read-only handle of
+// its own so that appends never wait for it, and checks its CRC.
+func (l *Log) readFrame(pos framePos) (tag byte, payload []byte, err error) {
+	if pos.size <= frameHeaderSize || pos.size > frameHeaderSize+maxRecord {
+		return 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrCorrupt, pos.size)
+	}
+	f, err := l.fs.OpenFile(vfs.Join(l.dir, segName(pos.seg)), os.O_RDONLY, 0)
+	if err != nil {
+		return 0, nil, fmt.Errorf("storage: read frame: %w", err)
+	}
+	defer f.Close()
+	buf := make([]byte, pos.size)
+	if _, err := f.ReadAt(buf, pos.off); err != nil {
+		return 0, nil, fmt.Errorf("storage: read frame at %s:%d: %w", segName(pos.seg), pos.off, err)
+	}
+	if n, ok := nextFrame(buf); !ok || n != len(buf) {
+		return 0, nil, fmt.Errorf("%w: frame at %s:%d fails its CRC", ErrCorrupt, segName(pos.seg), pos.off)
+	}
+	return buf[frameHeaderSize], buf[frameHeaderSize+1:], nil
 }
 
 // rotateLocked seals the current segment (fsyncing it) and starts the next.
@@ -327,9 +367,8 @@ func (l *Log) Scan(fn func(tag byte, payload []byte) error) error {
 	return nil
 }
 
-// scanPos is Scan with each record's position: the segment index and the
-// byte offset just past the record's frame within that segment.
-func (l *Log) scanPos(fn func(tag byte, payload []byte, seg int, end int64) error) error {
+// scanPos is Scan with each record's position in the log.
+func (l *Log) scanPos(fn func(tag byte, payload []byte, pos framePos) error) error {
 	l.mu.Lock()
 	segs := append([]int(nil), l.segments...)
 	dir := l.dir
@@ -347,8 +386,9 @@ func (l *Log) scanPos(fn func(tag byte, payload []byte, seg int, end int64) erro
 				break
 			}
 			body := raw[off+frameHeaderSize : off+n]
+			pos := framePos{seg: idx, off: int64(off), size: n}
 			off += n
-			if err := fn(body[0], body[1:], idx, int64(off)); err != nil {
+			if err := fn(body[0], body[1:], pos); err != nil {
 				return err
 			}
 		}

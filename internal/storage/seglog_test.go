@@ -340,24 +340,20 @@ func TestLogTruncateTailAndReset(t *testing.T) {
 	if err != nil {
 		t.Fatalf("OpenLog: %v", err)
 	}
-	type pos struct {
-		seg int
-		end int64
-	}
-	var positions []pos
+	var positions []framePos
 	for i := 0; i < 6; i++ {
 		if err := l.Append(1, []byte(fmt.Sprintf("r%d", i))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
-	err = l.scanPos(func(tag byte, payload []byte, seg int, end int64) error {
-		positions = append(positions, pos{seg, end})
+	err = l.scanPos(func(tag byte, payload []byte, pos framePos) error {
+		positions = append(positions, pos)
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("scanPos: %v", err)
 	}
-	if err := l.TruncateTail(positions[2].seg, positions[2].end); err != nil {
+	if err := l.TruncateTail(positions[2].seg, positions[2].end()); err != nil {
 		t.Fatalf("TruncateTail: %v", err)
 	}
 	if got := collect(t, l); len(got) != 3 {
