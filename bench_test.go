@@ -366,3 +366,52 @@ func BenchmarkMinePath(b *testing.B) {
 	runtime.ReadMemStats(&mem)
 	b.ReportMetric((float64(mem.HeapAlloc)-float64(heapBefore))/1024/blocks, "live-KiB/block")
 }
+
+// BenchmarkTxQueryReadBack prices a proven transaction read on a durable
+// deployment two ways: for a block inside the body window (served from
+// memory) and for one below it, whose body the SP's store reads back from
+// the chain log — CRC, decode, header hash and tx-root checks — on every
+// call, with no cache. The blocks carry 25 transactions, as in the
+// cert_stream workload.
+//
+//	go test -run='^$' -bench='^BenchmarkTxQueryReadBack$' -benchmem .
+func BenchmarkTxQueryReadBack(b *testing.B) {
+	const txsPerBlock = 25
+	dep, err := dcert.OpenDeployment(dcert.Config{
+		Workload:  dcert.KVStore,
+		Contracts: 20,
+		Accounts:  16,
+		Seed:      1,
+		KeySpace:  1000,
+		Storage:   &dcert.StorageConfig{Dir: b.TempDir()},
+	})
+	if err != nil {
+		b.Fatalf("OpenDeployment: %v", err)
+	}
+	defer dep.Close()
+	for i := 0; i < chain.BodyWindow+16; i++ {
+		if _, _, err := dep.MineAndCertify(txsPerBlock); err != nil {
+			b.Fatalf("block %d: %v", i+1, err)
+		}
+	}
+	store := dep.SP().Node().Store()
+	for _, c := range []struct {
+		name   string
+		height uint64
+	}{
+		{"in-window", store.BestHeight()},
+		{"read-back", 1},
+	} {
+		h, err := store.HashAt(c.height)
+		if err != nil {
+			b.Fatalf("HashAt(%d): %v", c.height, err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := dep.SP().TxQuery(h, i%txsPerBlock); err != nil {
+					b.Fatalf("TxQuery: %v", err)
+				}
+			}
+		})
+	}
+}
