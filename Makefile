@@ -105,7 +105,8 @@ bench-json:
 
 # Fuzz smoke for the decoders of untrusted bytes: the query wire codecs (the
 # batch multiproof decoder and the canonical request round trip), the segment
-# certificate codec, the block and transaction codecs (network bytes, and
+# certificate codec, the dcert/bootstrap response (a count of segments), the
+# block and transaction codecs (network bytes, and
 # every block a durable node reads back from its chain log), and the state
 # record the storage engine reads back from its WAL and snapshot. Short budgets: CI regression surface, not a campaign —
 # run with a longer -fuzztime locally when touching the codecs.
@@ -116,6 +117,7 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStateRecord$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBlock$$' -fuzztime=10s ./internal/chain/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalTransaction$$' -fuzztime=10s ./internal/chain/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBootstrapPath$$' -fuzztime=10s .
 
 clean:
 	$(GO) clean ./...

@@ -61,6 +61,10 @@ const (
 	maxInterlinkLevels = 64
 )
 
+// MaxBootstrapPath bounds a bootstrap path (Issuer.BootstrapPath): the tip
+// segment plus the most hops the client's walk takes before it gives up.
+const MaxBootstrapPath = 2*maxInterlinkLevels + 1
+
 // SegmentDigest is the certified digest of a K-block segment. For a single
 // header it is exactly BlockDigest — the K=1 byte identity that keeps
 // one-block segment certificates indistinguishable from the pre-segment
@@ -245,6 +249,10 @@ func (ci *Issuer) recordSegmentLocked(headers []*chain.Header, cert *Certificate
 func (ci *Issuer) SegmentCovering(height uint64) *SegmentCert {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
+	return ci.segmentCoveringLocked(height)
+}
+
+func (ci *Issuer) segmentCoveringLocked(height uint64) *SegmentCert {
 	segs := ci.segs
 	i := sort.Search(len(segs), func(i int) bool { return segs[i].End() >= height })
 	if i < len(segs) && segs[i].Start() <= height {
@@ -258,6 +266,10 @@ func (ci *Issuer) SegmentCovering(height uint64) *SegmentCert {
 func (ci *Issuer) LatestSegment() *SegmentCert {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
+	return ci.latestSegmentLocked()
+}
+
+func (ci *Issuer) latestSegmentLocked() *SegmentCert {
 	if len(ci.segs) == 0 {
 		return nil
 	}
@@ -266,6 +278,35 @@ func (ci *Issuer) LatestSegment() *SegmentCert {
 		return nil
 	}
 	return seg
+}
+
+// BootstrapPath runs the client's interlink walk on the serving side: the
+// tip segment, then every segment BootstrapSublinear would fetch on its way
+// down to anchorHeight, in walk order — the whole bootstrap in one response
+// (the dcert/bootstrap wire route). It returns nil before the first
+// certified segment. The anchor is untrusted input: an anchor inside the
+// tip segment, above it, or directly below its first height yields the tip
+// alone, and the path never exceeds MaxBootstrapPath. A height the issuer no longer serves ends the
+// path early; the client's walk then reports the missing hop.
+func (ci *Issuer) BootstrapPath(anchorHeight uint64) []*SegmentCert {
+	ci.mu.RLock()
+	defer ci.mu.RUnlock()
+	cur := ci.latestSegmentLocked()
+	if cur == nil {
+		return nil
+	}
+	path := []*SegmentCert{cur}
+	for len(path) < MaxBootstrapPath {
+		_, target, done := nextHop(cur.Start(), len(cur.Interlink), anchorHeight)
+		if done {
+			break
+		}
+		if cur = ci.segmentCoveringLocked(target); cur == nil {
+			break
+		}
+		path = append(path, cur)
+	}
+	return path
 }
 
 // captureUndo records the prior value of every key a block is about to
@@ -374,15 +415,29 @@ func ModelBootstrapFetches(chainLen uint64, segBlocks int) int {
 		k = 1
 	}
 	segStart := func(h uint64) uint64 { return (h-1)/k*k + 1 }
-	cur := segStart(chainLen)
 	fetches := 0
-	for cur > 1 {
-		level := interlinkHop(cur, 0, maxInterlinkLevels)
-		target := cur - (uint64(1) << uint(level))
+	for cur := segStart(chainLen); ; fetches++ {
+		_, target, done := nextHop(cur, maxInterlinkLevels, 0)
+		if done {
+			return fetches
+		}
 		cur = segStart(target)
-		fetches++
 	}
-	return fetches
+}
+
+// nextHop is the interlink walk's one step rule, shared by the client's walk
+// (BootstrapSublinear), the serving side's (Issuer.BootstrapPath) and the
+// model. From a segment starting at start that carries levels interlink
+// levels, the walk is done once the segment covers the anchor height or
+// directly follows it; otherwise it takes the greedy hop of the returned
+// level to target. It never computes anchor+1, so an anchor of MaxUint64
+// cannot wrap around.
+func nextHop(start uint64, levels int, anchor uint64) (level int, target uint64, done bool) {
+	if start <= anchor || start-1 == anchor {
+		return 0, 0, true
+	}
+	level = interlinkHop(start, anchor, levels)
+	return level, start - uint64(1)<<uint(level), false
 }
 
 // interlinkHop picks the greedy hop level from a segment starting at start
@@ -410,7 +465,7 @@ func interlinkHop(start, anchor uint64, levels int) int {
 
 // SegmentFetcher retrieves the certified segment covering a height (served
 // by Issuer.SegmentCovering locally or the dcert/cert-segment wire route
-// remotely).
+// remotely; BootstrapFromPath answers it from a path the node walked).
 type SegmentFetcher func(height uint64) (*SegmentCert, error)
 
 // verifySegment validates a segment certificate without adopting it: the
@@ -491,6 +546,45 @@ func (c *SuperlightClient) adoptSegment(seg *SegmentCert) error {
 // previously validated tip. Each hop at least halves the remaining distance,
 // so fetches ≤ log2(tip−anchor)+1 regardless of chain length.
 func (c *SuperlightClient) BootstrapSublinear(fetch SegmentFetcher, tip *SegmentCert, anchorHeight uint64, anchorHash chash.Hash) (int, error) {
+	fetches, err := c.walkInterlink(fetch, tip, anchorHeight, anchorHash)
+	if err != nil {
+		return fetches, err
+	}
+	return fetches, c.adoptSegment(tip)
+}
+
+// BootstrapFromPath is BootstrapSublinear over a walk the serving side has
+// already run (Issuer.BootstrapPath, shipped whole on dcert/bootstrap):
+// path[0] is the tip segment, and the walk's fetches are answered from
+// path[1:] in order, each hop verified exactly as if fetched on its own. A
+// path that drops, reorders or pads a hop is refused, and every refusal —
+// segments left over included — comes before the tip is adopted, so the
+// client's Latest is unchanged by a rejected path. It returns the number of
+// hops the walk consumed (len(path)-1 on success).
+func (c *SuperlightClient) BootstrapFromPath(path []*SegmentCert, anchorHeight uint64, anchorHash chash.Hash) (int, error) {
+	if len(path) == 0 {
+		return 0, fmt.Errorf("%w: empty bootstrap path", ErrSegmentUnavailable)
+	}
+	next := 1
+	fetches, err := c.walkInterlink(func(height uint64) (*SegmentCert, error) {
+		if next == len(path) {
+			return nil, fmt.Errorf("%w: bootstrap path ends before height %d", ErrSegmentUnavailable, height)
+		}
+		next++
+		return path[next-1], nil
+	}, path[0], anchorHeight, anchorHash)
+	if err != nil {
+		return fetches, err
+	}
+	if next != len(path) {
+		return fetches, fmt.Errorf("%w: %d segments beyond the anchor", ErrBadInterlink, len(path)-next)
+	}
+	return fetches, c.adoptSegment(path[0])
+}
+
+// walkInterlink is BootstrapSublinear without the adoption: it verifies the
+// tip and every hop down to the anchor and returns the fetch count.
+func (c *SuperlightClient) walkInterlink(fetch SegmentFetcher, tip *SegmentCert, anchorHeight uint64, anchorHash chash.Hash) (int, error) {
 	if err := c.verifySegment(tip); err != nil {
 		return 0, err
 	}
@@ -506,25 +600,21 @@ func (c *SuperlightClient) BootstrapSublinear(fetch SegmentFetcher, tip *Segment
 			return fetches, fmt.Errorf("%w: walk did not converge on anchor %d", ErrBadInterlink, anchorHeight)
 		}
 		start := cur.Start()
-		if start <= anchorHeight {
-			// The current segment covers the anchor height: its certified
-			// header there must BE the anchor.
-			hdr := cur.HeaderAt(anchorHeight)
-			if hdr == nil || hdr.Hash() != anchorHash {
+		level, target, done := nextHop(start, len(cur.Interlink), anchorHeight)
+		if done {
+			if start <= anchorHeight {
+				// The current segment covers the anchor height: its
+				// certified header there must BE the anchor.
+				if hdr := cur.HeaderAt(anchorHeight); hdr == nil || hdr.Hash() != anchorHash {
+					return fetches, fmt.Errorf("%w: anchor at height %d refuted", ErrBadInterlink, anchorHeight)
+				}
+			} else if cur.Headers[0].PrevHash != anchorHash {
+				// The anchor immediately precedes this segment: the signed
+				// PrevHash settles it (this is also the genesis case).
 				return fetches, fmt.Errorf("%w: anchor at height %d refuted", ErrBadInterlink, anchorHeight)
 			}
-			break
+			return fetches, nil
 		}
-		if start == anchorHeight+1 {
-			// The anchor immediately precedes this segment: the signed
-			// PrevHash settles it (this is also the genesis case).
-			if cur.Headers[0].PrevHash != anchorHash {
-				return fetches, fmt.Errorf("%w: anchor at height %d refuted", ErrBadInterlink, anchorHeight)
-			}
-			break
-		}
-		level := interlinkHop(start, anchorHeight, len(cur.Interlink))
-		target := start - (uint64(1) << uint(level))
 		var expect chash.Hash
 		switch {
 		case level == 0:
@@ -551,5 +641,4 @@ func (c *SuperlightClient) BootstrapSublinear(fetch SegmentFetcher, tip *Segment
 		}
 		cur = seg
 	}
-	return fetches, c.adoptSegment(tip)
 }

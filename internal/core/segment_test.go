@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"os"
 	"testing"
@@ -629,6 +630,14 @@ func TestBootstrapSublinear(t *testing.T) {
 	if hdr == nil || hdr.Height != chainLen {
 		t.Fatal("bootstrap did not adopt the tip")
 	}
+	// The serving side's walk is the client's walk: the same hops, in order.
+	path := r.ci.BootstrapPath(0)
+	if len(path)-1 != fetches || path[0] != tip {
+		t.Fatalf("BootstrapPath has %d hops (tip first: %v), the client fetched %d", len(path)-1, path[0] == tip, fetches)
+	}
+	if hops, err := r.client().BootstrapFromPath(path, 0, genesis); err != nil || hops != fetches {
+		t.Fatalf("BootstrapFromPath = %d, %v; want %d hops", hops, err, fetches)
+	}
 
 	// Bootstrapping from a mid-chain trusted anchor also converges.
 	anchorBlk, err := r.ci.Node().Store().AtHeight(7_321)
@@ -641,6 +650,9 @@ func TestBootstrapSublinear(t *testing.T) {
 	}
 	if midFetches > 3*logN {
 		t.Fatalf("mid-anchor bootstrap took %d fetches, want ≤ %d", midFetches, 3*logN)
+	}
+	if midPath := r.ci.BootstrapPath(7_321); len(midPath)-1 != midFetches {
+		t.Fatalf("BootstrapPath(7321) has %d hops, the client fetched %d", len(midPath)-1, midFetches)
 	}
 
 	// A forged high-level interlink pointer is refuted at the first hop that
@@ -660,6 +672,41 @@ func TestBootstrapSublinear(t *testing.T) {
 	// A wrong anchor hash must be refuted, not adopted.
 	if _, err := r.client().BootstrapSublinear(fetch, tip, 0, chash.Leaf([]byte("wrong-genesis"))); !errors.Is(err, ErrBadInterlink) {
 		t.Fatalf("wrong anchor: want ErrBadInterlink, got %v", err)
+	}
+}
+
+// TestBootstrapPath: the serving side's walk matches the model and the
+// client at every chain length of a short K=4 chain, and an untrusted anchor
+// from just below the tip's start upward yields the tip alone (MaxUint64
+// included, with no wrap-around). Tampered paths are refuted over the wire
+// by TestBootstrapRelayLiesRefuted.
+func TestBootstrapPath(t *testing.T) {
+	const segBlocks = 4
+	r := newSegRig(t, "segment-bootstrap-path-v1")
+	if path := r.ci.BootstrapPath(0); path != nil {
+		t.Fatalf("BootstrapPath before any segment = %d segments, want nil", len(path))
+	}
+	genesis := r.ci.Node().Store().Genesis()
+	blks := r.mineEmpty(t, 96)
+	for i := 0; i < len(blks); i += segBlocks {
+		if _, _, err := r.ci.ProcessSegment(blks[i : i+segBlocks]); err != nil {
+			t.Fatalf("ProcessSegment at %d: %v", i, err)
+		}
+		chainLen := uint64(i + segBlocks)
+		path := r.ci.BootstrapPath(0)
+		model := ModelBootstrapFetches(chainLen, segBlocks)
+		if len(path)-1 != model {
+			t.Fatalf("height %d: BootstrapPath has %d hops, model says %d", chainLen, len(path)-1, model)
+		}
+		if hops, err := r.client().BootstrapFromPath(path, 0, genesis); err != nil || hops != model {
+			t.Fatalf("height %d: BootstrapFromPath = %d, %v; want %d", chainLen, hops, err, model)
+		}
+	}
+	tip := r.ci.LatestSegment()
+	for _, anchor := range []uint64{tip.Start() - 1, tip.Start(), tip.End(), tip.End() + 1, math.MaxUint64} {
+		if path := r.ci.BootstrapPath(anchor); len(path) != 1 || path[0] != tip {
+			t.Fatalf("anchor %d: BootstrapPath has %d segments, want the tip alone", anchor, len(path))
+		}
 	}
 }
 

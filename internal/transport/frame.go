@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Frame layout (big-endian), after the storage segment log's discipline:
@@ -48,6 +49,10 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // frameHeaderSize is the per-frame framing overhead.
 const frameHeaderSize = 8
+
+// frameReadChunk is the most readFrame allocates for a body before any of
+// it has arrived.
+const frameReadChunk = 64 << 10
 
 // MaxFrameSize bounds a frame body. It must admit the largest legitimate
 // message (a full block or a multi-entry query proof); 16 MiB is far above
@@ -114,9 +119,20 @@ func readFrame(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, size)
 	}
 	want := binary.BigEndian.Uint32(hdr[4:8])
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("transport: short frame body: %w", err)
+	// The length prefix is the peer's claim, not bytes received: allocate
+	// at most frameReadChunk up front and double as the body arrives, so a
+	// header that claims MaxFrameSize and then stalls costs 64 KiB, not
+	// 16 MiB. Frames up to frameReadChunk still allocate once.
+	body := make([]byte, min(int(size), frameReadChunk))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return nil, fmt.Errorf("transport: short frame body: %w", err)
+		}
+		if have = len(body); have == int(size) {
+			break
+		}
+		grow := min(int(size)-have, have)
+		body = slices.Grow(body, grow)[:have+grow]
 	}
 	if crc32.Checksum(body, crcTable) != want {
 		return nil, ErrFrameCorrupt

@@ -22,7 +22,8 @@ import (
 //     so CertFollower and QueryRequester run over it unchanged;
 //   - an RPC route table for the pull-style interactions a fresh client
 //     needs before it can follow streams: node identity (trust anchors),
-//     the latest certificate bundle, raw blocks, and one-shot queries.
+//     the latest certificate bundle, raw blocks, certified segments, the
+//     whole interlink bootstrap in one response, and one-shot queries.
 
 // Bus is the topic API shared by the in-process fabric and the wire
 // transport (see internal/network.Bus).
@@ -54,9 +55,12 @@ const (
 	// WireRouteQuery answers one serialized query request.
 	WireRouteQuery = "dcert/query"
 	// WireRouteCertSegment returns the certified segment covering a height
-	// (tipHeight = the newest segment) — the serving side of the interlink
-	// bootstrap walk.
+	// (tipHeight = the newest segment).
 	WireRouteCertSegment = "dcert/cert-segment"
+	// WireRouteBootstrap returns the tip segment and every interlink hop
+	// down to an anchor height, in walk order: the whole sublinear bootstrap
+	// in one round trip (core.Issuer.BootstrapPath).
+	WireRouteBootstrap = "dcert/bootstrap"
 )
 
 // tipHeight requests the best block on WireRouteBlock.
@@ -151,6 +155,63 @@ func decodeBundle(raw []byte) (*CertBundle, error) {
 	return &CertBundle{Header: hdr, Cert: cert}, nil
 }
 
+// encodeBootstrapPath renders a WireRouteBootstrap response: a count, then
+// each segment's canonical bytes, length-prefixed.
+func encodeBootstrapPath(path []*SegmentCert) []byte {
+	raws := make([][]byte, len(path))
+	size := 4
+	for i, seg := range path {
+		raws[i] = seg.Marshal()
+		size += 4 + len(raws[i])
+	}
+	e := chash.NewEncoder(size)
+	e.PutUint32(uint32(len(path)))
+	for _, raw := range raws {
+		e.PutBytes(raw)
+	}
+	return e.Bytes()
+}
+
+// decodeBootstrapPath parses an untrusted WireRouteBootstrap response. The
+// count is bounded by the walk's own bound and by the bytes left (every
+// segment takes at least its 4-byte length prefix) before it sizes anything.
+func decodeBootstrapPath(raw []byte) ([]*SegmentCert, error) {
+	d := chash.NewDecoder(raw)
+	n, err := d.Uint32()
+	if err != nil {
+		return nil, fmt.Errorf("dcert: bootstrap path: %w", err)
+	}
+	if n > core.MaxBootstrapPath || int(n) > d.Remaining()/4 {
+		return nil, fmt.Errorf("dcert: bootstrap path: %d segments beyond bound", n)
+	}
+	path := make([]*SegmentCert, 0, n)
+	for i := uint32(0); i < n; i++ {
+		segRaw, err := d.ReadBytes()
+		if err != nil {
+			return nil, fmt.Errorf("dcert: bootstrap path segment %d: %w", i, err)
+		}
+		seg, err := core.UnmarshalSegmentCert(segRaw)
+		if err != nil {
+			return nil, fmt.Errorf("dcert: bootstrap path segment %d: %w", i, err)
+		}
+		path = append(path, seg)
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("dcert: bootstrap path: %w", err)
+	}
+	return path, nil
+}
+
+// decodeHeightRequest parses a request body that is one height.
+func decodeHeightRequest(body []byte) (uint64, error) {
+	dec := chash.NewDecoder(body)
+	height, err := dec.Uint64()
+	if err != nil {
+		return 0, err
+	}
+	return height, dec.Finish()
+}
+
 // ServeWire exposes the deployment over TCP: topic traffic bridges onto the
 // deployment's fabric (so fault plans and instrumentation apply to socket
 // traffic), and the standard RPC routes are mounted. The deployment keeps
@@ -171,12 +232,8 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		return encodeBundle(d.issuer.LatestBundle()), nil
 	})
 	srv.Handle(WireRouteBlock, func(body []byte) ([]byte, error) {
-		dec := chash.NewDecoder(body)
-		height, err := dec.Uint64()
+		height, err := decodeHeightRequest(body)
 		if err != nil {
-			return nil, fmt.Errorf("block request: %w", err)
-		}
-		if err := dec.Finish(); err != nil {
 			return nil, fmt.Errorf("block request: %w", err)
 		}
 		store := d.miner.Store()
@@ -190,12 +247,8 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		return blk.Marshal(), nil
 	})
 	srv.Handle(WireRouteCertSegment, func(body []byte) ([]byte, error) {
-		dec := chash.NewDecoder(body)
-		height, err := dec.Uint64()
+		height, err := decodeHeightRequest(body)
 		if err != nil {
-			return nil, fmt.Errorf("segment request: %w", err)
-		}
-		if err := dec.Finish(); err != nil {
 			return nil, fmt.Errorf("segment request: %w", err)
 		}
 		var seg *SegmentCert
@@ -208,6 +261,13 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 			return nil, nil // empty body = no segment covering that height
 		}
 		return seg.Marshal(), nil
+	})
+	srv.Handle(WireRouteBootstrap, func(body []byte) ([]byte, error) {
+		anchor, err := decodeHeightRequest(body)
+		if err != nil {
+			return nil, fmt.Errorf("bootstrap request: %w", err)
+		}
+		return encodeBootstrapPath(d.issuer.BootstrapPath(anchor)), nil
 	})
 	srv.Handle(WireRouteQuery, func(body []byte) ([]byte, error) {
 		// With a fleet started, wire queries route through the
@@ -292,29 +352,24 @@ func RequestTipSegment(c *WireClient) (*SegmentCert, error) {
 }
 
 // BootstrapSublinearOver brings a superlight client current over the wire in
-// O(log n) certificate fetches: it pulls the tip segment, then walks the
-// certificate interlink back to the trusted anchor via per-height segment
-// requests (each hop fully re-verified; see core.BootstrapSublinear). It
-// returns the total number of segment fetches, tip fetch included.
+// one round trip: the node runs the interlink walk down to the anchor and
+// returns the tip segment with every hop (WireRouteBootstrap), and the
+// client re-verifies each hop offline (see core.BootstrapFromPath). A
+// response that drops, reorders or pads a hop is refused before the tip is
+// adopted. It returns the number of segments fetched, tip included.
 func BootstrapSublinearOver(c *WireClient, client *SuperlightClient, anchorHeight uint64, anchorHash Hash) (int, error) {
-	tip, err := RequestTipSegment(c)
+	e := chash.NewEncoder(8)
+	e.PutUint64(anchorHeight)
+	raw, err := c.Request(WireRouteBootstrap, e.Bytes())
 	if err != nil {
 		return 0, err
 	}
-	if tip == nil {
-		return 1, fmt.Errorf("dcert: bootstrap: node has no certified segment")
+	path, err := decodeBootstrapPath(raw)
+	if err != nil {
+		return 0, err
 	}
-	fetches, err := client.BootstrapSublinear(func(height uint64) (*SegmentCert, error) {
-		seg, err := RequestSegment(c, height)
-		if err != nil {
-			return nil, err
-		}
-		if seg == nil {
-			return nil, fmt.Errorf("%w: no segment covering height %d", core.ErrSegmentUnavailable, height)
-		}
-		return seg, nil
-	}, tip, anchorHeight, anchorHash)
-	return fetches + 1, err
+	hops, err := client.BootstrapFromPath(path, anchorHeight, anchorHash)
+	return hops + 1, err
 }
 
 // RequestQuery runs one verifiable query over the wire's RPC path and
