@@ -291,8 +291,8 @@ func BenchmarkHeadlineStorage(b *testing.B) {
 // dcert_mine_step_seconds histograms the mining routine itself fills — and
 // what repeats where the timings do not: the state tries the deployment
 // builds, signature verifications per transaction over the whole path
-// (pipeline and enclave included), and the live heap each block leaves
-// behind.
+// (pipeline and enclave included; the benchmark fails unless it is exactly
+// 4), and the live heap each block leaves behind.
 //
 //	make bench-mine-path                      # 400 blocks
 //	make bench-mine-path MINE_PATH_BLOCKS=1x  # CI smoke
@@ -324,10 +324,21 @@ func BenchmarkMinePath(b *testing.B) {
 	if err := plane.StartPipelines(dcert.PipelineConfig{Workers: 2}); err != nil {
 		b.Fatalf("StartPipelines: %v", err)
 	}
-	// The benchmark's set-up chain: 4 blocks before anything is measured.
+	// The benchmark's set-up chain: 4 blocks before anything is measured,
+	// certified before the counters are read, so that none of their pipeline
+	// or enclave work lands in the measured window.
+	var setUpTip *dcert.Block
 	for i := 0; i < 4; i++ {
-		if _, err := plane.MineAndBroadcastPipelined(txsPerBlock); err != nil {
+		if setUpTip, err = plane.MineAndBroadcastPipelined(txsPerBlock); err != nil {
 			b.Fatalf("set-up block: %v", err)
+		}
+	}
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if cb := dep.Issuer().LatestBundle(); cb != nil && cb.Header.Height >= setUpTip.Header.Height {
+			break
+		}
+		if time.Now().After(deadline) {
+			b.Fatal("set-up blocks never certified")
 		}
 	}
 
@@ -361,7 +372,13 @@ func BenchmarkMinePath(b *testing.B) {
 		b.ReportMetric((stepSeconds(step)-setUp[step])*1e3/blocks, step+"-ms/block")
 	}
 	b.ReportMetric(float64(statedb.Instances()-dbsBefore), "state-dbs")
-	b.ReportMetric(float64(chain.SigVerifications()-sigsBefore)/(blocks*txsPerBlock), "sigverifies/tx")
+	// Per transaction: the miner, the CI's host, the enclave and the SP
+	// verify its signature once each; the fleet adopts the SP's write set.
+	sigs := chain.SigVerifications() - sigsBefore
+	if want := uint64(4 * b.N * txsPerBlock); sigs != want {
+		b.Fatalf("%d signature verifications for %d txs, want %d (4 passes)", sigs, b.N*txsPerBlock, want)
+	}
+	b.ReportMetric(float64(sigs)/(blocks*txsPerBlock), "sigverifies/tx")
 	runtime.GC()
 	runtime.ReadMemStats(&mem)
 	b.ReportMetric((float64(mem.HeapAlloc)-float64(heapBefore))/1024/blocks, "live-KiB/block")

@@ -94,12 +94,12 @@ func TestDurableDeploymentStateTries(t *testing.T) {
 func TestMiningPathSignaturePasses(t *testing.T) {
 	const n = 10
 	// Per transaction: the miner's proposal 1, the CI's untrusted host 1, the
-	// enclave 1, and the SP's ValidateBlock 2 (ExecuteBlock, then a
-	// non-preverified ReplayBlock — ROADMAP item 1.3 takes this to 4). The
-	// miner journals its own proposal: 0. The hierarchical path's index jobs
-	// take the miner's write set too: 0 (they ran one more ValidateBlock, 2,
-	// for 7 in all).
-	const passes = 5
+	// enclave 1, and the SP 1 — it executes the block once and adopts it,
+	// and the adoption's post-commit root check needs no replay. The miner
+	// journals its own proposal and the fleet adopts the SP's write set: 0
+	// each. The hierarchical path's index jobs take the miner's write set
+	// too: 0.
+	const passes = 4
 
 	t.Run("sequential", func(t *testing.T) {
 		dep := newDurableTestDeployment(t, nil)

@@ -106,11 +106,11 @@ func (d *Deployment) ServeFleetQueries(workers int) (*FleetBusServer, error) {
 	return f.ServeBus(d.net, workers), nil
 }
 
-// feedServing advances the serving plane one block. The primary SP
-// validates it in full; the fleet's snapshot, once a fleet is started,
-// adopts the write set that validation produced.
+// feedServing advances the serving plane one block. The primary SP executes
+// it and adopts it, checking the committed root; the fleet's snapshot, once
+// a fleet is started, adopts the same write set.
 func (d *Deployment) feedServing(blk *Block) error {
-	writes, err := d.sp.ValidateBlock(blk)
+	writes, err := d.sp.ExecuteBlock(blk)
 	if err != nil {
 		return err
 	}

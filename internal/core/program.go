@@ -166,7 +166,7 @@ func (p *TrustedProgram) blkVerifyT(prev, blk *chain.Block, proof *statedb.Updat
 		}
 		newRoot, writes, err = statedb.ReplayBlockWithWritesPreverified(prev.Header.StateRoot, proof, p.reg, blk.Txs)
 	} else {
-		newRoot, writes, err = replayWithWrites(prev.Header.StateRoot, proof, p.reg, blk.Txs)
+		newRoot, writes, err = statedb.ReplayBlockWithWrites(prev.Header.StateRoot, proof, p.reg, blk.Txs)
 	}
 	if err != nil {
 		return nil, err
@@ -175,16 +175,6 @@ func (p *TrustedProgram) blkVerifyT(prev, blk *chain.Block, proof *statedb.Updat
 		return nil, fmt.Errorf("%w: replayed %s, header %s", statedb.ErrStateRootMismatch, newRoot, blk.Header.StateRoot)
 	}
 	return writes, nil
-}
-
-// replayWithWrites mirrors statedb.ReplayBlock but also surfaces the write
-// set for index certification.
-func replayWithWrites(prevRoot chash.Hash, proof *statedb.UpdateProof, reg *vm.Registry, txs []*chain.Transaction) (chash.Hash, map[string][]byte, error) {
-	root, writes, err := statedb.ReplayBlockWithWrites(prevRoot, proof, reg, txs)
-	if err != nil {
-		return chash.Zero, nil, err
-	}
-	return root, writes, nil
 }
 
 // EcallSegmentSigGen is ecall_sig_gen (Alg. 2 lines 1-9) with the recursion

@@ -168,11 +168,11 @@ func (n *FullNode) Tip() *chain.Block {
 	return n.store.Best()
 }
 
-// ValidateBlock performs the full-node checks of §2.1 against the node's
-// current tip without mutating anything: header linkage, consensus proof,
-// transaction root and signatures, and state-transition re-execution. It
-// returns the write set needed to advance the state replica.
-func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
+// ExecuteBlock runs the checks of §2.1 that mutate nothing against the
+// node's tip: linkage, consensus proof, tx root, and execution, which
+// verifies each signature once. Its write set is not yet bound to the state
+// root: AdoptBlock binds it, by committing it and comparing the roots.
+func (n *FullNode) ExecuteBlock(b *chain.Block) (*statedb.ExecResult, error) {
 	tip := n.store.Best()
 	if b.Header.PrevHash != tip.Hash() || b.Header.Height != tip.Header.Height+1 {
 		return nil, fmt.Errorf("%w: height %d prev %s", ErrNotNextBlock, b.Header.Height, b.Header.PrevHash)
@@ -183,12 +183,18 @@ func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
 	if err := b.VerifyTxRoot(); err != nil {
 		return nil, err
 	}
-	res, err := n.db.ExecuteBlock(n.reg, b.Txs)
+	return n.db.ExecuteBlock(n.reg, b.Txs)
+}
+
+// ValidateBlock is the dry run for callers that need a block's checked write
+// set without adopting it: ExecuteBlock, then the post-state root, derived
+// by replaying the block over an update witness (the state itself must not
+// move) and compared with the header's. Each signature is verified once.
+func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
+	res, err := n.ExecuteBlock(b)
 	if err != nil {
 		return nil, err
 	}
-	// Recompute the post-state root on a throwaway partial view: commit
-	// would mutate; instead derive via update proof replay.
 	proof, err := n.db.UpdateProofFor(res)
 	if err != nil {
 		return nil, err
@@ -197,7 +203,7 @@ func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	newRoot, err := statedb.ReplayBlock(prevRoot, proof, n.reg, b.Txs)
+	newRoot, _, err := statedb.ReplayBlockWithWritesPreverified(prevRoot, proof, n.reg, b.Txs)
 	if err != nil {
 		return nil, err
 	}
@@ -207,21 +213,21 @@ func (n *FullNode) ValidateBlock(b *chain.Block) (map[string][]byte, error) {
 	return res.WriteSet, nil
 }
 
-// ProcessBlock validates b and, if valid, adopts it.
+// ProcessBlock validates b and adopts it: ExecuteBlock, then AdoptBlock,
+// whose post-commit root check completes the validation.
 func (n *FullNode) ProcessBlock(b *chain.Block) error {
-	writes, err := n.ValidateBlock(b)
+	res, err := n.ExecuteBlock(b)
 	if err != nil {
 		return err
 	}
-	return n.AdoptBlock(b, writes, nil)
+	return n.AdoptBlock(b, res.WriteSet, nil)
 }
 
 // AdoptBlock advances the node by a block whose write set is already known:
-// ValidateBlock's result, computed by this node or by another replica of the
-// same chain at the same tip. It takes nothing on trust that a second
-// validation would establish about the state: b must extend the tip, and
-// committing writes must yield exactly b's state root, which binds the
-// write set's effect on the state to the header.
+// ExecuteBlock's result, computed by this node or by another replica of the
+// same chain at the same tip. It takes nothing on trust about the state:
+// b must extend the tip, and committing writes must yield exactly b's state
+// root, which binds the write set's effect on the state to the header.
 //
 // Adoption is all-or-nothing. The prior value of every written key is
 // captured first; a failed commit, a root mismatch or a failing apply puts

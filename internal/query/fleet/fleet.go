@@ -99,14 +99,14 @@ func (f *Fleet) Router() *Router {
 	return f.router
 }
 
-// ProcessBlock validates the block in full against the snapshot (consensus
-// proof, tx root, every signature, re-execution, state root) and adopts it.
-// The validation runs as one more reader of the sealed snapshot, so queries
-// are held up only for the adoption.
+// ProcessBlock validates the block in full against the snapshot and adopts
+// it. The execution (consensus proof, tx root, every signature once) runs as
+// one more reader of the sealed snapshot, so queries are held up only for
+// the adoption, whose post-commit root check completes the validation.
 func (f *Fleet) ProcessBlock(blk *chain.Block) error {
 	t0 := time.Now()
 	ep := f.snap.acquire()
-	writes, err := ep.sp.ValidateBlock(blk)
+	writes, err := ep.sp.ExecuteBlock(blk)
 	ep.release()
 	if err != nil {
 		return err

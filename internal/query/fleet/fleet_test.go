@@ -21,8 +21,8 @@ type frig struct {
 	miner *node.Miner
 	fleet *Fleet
 	gen   *workload.Generator
-	// ref stands in for the deployment's primary SP: it validates every
-	// mined block, which yields the write set AdoptBlock takes.
+	// ref stands in for the deployment's primary SP: it executes and adopts
+	// every mined block, which yields the write set AdoptBlock takes.
 	ref *query.ServiceProvider
 }
 
@@ -98,9 +98,9 @@ func (r *frig) mine(t *testing.T, txs int) (*chain.Block, map[string][]byte) {
 	if err != nil {
 		t.Fatalf("Propose: %v", err)
 	}
-	writes, err := r.ref.ValidateBlock(blk)
+	writes, err := r.ref.ExecuteBlock(blk)
 	if err != nil {
-		t.Fatalf("ref.ValidateBlock: %v", err)
+		t.Fatalf("ref.ExecuteBlock: %v", err)
 	}
 	if err := r.ref.AdoptBlock(blk, writes); err != nil {
 		t.Fatalf("ref.AdoptBlock: %v", err)

@@ -52,25 +52,31 @@ func (sp *ServiceProvider) Index(name string) (*TwoLevel, error) {
 	return ix, nil
 }
 
-// ProcessBlock validates the block as a full node, then adopts it.
+// ProcessBlock validates the block as a full node: ExecuteBlock, then
+// AdoptBlock, whose root check runs before any index moves.
 func (sp *ServiceProvider) ProcessBlock(blk *chain.Block) error {
-	writes, err := sp.ValidateBlock(blk)
+	writes, err := sp.ExecuteBlock(blk)
 	if err != nil {
 		return err
 	}
 	return sp.AdoptBlock(blk, writes)
 }
 
-// ValidateBlock runs the full-node checks against the SP's tip without
-// mutating anything and returns the block's write set.
-func (sp *ServiceProvider) ValidateBlock(blk *chain.Block) (map[string][]byte, error) {
+// ExecuteBlock runs node.FullNode.ExecuteBlock against the SP's tip and
+// returns the block's write set, which only AdoptBlock binds to the
+// header's state root.
+func (sp *ServiceProvider) ExecuteBlock(blk *chain.Block) (map[string][]byte, error) {
 	sp.met.validated.Inc()
-	return sp.node.ValidateBlock(blk)
+	res, err := sp.node.ExecuteBlock(blk)
+	if err != nil {
+		return nil, err
+	}
+	return res.WriteSet, nil
 }
 
 // AdoptBlock advances the state replica and every index by a block whose
-// write set a full validation has already produced — this SP's own
-// ValidateBlock, or that of another SP of the same chain at the same tip.
+// write set an execution has already produced — this SP's own ExecuteBlock,
+// or that of another SP of the same chain at the same tip.
 // The node re-checks linkage and that the committed writes reproduce the
 // header's state root (see node.FullNode.AdoptBlock); a block or write set
 // that fails either check leaves the SP exactly as it was.

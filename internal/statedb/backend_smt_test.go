@@ -89,9 +89,9 @@ func TestSMTReplayMatchesCommit(t *testing.T) {
 				if proof.Kind != BackendSMT || proof.SMT == nil {
 					t.Fatal("proof must carry the SMT multiproof")
 				}
-				replayRoot, err := ReplayBlock(prevRoot, proof, e.reg, txs)
+				replayRoot, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs)
 				if err != nil {
-					t.Fatalf("ReplayBlock: %v", err)
+					t.Fatalf("ReplayBlockWithWrites: %v", err)
 				}
 				commitRoot, err := e.db.Commit(res.WriteSet)
 				if err != nil {
@@ -124,7 +124,7 @@ func TestSMTReplayRejectsForgedPrior(t *testing.T) {
 		proof.Prior[k] = []byte("forged prior balance")
 		break
 	}
-	if _, err := ReplayBlock(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
 		t.Fatalf("want ErrReadSetMismatch, got %v", err)
 	}
 }
@@ -151,7 +151,7 @@ func TestSMTReplayRejectsForgedReadSet(t *testing.T) {
 		proof.ReadSet[k] = []byte("inconsistent declaration")
 		break
 	}
-	if _, err := ReplayBlock(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
 		t.Fatalf("want ErrReadSetMismatch, got %v", err)
 	}
 }
@@ -172,7 +172,7 @@ func TestSMTReplayRejectsUndeclaredBlock(t *testing.T) {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
 	blkB := e.block(t, 10)
-	if _, err := ReplayBlock(prevRoot, proofA, e.reg, blkB); err == nil {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proofA, e.reg, blkB); err == nil {
 		t.Fatal("different block must not replay over a mismatched prior set")
 	}
 }
@@ -193,9 +193,9 @@ func TestSMTEmptyBlockProof(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
-	replayRoot, err := ReplayBlock(prevRoot, proof, e.reg, nil)
+	replayRoot, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, nil)
 	if err != nil {
-		t.Fatalf("ReplayBlock: %v", err)
+		t.Fatalf("ReplayBlockWithWrites: %v", err)
 	}
 	if replayRoot != prevRoot {
 		t.Fatal("empty block must preserve the root")

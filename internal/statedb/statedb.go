@@ -228,18 +228,12 @@ func checkAndBumpNonce(o *overlay, tx *chain.Transaction) error {
 	return nil
 }
 
-// runTxs executes the block's transactions over the overlay with
-// per-transaction revert semantics. Transaction signatures and account
-// nonces are verified first (Alg. 2 line 19 plus replay protection);
+// runTxsOpts executes the block's transactions over the overlay with
+// per-transaction revert semantics. Transaction signatures (unless
+// preverified: a parallel verify stage or enclave threads checked them) and
+// account nonces are verified first (Alg. 2 line 19 plus replay protection);
 // contract-level errors revert the single transaction, while infrastructure
 // errors (missing witness nodes) abort.
-func runTxs(reg *vm.Registry, o *overlay, txs []*chain.Transaction) ([]int, error) {
-	return runTxsOpts(reg, o, txs, false)
-}
-
-// runTxsOpts is runTxs with the signature check optionally hoisted out: the
-// pipeline verifies signatures in a parallel stage (or, in the enclave, on
-// multiple TCS) before execution, and must not pay for them twice.
 func runTxsOpts(reg *vm.Registry, o *overlay, txs []*chain.Transaction, preverified bool) ([]int, error) {
 	var reverted []int
 	for i, tx := range txs {
@@ -417,28 +411,24 @@ func (db *DB) UpdateProofFor(res *ExecResult) (*UpdateProof, error) {
 	return &UpdateProof{Kind: BackendMPT, ReadSet: reads, Witness: w}, nil
 }
 
-// ReplayBlock is the trusted half (blk_verify_t lines 17-23): it rebuilds a
-// partial trie over the witness, cross-checks the declared read set against
-// it, re-executes the transactions, applies the writes, and returns the
-// recomputed post-state root. Every state access is authenticated against
-// prevRoot; missing or tampered witness data fails the replay.
-func ReplayBlock(prevRoot chash.Hash, proof *UpdateProof, reg *vm.Registry, txs []*chain.Transaction) (chash.Hash, error) {
-	root, _, err := ReplayBlockWithWrites(prevRoot, proof, reg, txs)
-	return root, err
-}
-
-// ReplayBlockWithWrites is ReplayBlock, additionally returning the verified
-// write set — the DCert trusted program feeds it to index certification
-// (get_index_write_data without re-execution).
+// ReplayBlockWithWrites is the trusted half (blk_verify_t lines 17-23): it
+// rebuilds a partial trie over the witness, cross-checks the declared read
+// set against it, re-executes the transactions, applies the writes, and
+// returns the recomputed post-state root with the verified write set — the
+// DCert trusted program feeds the latter to index certification
+// (get_index_write_data without re-execution). Every state access is
+// authenticated against prevRoot; missing or tampered witness data fails
+// the replay.
 func ReplayBlockWithWrites(prevRoot chash.Hash, proof *UpdateProof, reg *vm.Registry, txs []*chain.Transaction) (chash.Hash, map[string][]byte, error) {
 	return replayBlock(prevRoot, proof, reg, txs, false)
 }
 
 // ReplayBlockWithWritesPreverified is ReplayBlockWithWrites minus the per-
-// transaction signature check, for trusted programs that have already
-// verified all signatures on parallel enclave threads (multiple TCS). The
-// caller vouches for the signatures; everything state-dependent (read-set
-// cross-check, nonces, re-execution, root recomputation) still runs.
+// transaction signature check, for callers that have already verified every
+// signature: on parallel enclave threads (multiple TCS), or in the execution
+// that produced the proof. The caller vouches for the signatures; everything
+// state-dependent (read-set cross-check, nonces, re-execution, root
+// recomputation) still runs.
 func ReplayBlockWithWritesPreverified(prevRoot chash.Hash, proof *UpdateProof, reg *vm.Registry, txs []*chain.Transaction) (chash.Hash, map[string][]byte, error) {
 	return replayBlock(prevRoot, proof, reg, txs, true)
 }

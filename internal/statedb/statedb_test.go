@@ -130,9 +130,9 @@ func TestReplayBlockMatchesCommit(t *testing.T) {
 				if err != nil {
 					t.Fatalf("UpdateProofFor: %v", err)
 				}
-				replayRoot, err := ReplayBlock(prevRoot, proof, e.reg, txs)
+				replayRoot, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs)
 				if err != nil {
-					t.Fatalf("ReplayBlock: %v", err)
+					t.Fatalf("ReplayBlockWithWrites: %v", err)
 				}
 				commitRoot, err := e.db.Commit(res.WriteSet)
 				if err != nil {
@@ -169,7 +169,7 @@ func TestReplayBlockRejectsForgedReadSet(t *testing.T) {
 	if len(proof.ReadSet) == 0 {
 		t.Skip("workload produced no reads")
 	}
-	if _, err := ReplayBlock(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrReadSetMismatch) {
 		t.Fatalf("want ErrReadSetMismatch, got %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestReplayBlockRejectsTamperedTxs(t *testing.T) {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
 	txs[3].Args = [][]byte{[]byte("evil-key"), []byte("evil-value")} // breaks signature
-	if _, err := ReplayBlock(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrTxInvalid) {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proof, e.reg, txs); !errors.Is(err, ErrTxInvalid) {
 		t.Fatalf("want ErrTxInvalid, got %v", err)
 	}
 }
@@ -221,7 +221,7 @@ func TestReplayBlockRejectsInsufficientWitness(t *testing.T) {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
 	blkB := e.block(t, 10)
-	if _, err := ReplayBlock(prevRoot, proofA, e.reg, blkB); err == nil {
+	if _, _, err := ReplayBlockWithWrites(prevRoot, proofA, e.reg, blkB); err == nil {
 		t.Fatal("replaying a different block over a mismatched witness must fail")
 	}
 }
@@ -277,9 +277,9 @@ func TestRevertedTransactionsKeepStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("UpdateProofFor: %v", err)
 	}
-	replayRoot, err := ReplayBlock(prevRoot, proof, reg, txs)
+	replayRoot, _, err := ReplayBlockWithWrites(prevRoot, proof, reg, txs)
 	if err != nil {
-		t.Fatalf("ReplayBlock: %v", err)
+		t.Fatalf("ReplayBlockWithWrites: %v", err)
 	}
 	commitRoot, err := db.Commit(res.WriteSet)
 	if err != nil {

@@ -534,9 +534,9 @@ func TestEngineRejectsForeignGenesis(t *testing.T) {
 // resume. A block journaled under a write set that does not reproduce its
 // header's state root leaves a snapshot+WAL image recovery cannot tell from a
 // good one (its records carry the header's root). ResumeNode computes the
-// image's root, refuses it, and replays the chain to the header's root; with
-// Restore it re-journals the write sets execution produced, so the next open
-// finds an image that holds.
+// image's root, refuses it, and replays the chain to the header's root,
+// executing each block once; with Restore it re-journals the write sets
+// execution produced, so the next open finds an image that holds.
 func TestEngineResumeRefusesWrongWriteSet(t *testing.T) {
 	env := newEngineEnv(t)
 	dir := t.TempDir()
@@ -589,9 +589,14 @@ func TestEngineResumeRefusesWrongWriteSet(t *testing.T) {
 	}
 	cfg := env.resumeCfg()
 	cfg.Restore = true
+	sigs := chain.SigVerifications()
 	n, err := eng2.ResumeNode(cfg)
 	if err != nil {
 		t.Fatalf("ResumeNode: %v", err)
+	}
+	// The replay executes each block once: one signature check per tx.
+	if got := chain.SigVerifications() - sigs; got != 2*4 {
+		t.Fatalf("replaying 2 blocks of 4 txs verified %d signatures, want 8", got)
 	}
 	root, err := n.State().Root()
 	if err != nil {

@@ -95,27 +95,27 @@ func (e *Engine) resumeFast(cfg ResumeConfig, genesis *chain.Block, headers []*c
 
 // replayBlocks advances a resuming node over recovered blocks, read back
 // from the chain log one at a time: each one is validated in full (the disk
-// is not trusted with a state transition) and adopted with the write set
-// validation produced. With restore, the write set is re-journaled inside
-// the adoption, so a failed append leaves the node at the height the journal
-// holds.
+// is not trusted with a state transition) — executed once, then adopted,
+// and the adoption checks the committed root against the header. With
+// restore, the write set is re-journaled inside the adoption, so a failed
+// append leaves the node at the height the journal holds.
 func (e *Engine) replayBlocks(n *node.FullNode, headers []*chain.Header, restore bool) error {
 	for _, hdr := range headers {
 		blk, err := e.BlockAt(hdr.Height)
 		if err != nil {
 			return fmt.Errorf("storage: resume read height %d: %w", hdr.Height, err)
 		}
-		writes, err := n.ValidateBlock(blk)
+		res, err := n.ExecuteBlock(blk)
 		if err != nil {
 			return fmt.Errorf("storage: resume validate height %d: %w", blk.Header.Height, err)
 		}
 		var rejournal func() error
 		if restore {
 			rejournal = func() error {
-				return e.RestoreState(blk.Header.Height, blk.Header.StateRoot, writes)
+				return e.RestoreState(blk.Header.Height, blk.Header.StateRoot, res.WriteSet)
 			}
 		}
-		if err := n.AdoptBlock(blk, writes, rejournal); err != nil {
+		if err := n.AdoptBlock(blk, res.WriteSet, rejournal); err != nil {
 			return fmt.Errorf("storage: resume adopt height %d: %w", blk.Header.Height, err)
 		}
 	}
