@@ -103,14 +103,18 @@ bench-json:
 	$(GO) run ./cmd/dcert-bench -exp serving -json BENCH_serving.json
 	$(GO) run ./cmd/dcert-bench -exp certify -json BENCH_certify.json
 
-# Fuzz smoke for the decoders of untrusted bytes: the query wire codecs (the
-# batch multiproof decoder and the canonical request round trip), the segment
-# certificate codec, the dcert/bootstrap response (a count of segments), the
-# block and transaction codecs (network bytes, and
-# every block a durable node reads back from its chain log), and the state
-# record the storage engine reads back from its WAL and snapshot. Short budgets: CI regression surface, not a campaign —
-# run with a longer -fuzztime locally when touching the codecs.
+# Fuzz smoke for the decoders of untrusted bytes: the transport's frame
+# decoder and its protocol messages (the first bytes any TCP peer reaches),
+# the query wire codecs (the batch multiproof decoder and the canonical
+# request round trip), the segment certificate codec, the dcert/bootstrap
+# response (a count of segments), the block and transaction codecs (network
+# bytes, and every block a durable node reads back from its chain log), and
+# the state record the storage engine reads back from its WAL and snapshot.
+# Short budgets: CI regression surface, not a campaign — run with a longer
+# -fuzztime locally when touching the codecs.
 fuzz-wire:
+	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz='^FuzzWireMessages$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/

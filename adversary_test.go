@@ -2,6 +2,7 @@ package dcert
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 	"testing"
 
 	"dcert/internal/core"
@@ -57,7 +58,10 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 		{"truncated", func(honest []byte) []byte { return honest[:len(honest)-7] }},
 	}
 
-	var tamper func([]byte) []byte
+	// The relay's handler runs on a server goroutine: the tamper in force
+	// is handed over atomically, not through the socket's ordering, which
+	// the race detector does not see across a vectored write.
+	var tamper atomic.Pointer[func([]byte) []byte]
 	relay, err := transport.Serve(r.dep.Net(), transport.ServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("relay Serve: %v", err)
@@ -69,10 +73,10 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 			return nil, err
 		}
 		honest := encodeBootstrapPath(iss.BootstrapPath(anchor))
-		if tamper == nil {
-			return honest, nil
+		if f := tamper.Load(); f != nil {
+			return (*f)(honest), nil
 		}
-		return tamper(honest), nil
+		return honest, nil
 	})
 	rc, err := DialWire(relay.Addr(), WireClientConfig{Name: "relayed-client"})
 	if err != nil {
@@ -84,7 +88,7 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 		t.Fatalf("honest path has %d segments, the tamper cases need 4", len(path))
 	}
 	for _, tc := range cases {
-		tamper = tc.tamper
+		tamper.Store(&tc.tamper)
 		if _, err := BootstrapSublinearOver(rc, cl, 0, r.genesis); err == nil {
 			t.Fatalf("%s: the client accepted the relay's response", tc.name)
 		}
@@ -93,7 +97,7 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 		}
 	}
 
-	tamper = nil
+	tamper.Store(nil)
 	if _, err := BootstrapSublinearOver(rc, cl, 0, r.genesis); err != nil {
 		t.Fatalf("untampered relay: %v", err)
 	}

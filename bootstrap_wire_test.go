@@ -1,8 +1,12 @@
 package dcert
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"dcert/internal/chash"
@@ -135,6 +139,216 @@ func TestBootstrapOverWire(t *testing.T) {
 	}
 	if hdr, _ := fresh.Latest(); hdr != nil {
 		t.Fatalf("anchor MaxUint64: the client adopted height %d", hdr.Height)
+	}
+}
+
+// segmentByteEncoding is the dcert/bootstrap response as its format is
+// specified: a count, then each segment's Marshal bytes, length-prefixed.
+func segmentByteEncoding(path []*SegmentCert) []byte {
+	e := chash.NewEncoder(0)
+	e.PutUint32(uint32(len(path)))
+	for _, seg := range path {
+		e.PutBytes(seg.Marshal())
+	}
+	return e.Bytes()
+}
+
+// TestBootstrapRouteServesFreshPaths: the dcert/bootstrap route answers
+// repeats from its memo, yet every answer equals a fresh encoding of the
+// issuer's current path: a new segment replaces the old tip's paths, two
+// anchors get their own, and an empty path (no segment yet, or a tip block
+// still being certified) is never served from the memo.
+func TestBootstrapRouteServesFreshPaths(t *testing.T) {
+	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 31, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	srv, err := dep.ServeWire(WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	defer srv.Close()
+	wc, err := DialWire(srv.Addr(), WireClientConfig{Name: "fresh-paths"})
+	if err != nil {
+		t.Fatalf("DialWire: %v", err)
+	}
+	defer wc.Close()
+	fetch := func(anchor uint64) []byte {
+		t.Helper()
+		e := chash.NewEncoder(8)
+		e.PutUint64(anchor)
+		raw, err := wc.Request(WireRouteBootstrap, e.Bytes())
+		if err != nil {
+			t.Fatalf("Request(%d): %v", anchor, err)
+		}
+		return raw
+	}
+	// check asks twice (the second answer comes from the memo when the
+	// path is not empty) and compares both with a fresh encoding.
+	check := func(anchor uint64) []byte {
+		t.Helper()
+		path := dep.Issuer().BootstrapPath(anchor)
+		want := encodeBootstrapPath(path)
+		if !bytes.Equal(want, segmentByteEncoding(path)) {
+			t.Fatal("encodeBootstrapPath differs from the specified encoding")
+		}
+		if len(want) != cap(want) {
+			t.Fatalf("a %d-byte path was encoded into a %d-byte buffer", len(want), cap(want))
+		}
+		for i := 0; i < 2; i++ {
+			if got := fetch(anchor); !bytes.Equal(got, want) {
+				t.Fatalf("anchor %d, ask %d: the route served %d bytes, a fresh encoding has %d", anchor, i, len(got), len(want))
+			}
+		}
+		return want
+	}
+	empty := encodeBootstrapPath(nil)
+
+	if got := check(0); !bytes.Equal(got, empty) {
+		t.Fatal("before any segment the route served a non-empty path")
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
+			t.Fatalf("MineAndCertifySegment: %v", err)
+		}
+	}
+	mid := dep.Issuer().LatestSegment().End()
+	var prev []byte
+	for round := 0; round < 3; round++ {
+		if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
+			t.Fatalf("MineAndCertifySegment: %v", err)
+		}
+		fromGenesis, fromMid := check(0), check(mid)
+		if bytes.Equal(fromGenesis, prev) {
+			t.Fatalf("round %d: a new segment landed and the route served the old tip's path", round)
+		}
+		if bytes.Equal(fromGenesis, fromMid) {
+			t.Fatalf("round %d: anchors 0 and %d got the same path", round, mid)
+		}
+		prev = fromGenesis
+	}
+
+	// Mid-certification: the issuer's node holds a block its segment does
+	// not yet cover, so there is no tip segment and the path is empty,
+	// though the memo still holds the last tip's paths.
+	blks, _, _, err := dep.mine(1, 1, nil, nil)
+	if err != nil {
+		t.Fatalf("mine: %v", err)
+	}
+	if err := dep.Issuer().Node().ProcessBlock(blks[0]); err != nil {
+		t.Fatalf("ProcessBlock: %v", err)
+	}
+	if dep.Issuer().LatestSegment() != nil {
+		t.Fatal("the issuer reports a tip segment for an uncertified tip")
+	}
+	for _, anchor := range []uint64{0, mid} {
+		if got := check(anchor); !bytes.Equal(got, empty) {
+			t.Fatalf("anchor %d mid-certification: the route served a %d-byte path", anchor, len(got))
+		}
+	}
+}
+
+// TestBootstrapRepeatAllocatesConstant: a repeat request for the same tip
+// and anchor is answered from the memo, so it allocates a constant handful
+// of bytes on the server, not the path's size; the first costs one
+// exact-size encoding.
+func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
+	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 33, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, _, err := dep.MineAndCertifySegment(bootstrapSegK, 1); err != nil {
+			t.Fatalf("MineAndCertifySegment: %v", err)
+		}
+	}
+	memo := new(bootstrapMemo)
+	first := memo.path(dep.Issuer(), 0)
+	if len(first) < 8<<10 {
+		t.Fatalf("the path is %d bytes; the test needs one far above its bound", len(first))
+	}
+	const runs = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if raw := memo.path(dep.Issuer(), 0); &raw[0] != &first[0] {
+			t.Fatal("a repeat request was encoded again")
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perCall := (after.TotalAlloc - before.TotalAlloc) / runs; perCall > 256 {
+		t.Fatalf("a repeat request allocated %d bytes for a %d-byte path, want <= 256", perCall, len(first))
+	}
+	// Past the memo's bound, an anchor is still answered correctly.
+	for a := uint64(1); a <= bootstrapMemoAnchors+2; a++ {
+		if got, want := memo.path(dep.Issuer(), a), encodeBootstrapPath(dep.Issuer().BootstrapPath(a)); !bytes.Equal(got, want) {
+			t.Fatalf("anchor %d: memo and fresh encoding differ", a)
+		}
+	}
+	if n := len(memo.paths); n > bootstrapMemoAnchors {
+		t.Fatalf("the memo holds %d anchors, bound %d", n, bootstrapMemoAnchors)
+	}
+}
+
+// TestBootstrapMemoUnderConcurrentSegments: readers share the memo while
+// segments land. Every answer is a path a fresh client adopts, and none
+// starts below the tip segment the reader saw before asking: the memo never
+// hands out a tip older than the issuer's.
+func TestBootstrapMemoUnderConcurrentSegments(t *testing.T) {
+	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 35, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
+		t.Fatalf("MineAndCertifySegment: %v", err)
+	}
+	genesis := dep.Issuer().Node().Store().Genesis()
+	memo := new(bootstrapMemo)
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				seen := dep.Issuer().LatestSegment().End()
+				path, err := decodeBootstrapPath(memo.path(dep.Issuer(), 0))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(path) == 0 {
+					errs <- errors.New("served an empty path with a tip segment recorded")
+					return
+				}
+				if path[0].End() < seen {
+					errs <- fmt.Errorf("served a path from height %d after seeing the tip at %d", path[0].End(), seen)
+					return
+				}
+				if _, err := dep.NewSuperlightClient().BootstrapFromPath(path, 0, genesis); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 6; i++ {
+		if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
+			t.Fatalf("MineAndCertifySegment: %v", err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 }
 

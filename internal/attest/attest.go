@@ -232,13 +232,18 @@ func (r *Report) Verify(authorityPK *chash.PublicKey, expectMeasurement, expectR
 
 // Marshal serializes the report.
 func (r *Report) Marshal() []byte {
-	e := chash.NewEncoder(512 + len(r.CertChain))
+	e := chash.NewEncoder(r.EncodedSize())
+	r.Encode(e)
+	return e.Bytes()
+}
+
+// Encode appends the report's Marshal bytes to e.
+func (r *Report) Encode(e *chash.Encoder) {
 	e.PutHash(r.Measurement)
 	e.PutHash(r.ReportData)
 	e.PutString(r.PlatformID)
 	e.PutBytes(r.CertChain)
 	e.PutBytes(r.Signature)
-	return e.Bytes()
 }
 
 // UnmarshalReport parses a report produced by Marshal.
@@ -267,9 +272,9 @@ func UnmarshalReport(raw []byte) (*Report, error) {
 	return &r, nil
 }
 
-// EncodedSize returns the serialized report size.
+// EncodedSize returns the serialized report size, without encoding it.
 func (r *Report) EncodedSize() int {
-	return len(r.Marshal())
+	return 2*chash.Size + 12 + len(r.PlatformID) + len(r.CertChain) + len(r.Signature)
 }
 
 // syntheticCertChainSize approximates the PEM certificate chain attached to

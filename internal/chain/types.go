@@ -74,9 +74,18 @@ type Header struct {
 	Consensus ConsensusProof
 }
 
+// HeaderSize is the length of every header's canonical encoding.
+const HeaderSize = 8 + 3*chash.Size + 8 + 8 + 4
+
 // preimage builds the canonical header encoding.
 func (h *Header) preimage() []byte {
-	e := chash.NewEncoder(128)
+	e := chash.NewEncoder(HeaderSize)
+	h.Encode(e)
+	return e.Bytes()
+}
+
+// Encode appends the header's canonical encoding (HeaderSize bytes) to e.
+func (h *Header) Encode(e *chash.Encoder) {
 	e.PutUint64(h.Height)
 	e.PutHash(h.PrevHash)
 	e.PutHash(h.StateRoot)
@@ -84,7 +93,6 @@ func (h *Header) preimage() []byte {
 	e.PutUint64(h.Time)
 	e.PutUint64(h.Consensus.Nonce)
 	e.PutUint32(h.Consensus.Difficulty)
-	return e.Bytes()
 }
 
 // Hash returns the header digest H(hdr).
@@ -131,7 +139,7 @@ func UnmarshalHeader(raw []byte) (*Header, error) {
 
 // EncodedSize returns the serialized header size in bytes.
 func (h *Header) EncodedSize() int {
-	return len(h.preimage())
+	return HeaderSize
 }
 
 // Transaction is a signed smart-contract invocation.

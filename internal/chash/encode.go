@@ -168,6 +168,19 @@ func (d *Decoder) ReadHash() (Hash, error) {
 
 // ReadBytes reads a length-prefixed byte slice. The returned slice is a copy.
 func (d *Decoder) ReadBytes() ([]byte, error) {
+	b, err := d.ReadBytesShared()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
+}
+
+// ReadBytesShared reads a length-prefixed byte slice without copying it: the
+// result aliases the decoder's buffer. Use it only on a buffer nothing else
+// writes to afterwards (a network frame allocated for this one message).
+func (d *Decoder) ReadBytesShared() ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
@@ -175,13 +188,7 @@ func (d *Decoder) ReadBytes() ([]byte, error) {
 	if n > maxChunk {
 		return nil, fmt.Errorf("%w: %d bytes", ErrOversized, n)
 	}
-	b, err := d.take(int(n))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out, nil
+	return d.take(int(n))
 }
 
 // ReadString reads a length-prefixed string.

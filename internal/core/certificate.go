@@ -121,13 +121,19 @@ func (c *Certificate) VerifySignatureOnly(expectDigest chash.Hash) error {
 
 // Marshal serializes the certificate.
 func (c *Certificate) Marshal() []byte {
-	rep := c.Report.Marshal()
-	e := chash.NewEncoder(256 + len(rep) + len(c.PubKey) + len(c.Sig))
+	e := chash.NewEncoder(c.EncodedSize())
+	c.Encode(e)
+	return e.Bytes()
+}
+
+// Encode appends the certificate's Marshal bytes to e, the report written
+// in place behind its length prefix.
+func (c *Certificate) Encode(e *chash.Encoder) {
 	e.PutBytes(c.PubKey)
-	e.PutBytes(rep)
+	e.PutUint32(uint32(c.Report.EncodedSize()))
+	c.Report.Encode(e)
 	e.PutHash(c.Digest)
 	e.PutBytes(c.Sig)
-	return e.Bytes()
 }
 
 // UnmarshalCertificate parses a certificate produced by Marshal.
@@ -160,5 +166,5 @@ func UnmarshalCertificate(raw []byte) (*Certificate, error) {
 // EncodedSize returns the serialized certificate size in bytes — the
 // dominant term of the superlight client's constant storage (Fig. 7a).
 func (c *Certificate) EncodedSize() int {
-	return len(c.Marshal())
+	return 12 + len(c.PubKey) + c.Report.EncodedSize() + chash.Size + len(c.Sig)
 }

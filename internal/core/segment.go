@@ -119,18 +119,25 @@ func (s *SegmentCert) Digest() chash.Hash { return SegmentDigest(s.Headers) }
 
 // Marshal renders the segment certificate canonically.
 func (s *SegmentCert) Marshal() []byte {
-	cert := s.Cert.Marshal()
-	e := chash.NewEncoder(16 + len(s.Headers)*128 + len(cert) + len(s.Interlink)*32)
+	e := chash.NewEncoder(s.EncodedSize())
+	s.Encode(e)
+	return e.Bytes()
+}
+
+// Encode appends the segment certificate's Marshal bytes to e, every header
+// and the certificate written in place behind their length prefixes.
+func (s *SegmentCert) Encode(e *chash.Encoder) {
 	e.PutUint32(uint32(len(s.Headers)))
 	for _, h := range s.Headers {
-		e.PutBytes(h.Marshal())
+		e.PutUint32(chain.HeaderSize)
+		h.Encode(e)
 	}
-	e.PutBytes(cert)
+	e.PutUint32(uint32(s.Cert.EncodedSize()))
+	s.Cert.Encode(e)
 	e.PutUint32(uint32(len(s.Interlink)))
 	for _, link := range s.Interlink {
 		e.PutHash(link)
 	}
-	return e.Bytes()
 }
 
 // UnmarshalSegmentCert parses untrusted segment-certificate bytes. Count
@@ -188,8 +195,11 @@ func UnmarshalSegmentCert(raw []byte) (*SegmentCert, error) {
 	return &SegmentCert{Headers: headers, Cert: cert, Interlink: interlink}, nil
 }
 
-// EncodedSize is the segment certificate's wire footprint.
-func (s *SegmentCert) EncodedSize() int { return len(s.Marshal()) }
+// EncodedSize is the segment certificate's wire footprint, computed without
+// encoding it.
+func (s *SegmentCert) EncodedSize() int {
+	return 12 + len(s.Headers)*(4+chain.HeaderSize) + s.Cert.EncodedSize() + len(s.Interlink)*chash.Size
+}
 
 // InterlinkHeights is the deterministic back-height schedule for a segment
 // starting at height start: start−1, start−2, start−4, ... while the step

@@ -171,7 +171,11 @@ func (f *Fleet) HandleRaw(raw []byte) []byte {
 	if err != nil {
 		return (&query.Response{Err: err.Error()}).Marshal()
 	}
-	return f.Handle(req).Marshal()
+	r, err := f.route(req)
+	if err != nil {
+		return (&query.Response{ID: req.ID, Err: err.Error()}).Marshal()
+	}
+	return r.ExecuteRaw(req)
 }
 
 // fleetObs bundles the write-path instruments of the one snapshot.
@@ -318,7 +322,7 @@ func (s *BusServer) worker(name string, q chan busTask) {
 			continue
 		}
 		r.met.queueDepth.Add(-1)
-		respRaw := r.Execute(task.req).Marshal()
+		respRaw := r.ExecuteRaw(task.req)
 		if err := s.bus.Publish(query.TopicResults, name, respRaw); err != nil {
 			return // fabric shut down
 		}

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -364,5 +366,62 @@ func TestFleetRemoveRedistributes(t *testing.T) {
 	}
 	if owner == "sp-1" {
 		t.Fatal("removed replica still owns keys")
+	}
+}
+
+// TestCacheHitServesCachedBytes: a cache hit is the cached canonical answer
+// with the request's ID written over its zero ID — byte-identical to
+// decoding, re-stamping and re-encoding it, and one allocation beyond the
+// cache key, the size of the response.
+func TestCacheHitServesCachedBytes(t *testing.T) {
+	r := newFleetRig(t, 2)
+	r.advance(t, 3, 5)
+	rep, err := r.fleet.Replica("sp-0")
+	if err != nil {
+		t.Fatalf("Replica: %v", err)
+	}
+	req := query.NewStateRequest(writtenKey(t, r.fleet))
+	req.ID = 0xDC
+	first := rep.ExecuteRaw(req) // a miss fills the cache
+	canon, ok := rep.Cache().Get(req.SemanticKey())
+	if !ok {
+		t.Fatal("the answer was not cached")
+	}
+	resp, err := query.UnmarshalResponse(canon)
+	if err != nil || resp.ID != 0 {
+		t.Fatalf("cached answer: id %v, %v; want the canonical zero ID", resp, err)
+	}
+	resp.ID = req.ID
+	want := resp.Marshal()
+	if !bytes.Equal(first, want) {
+		t.Fatal("the miss answer differs from the re-encoded canonical one")
+	}
+	if hit := rep.ExecuteRaw(req); !bytes.Equal(hit, want) || &hit[0] == &canon[0] {
+		t.Fatal("a hit must be a stamped copy of the cached answer")
+	}
+	if raw := r.fleet.HandleRaw(req.Marshal()); !bytes.Equal(raw, r.fleet.Handle(req).Marshal()) {
+		t.Fatal("HandleRaw and Handle answer differently")
+	}
+
+	keyAllocs := testing.AllocsPerRun(100, func() { _ = req.SemanticKey() })
+	hitAllocs := testing.AllocsPerRun(100, func() { _ = rep.ExecuteRaw(req) })
+	if hitAllocs != keyAllocs+1 {
+		t.Fatalf("a hit made %.1f allocations, want the key's %.1f plus one", hitAllocs, keyAllocs)
+	}
+	const runs = 100
+	measure := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	keyBytes := measure(func() { _ = req.SemanticKey() })
+	hitBytes := measure(func() { _ = rep.ExecuteRaw(req) })
+	if extra := hitBytes - keyBytes; extra < uint64(len(want)) || extra > uint64(len(want))*5/4+64 {
+		t.Fatalf("a hit allocated %d bytes beyond its key for a %d-byte answer", extra, len(want))
 	}
 }

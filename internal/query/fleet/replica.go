@@ -111,25 +111,32 @@ func (r *Replica) Cache() *query.ResponseCache {
 	return r.cache
 }
 
-// Execute answers one request against the snapshot's current sealed height,
-// collapsing concurrent identical questions (by semantic key, ignoring the
-// per-attempt request ID) onto one computation.
+// Execute answers one request against the snapshot's current sealed height
+// (ExecuteRaw, parsed).
 func (r *Replica) Execute(req *query.Request) *query.Response {
-	r.met.served.Inc()
-	raw, _ := r.cache.Do(req.SemanticKey(), func() []byte {
-		ep := r.snap.acquire()
-		defer ep.release()
-		canon := *req
-		canon.ID = 0
-		return query.Execute(ep.sp, &canon).Marshal()
-	})
-	resp, err := query.UnmarshalResponse(raw)
+	resp, err := query.UnmarshalResponse(r.ExecuteRaw(req))
 	if err != nil {
-		// Impossible for bytes we just marshaled; fail loudly per request.
+		// Impossible for bytes we marshaled; fail loudly per request.
 		return &query.Response{ID: req.ID, Err: "fleet: corrupt cached response"}
 	}
-	resp.ID = req.ID
 	return resp
+}
+
+// ExecuteRaw answers one request with its serialized response, collapsing
+// concurrent identical questions (by semantic key, ignoring the per-attempt
+// request ID) onto one computation. The cache holds the canonical answer
+// (ID 0); a hit is served by copying it with the request's ID written over
+// that zero, never by decoding and re-encoding it.
+func (r *Replica) ExecuteRaw(req *query.Request) []byte {
+	r.met.served.Inc()
+	canon, _ := r.cache.Do(req.SemanticKey(), func() []byte {
+		ep := r.snap.acquire()
+		defer ep.release()
+		c := *req
+		c.ID = 0
+		return query.Execute(ep.sp, &c).Marshal()
+	})
+	return query.WithResponseID(canon, req.ID)
 }
 
 // Tip returns the chain tip header this shard serves at, pinned to a sealed

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -200,6 +202,15 @@ func (r *Response) Marshal() []byte {
 	e.PutString(r.Err)
 	e.PutBytes(r.Body)
 	return e.Bytes()
+}
+
+// WithResponseID returns a copy of a marshaled response answering request
+// id. The ID is the encoding's first 8 bytes, so a cached canonical answer
+// (ID 0) serves any request for one allocation, without being decoded.
+func WithResponseID(raw []byte, id uint64) []byte {
+	out := slices.Clone(raw)
+	binary.BigEndian.PutUint64(out, id)
+	return out
 }
 
 // UnmarshalResponse parses a response.

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -73,10 +74,12 @@ type ClientStats struct {
 type Client struct {
 	cfg  ClientConfig
 	conn net.Conn
+	r    *bufio.Reader // read by Dial's handshake, then readLoop
 
 	// wmu serializes frame writes, which also serializes this client's
 	// publishes: per-publisher order on the wire follows from it.
 	wmu sync.Mutex
+	w   *frameWriter
 
 	mu      sync.Mutex
 	subs    map[uint64]*network.Subscription
@@ -113,12 +116,13 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
 
+	r, w := bufio.NewReaderSize(conn, readBufferSize), newFrameWriter(conn)
 	conn.SetDeadline(time.Now().Add(cfg.DialTimeout))
-	if err := writeFrame(conn, (&helloMsg{version: ProtocolVersion, name: cfg.Name}).encode()); err != nil {
+	if err := w.write((&helloMsg{version: ProtocolVersion, name: cfg.Name}).encode(), nil); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	body, err := readFrame(conn)
+	body, err := readFrame(r)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadHandshake, err)
@@ -155,6 +159,8 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		cfg:     cfg,
 		conn:    conn,
+		r:       r,
+		w:       w,
 		subs:    make(map[uint64]*network.Subscription),
 		subAcks: make(map[uint64]chan struct{}),
 		pending: make(map[uint64]chan *responseMsg),
@@ -220,7 +226,8 @@ func (c *Client) Subscribe(topic string, depth int) *network.Subscription {
 	return sub
 }
 
-// Request runs one RPC round trip against the server's route table.
+// Request runs one RPC round trip against the server's route table. The
+// returned body aliases the response's frame, which nothing else holds.
 func (c *Client) Request(method string, body []byte) ([]byte, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -286,7 +293,7 @@ func (c *Client) send(frame []byte) error {
 	c.mu.Unlock()
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeFrame(c.conn, frame); err != nil {
+	if err := c.w.write(frame, nil); err != nil {
 		c.shutdown(err)
 		return err
 	}
@@ -307,7 +314,7 @@ func (c *Client) unsubscribe(id uint64) {
 		return
 	}
 	c.wmu.Lock()
-	writeFrame(c.conn, (&unsubscribeMsg{id: id}).encode())
+	c.w.write((&unsubscribeMsg{id: id}).encode(), nil)
 	c.wmu.Unlock()
 }
 
@@ -331,7 +338,7 @@ func (c *Client) dropPending(id uint64) {
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
 	for {
-		body, err := readFrame(c.conn)
+		body, err := readFrame(c.r)
 		if err != nil {
 			c.shutdown(err)
 			return

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"slices"
 )
 
@@ -92,11 +93,60 @@ func DecodeFrame(buf []byte) (body []byte, n int, err error) {
 	return body, frameHeaderSize + int(size), nil
 }
 
-// writeFrame writes one framed body in a single Write call, so a frame is
-// never interleaved with another writer's bytes on the same stream.
-func writeFrame(w io.Writer, body []byte) error {
-	buf := AppendFrame(make([]byte, 0, frameHeaderSize+len(body)), body)
-	if _, err := w.Write(buf); err != nil {
+// smallFrame is the largest frame (header included) the writer copies into
+// one contiguous write. A larger frame on a plain TCP connection goes out as
+// one vectored write — frame header and message head, then the caller's
+// body — so a big handler response is never copied on its way out.
+const smallFrame = 4 << 10
+
+// readBufferSize is each connection's buffered-reader size: many small
+// frames come off the socket in one read, while a body larger than the
+// buffer is read straight into its own allocation.
+const readBufferSize = 4 << 10
+
+// frameWriter writes whole frames onto one connection. A frame is one write
+// call (or one vectored write), so it is never interleaved with another
+// writer's bytes on the stream; callers serialize write. Its memory is
+// bounded: scratch holds at most one small frame.
+type frameWriter struct {
+	conn net.Conn
+	// vectored is set for a plain TCP connection, which takes writev. Any
+	// other connection, TLS in particular, gets every frame in one Write
+	// (one TLS record rather than one per part).
+	vectored bool
+	hdr      [frameHeaderSize]byte
+	scratch  []byte
+	iov      [3][]byte
+	bufs     net.Buffers
+}
+
+func newFrameWriter(conn net.Conn) *frameWriter {
+	_, vectored := conn.(*net.TCPConn)
+	return &frameWriter{conn: conn, vectored: vectored}
+}
+
+// write sends one frame whose body is head ‖ body. A small frame is copied
+// into scratch and written once; a large one is written vectored without a
+// copy, or, on a connection without writev, copied once into its own buffer.
+func (w *frameWriter) write(head, body []byte) error {
+	size := len(head) + len(body)
+	binary.BigEndian.PutUint32(w.hdr[:4], uint32(size))
+	binary.BigEndian.PutUint32(w.hdr[4:], crc32.Update(crc32.Checksum(head, crcTable), crcTable, body))
+	var err error
+	switch {
+	case frameHeaderSize+size <= smallFrame:
+		w.scratch = append(append(append(w.scratch[:0], w.hdr[:]...), head...), body...)
+		_, err = w.conn.Write(w.scratch)
+	case w.vectored:
+		// WriteTo consumes bufs and clears iov's entries as they are sent,
+		// so the writer keeps no reference to head or body.
+		w.iov = [3][]byte{w.hdr[:], head, body}
+		w.bufs = w.iov[:]
+		_, err = w.bufs.WriteTo(w.conn)
+	default:
+		_, err = w.conn.Write(slices.Concat(w.hdr[:], head, body))
+	}
+	if err != nil {
 		return fmt.Errorf("transport: write frame: %w", err)
 	}
 	return nil

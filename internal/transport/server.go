@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"crypto/tls"
 	"errors"
 	"fmt"
@@ -34,6 +35,9 @@ var (
 
 // Handler answers one RPC call. The returned bytes are the response body; a
 // non-nil error is reported to the remote caller as a remote error string.
+// The transport writes the body to the socket as it is, without copying it
+// first, and never modifies it, so a handler may return bytes it keeps and
+// shares between calls (a memo of encoded answers).
 type Handler func(body []byte) ([]byte, error)
 
 // ServerConfig tunes a wire server.
@@ -202,7 +206,9 @@ func (s *Server) acceptLoop() {
 		c := &serverConn{
 			srv:   s,
 			conn:  conn,
-			sendq: make(chan []byte, s.cfg.QueueDepth),
+			r:     bufio.NewReaderSize(conn, readBufferSize),
+			w:     newFrameWriter(conn),
+			sendq: make(chan outFrame, s.cfg.QueueDepth),
 			done:  make(chan struct{}),
 			subs:  make(map[uint64]*network.Subscription),
 		}
@@ -225,8 +231,10 @@ func (s *Server) acceptLoop() {
 type serverConn struct {
 	srv   *Server
 	conn  net.Conn
-	name  string // remote identity from the handshake
-	sendq chan []byte
+	r     *bufio.Reader // read by the handshake, then the reader goroutine
+	w     *frameWriter  // written by the handshake, then the writer goroutine
+	name  string        // remote identity from the handshake
+	sendq chan outFrame
 	done  chan struct{}
 
 	closeOnce sync.Once
@@ -269,7 +277,7 @@ func (c *serverConn) serve() {
 	go c.writeLoop()
 
 	for {
-		body, err := readFrame(c.conn)
+		body, err := readFrame(c.r)
 		if err != nil {
 			return
 		}
@@ -285,7 +293,7 @@ func (c *serverConn) handshake() error {
 	c.conn.SetDeadline(deadline)
 	defer c.conn.SetDeadline(time.Time{})
 
-	body, err := readFrame(c.conn)
+	body, err := readFrame(c.r)
 	if err != nil {
 		return err
 	}
@@ -303,11 +311,11 @@ func (c *serverConn) handshake() error {
 	if hello.version != ProtocolVersion {
 		// Best effort: the peer learns why it was rejected only if the
 		// write lands; either way the connection ends here.
-		writeFrame(c.conn, (&responseMsg{errMsg: fmt.Sprintf("protocol version %d not supported (want %d)", hello.version, ProtocolVersion)}).encode())
+		c.w.write((&responseMsg{errMsg: fmt.Sprintf("protocol version %d not supported (want %d)", hello.version, ProtocolVersion)}).encode(), nil)
 		return fmt.Errorf("%w: client speaks %d, server %d", ErrVersionMismatch, hello.version, ProtocolVersion)
 	}
 	c.name = hello.name
-	return writeFrame(c.conn, (&welcomeMsg{version: ProtocolVersion}).encode())
+	return c.w.write((&welcomeMsg{version: ProtocolVersion}).encode(), nil)
 }
 
 // dispatch handles one inbound frame. A returned error is terminal for the
@@ -383,7 +391,7 @@ func (c *serverConn) subscribe(m *subscribeMsg) {
 	c.srv.subCount.Add(1)
 	c.fwdWG.Add(1)
 	go c.forward(m.id, sub)
-	c.enqueueControl((&subscribedMsg{id: m.id}).encode())
+	c.enqueueControl(outFrame{head: (&subscribedMsg{id: m.id}).encode()})
 }
 
 // forward streams one subscription's hub deliveries to the peer until the
@@ -399,7 +407,7 @@ func (c *serverConn) forward(subID uint64, sub *network.Subscription) {
 		}
 		frame := (&messageMsg{subID: subID, topic: m.Topic, from: m.From, payload: payload}).encode()
 		select {
-		case c.sendq <- frame:
+		case c.sendq <- outFrame{head: frame}:
 			c.srv.sent.Add(1)
 		default:
 			c.srv.slowDrops.Add(1) // slow consumer: drop, as the hub would
@@ -407,7 +415,8 @@ func (c *serverConn) forward(subID uint64, sub *network.Subscription) {
 	}
 }
 
-// serveRequest runs one RPC call and enqueues its response.
+// serveRequest runs one RPC call and enqueues its response: the message
+// head, with the handler's body queued behind it uncopied.
 func (c *serverConn) serveRequest(m *requestMsg) {
 	defer c.srv.wg.Done()
 	c.srv.requests.Add(1)
@@ -422,13 +431,25 @@ func (c *serverConn) serveRequest(m *requestMsg) {
 	} else {
 		resp.errMsg = fmt.Sprintf("%v: %q", ErrUnknownMethod, m.method)
 	}
-	c.enqueueControl(resp.encode())
+	c.enqueueControl(outFrame{head: resp.encodeHead(), body: resp.body})
+}
+
+// outFrame is one queued frame: its body is head ‖ body, written without
+// joining them first (frameWriter.write).
+type outFrame struct {
+	head, body []byte
 }
 
 // enqueueControl queues a frame the protocol must not drop (acks, RPC
 // responses). It applies backpressure up to WriteTimeout; a peer that
-// cannot absorb control traffic in that window is terminated.
-func (c *serverConn) enqueueControl(frame []byte) {
+// cannot absorb control traffic in that window is terminated. A queue with
+// room takes the frame at once, without arming the timer.
+func (c *serverConn) enqueueControl(frame outFrame) {
+	select {
+	case c.sendq <- frame:
+		return
+	default:
+	}
 	t := time.NewTimer(c.srv.cfg.WriteTimeout)
 	defer t.Stop()
 	select {
@@ -448,7 +469,7 @@ func (c *serverConn) writeLoop() {
 			return
 		case frame := <-c.sendq:
 			c.conn.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-			if err := writeFrame(c.conn, frame); err != nil {
+			if err := c.w.write(frame.head, frame.body); err != nil {
 				c.close()
 				return
 			}

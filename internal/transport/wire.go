@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"dcert/internal/chash"
 )
@@ -11,6 +12,10 @@ import (
 // is the kind-specific encoding (chash canonical codec, like every other
 // DCert wire format). The protocol is strictly client-initiated except for
 // kindMessage, which the server pushes for topic deliveries.
+//
+// A decoded message's byte fields (payloads, request and response bodies)
+// alias its frame: readFrame allocates every frame afresh and nothing
+// writes to it afterwards, so the body need not be copied out.
 
 // Protocol errors.
 var (
@@ -224,7 +229,7 @@ func decodePublish(d *chash.Decoder) (*publishMsg, error) {
 	if m.from, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("transport: publish: %w", err)
 	}
-	if m.payload, err = d.ReadBytes(); err != nil {
+	if m.payload, err = d.ReadBytesShared(); err != nil {
 		return nil, fmt.Errorf("transport: publish: %w", err)
 	}
 	if err := d.Finish(); err != nil {
@@ -263,7 +268,7 @@ func decodeMessage(d *chash.Decoder) (*messageMsg, error) {
 	if m.from, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("transport: message: %w", err)
 	}
-	if m.payload, err = d.ReadBytes(); err != nil {
+	if m.payload, err = d.ReadBytesShared(); err != nil {
 		return nil, fmt.Errorf("transport: message: %w", err)
 	}
 	if err := d.Finish(); err != nil {
@@ -297,7 +302,7 @@ func decodeRequest(d *chash.Decoder) (*requestMsg, error) {
 	if m.method, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("transport: request: %w", err)
 	}
-	if m.body, err = d.ReadBytes(); err != nil {
+	if m.body, err = d.ReadBytesShared(); err != nil {
 		return nil, fmt.Errorf("transport: request: %w", err)
 	}
 	if err := d.Finish(); err != nil {
@@ -314,11 +319,17 @@ type responseMsg struct {
 }
 
 func (m *responseMsg) encode() []byte {
-	e := chash.NewEncoder(32 + len(m.errMsg) + len(m.body))
+	return slices.Concat(m.encodeHead(), m.body)
+}
+
+// encodeHead renders the response up to its body: the frame writer sends
+// the handler's body bytes behind it as they are.
+func (m *responseMsg) encodeHead() []byte {
+	e := chash.NewEncoder(17 + len(m.errMsg))
 	e.PutByte(kindResponse)
 	e.PutUint64(m.id)
 	e.PutString(m.errMsg)
-	e.PutBytes(m.body)
+	e.PutUint32(uint32(len(m.body)))
 	return e.Bytes()
 }
 
@@ -331,7 +342,7 @@ func decodeResponse(d *chash.Decoder) (*responseMsg, error) {
 	if m.errMsg, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("transport: response: %w", err)
 	}
-	if m.body, err = d.ReadBytes(); err != nil {
+	if m.body, err = d.ReadBytesShared(); err != nil {
 		return nil, fmt.Errorf("transport: response: %w", err)
 	}
 	if err := d.Finish(); err != nil {

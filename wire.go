@@ -3,6 +3,7 @@ package dcert
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"dcert/internal/chain"
@@ -156,20 +157,75 @@ func decodeBundle(raw []byte) (*CertBundle, error) {
 }
 
 // encodeBootstrapPath renders a WireRouteBootstrap response: a count, then
-// each segment's canonical bytes, length-prefixed.
+// each segment's canonical bytes, length-prefixed. The path is sized first
+// and encoded in place, into one buffer of exactly its length.
 func encodeBootstrapPath(path []*SegmentCert) []byte {
-	raws := make([][]byte, len(path))
 	size := 4
-	for i, seg := range path {
-		raws[i] = seg.Marshal()
-		size += 4 + len(raws[i])
+	for _, seg := range path {
+		size += 4 + seg.EncodedSize()
 	}
 	e := chash.NewEncoder(size)
 	e.PutUint32(uint32(len(path)))
-	for _, raw := range raws {
-		e.PutBytes(raw)
+	for _, seg := range path {
+		e.PutUint32(uint32(seg.EncodedSize()))
+		seg.Encode(e)
 	}
 	return e.Bytes()
+}
+
+// bootstrapMemoAnchors bounds the bootstrap memo: the anchors it keeps an
+// encoded path for at one tip segment.
+const bootstrapMemoAnchors = 16
+
+// bootstrapMemo answers WireRouteBootstrap from encoded paths. A path is a
+// function of the tip segment and the anchor, and fresh clients pinning the
+// same anchor (genesis, a checkpoint) ask for the same bytes until the next
+// segment lands, so each path is encoded once per tip and repeats are served
+// from the memo. The memo belongs to one tip: the first request that sees a
+// newer tip drops it. An empty path (no segment yet, or a tip block still
+// being certified) is never stored.
+type bootstrapMemo struct {
+	mu    sync.Mutex
+	tip   *SegmentCert
+	paths map[uint64][]byte // by anchor height, at most bootstrapMemoAnchors
+}
+
+// path returns the encoded bootstrap path from the issuer's tip down to
+// anchor.
+func (m *bootstrapMemo) path(issuer *core.Issuer, anchor uint64) []byte {
+	tip := issuer.LatestSegment()
+	if tip == nil {
+		return encodeBootstrapPath(nil)
+	}
+	m.mu.Lock()
+	if m.tip != tip && (m.tip == nil || tip.End() >= m.tip.End()) {
+		m.tip, m.paths = tip, make(map[uint64][]byte)
+	}
+	raw, ok := m.paths[anchor]
+	if m.tip != tip {
+		ok = false // this request read an older tip than the memo's
+	}
+	m.mu.Unlock()
+	if ok {
+		return raw
+	}
+	path := issuer.BootstrapPath(anchor)
+	raw = encodeBootstrapPath(path)
+	if len(path) == 0 || path[0] != tip {
+		return raw // a segment landed since LatestSegment: not this tip's
+	}
+	m.mu.Lock()
+	if m.tip == tip {
+		if len(m.paths) >= bootstrapMemoAnchors {
+			for a := range m.paths {
+				delete(m.paths, a) // make room: any one anchor goes
+				break
+			}
+		}
+		m.paths[anchor] = raw
+	}
+	m.mu.Unlock()
+	return raw
 }
 
 // decodeBootstrapPath parses an untrusted WireRouteBootstrap response. The
@@ -262,12 +318,13 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		}
 		return seg.Marshal(), nil
 	})
+	memo := new(bootstrapMemo)
 	srv.Handle(WireRouteBootstrap, func(body []byte) ([]byte, error) {
 		anchor, err := decodeHeightRequest(body)
 		if err != nil {
 			return nil, fmt.Errorf("bootstrap request: %w", err)
 		}
-		return encodeBootstrapPath(d.issuer.BootstrapPath(anchor)), nil
+		return memo.path(d.issuer, anchor), nil
 	})
 	srv.Handle(WireRouteQuery, func(body []byte) ([]byte, error) {
 		// With a fleet started, wire queries route through the
