@@ -105,8 +105,9 @@ bench-json:
 
 # Fuzz smoke for the decoders of untrusted bytes: the transport's frame
 # decoder and its protocol messages (the first bytes any TCP peer reaches),
-# the query wire codecs (the batch multiproof decoder and the canonical
-# request round trip), the segment certificate codec, the dcert/bootstrap
+# the query wire codecs (the batch multiproof decoder, the canonical
+# request round trip, and every decoder a client runs on an SP's answer),
+# the segment certificate codec, the dcert/bootstrap
 # response (a count of segments), the block and transaction codecs (network
 # bytes, and every block a durable node reads back from its chain log), and
 # the state record the storage engine reads back from its WAL and snapshot.
@@ -117,6 +118,7 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzWireMessages$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
+	$(GO) test -run='^$$' -fuzz='^FuzzClientAnswerDecoders$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStateRecord$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBlock$$' -fuzztime=10s ./internal/chain/

@@ -151,18 +151,16 @@ func run() error {
 }
 
 // runServer runs the node as a long-lived wire server: a certification
-// plane with catch-up responders, the networked query service, and the TCP
-// transport bridged onto the deployment's fabric. It mines the requested
-// blocks (each broadcast as a live CertBundle on the certificate topic),
-// then serves until SIGINT/SIGTERM.
+// plane with catch-up responders, and the TCP transport bridged onto the
+// deployment's fabric, with the query route among its RPC routes. It mines
+// the requested blocks (each broadcast as a live CertBundle on the
+// certificate topic), then serves until SIGINT/SIGTERM.
 func runServer(dep *dcert.Deployment, addr string, blocks, txs int, interval time.Duration) error {
 	plane, err := dep.StartCertPlane(1)
 	if err != nil {
 		return err
 	}
 	defer plane.Stop()
-	qs := dep.ServeQueries()
-	defer qs.Stop()
 	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: addr})
 	if err != nil {
 		return err

@@ -88,7 +88,7 @@ func runRemote(addr, stateKey string) error {
 		}
 	}
 
-	// RPC path: one-shot request/response over the wire's route table.
+	// One request, one response on the wire's query route.
 	hdr, _ := client.Latest()
 	start = time.Now()
 	resp, err := dcert.RequestQuery(wc, dcert.NewRemoteStateRequest(stateKey))
@@ -108,20 +108,6 @@ func runRemote(addr, stateKey string) error {
 	}
 	fmt.Printf("state query %q (RPC path): %s, value %x, proof %d bytes, VERIFIED in %v\n",
 		stateKey, presence, res.Value, res.EncodedSize(), time.Since(start).Round(time.Microsecond))
-
-	// Topic path: the same query through the streaming pub/sub fabric —
-	// the wire client is a drop-in network bus.
-	req := dcert.NewQueryRequesterOver(wc, 5*time.Second)
-	defer req.Close()
-	start = time.Now()
-	res2, err := req.State(stateKey)
-	if err != nil {
-		return err
-	}
-	if err := dcert.VerifyState(hdr, res2); err != nil {
-		return fmt.Errorf("state verification (topic path) FAILED: %w", err)
-	}
-	fmt.Printf("state query %q (topic path): VERIFIED in %v\n", stateKey, time.Since(start).Round(time.Microsecond))
 	return nil
 }
 

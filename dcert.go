@@ -37,8 +37,6 @@
 package dcert
 
 import (
-	"time"
-
 	"dcert/internal/attest"
 	"dcert/internal/chain"
 	"dcert/internal/chash"
@@ -205,10 +203,6 @@ const (
 	TopicIndexCerts = network.TopicIndexCerts
 	// TopicCertRequests carries clients' certificate catch-up requests.
 	TopicCertRequests = network.TopicCertRequests
-	// TopicQueries carries serialized query requests to the SP.
-	TopicQueries = query.TopicQueries
-	// TopicQueryResults carries the SP's serialized answers.
-	TopicQueryResults = query.TopicResults
 )
 
 // Fault injection (package internal/network): deterministic adversarial
@@ -303,37 +297,3 @@ const (
 	// StateBackendSMT is the Fig. 4 sparse-Merkle-tree state.
 	StateBackendSMT = statedb.BackendSMT
 )
-
-// Networked query service: the SP answers serialized queries over the
-// deployment's fabric; clients verify the responses locally.
-type (
-	// QueryServer runs a ServiceProvider behind the network's query topic.
-	QueryServer = query.Server
-	// QueryRequester issues queries over the network.
-	QueryRequester = query.Requester
-)
-
-// QueryRetryPolicy bounds and paces a requester's attempts.
-type QueryRetryPolicy = query.RetryPolicy
-
-// DefaultQueryRetryPolicy is the requester's standard backoff schedule.
-func DefaultQueryRetryPolicy() QueryRetryPolicy {
-	return query.DefaultRetryPolicy()
-}
-
-// ServeQueries starts answering query requests on the deployment's network.
-func (d *Deployment) ServeQueries() *QueryServer {
-	return query.Serve(d.sp, d.net)
-}
-
-// NewQueryRequester creates a networked query client on the deployment's
-// fabric with the given per-attempt timeout and the default retry policy.
-func (d *Deployment) NewQueryRequester(timeout time.Duration) *QueryRequester {
-	return query.NewRequester(d.net, timeout)
-}
-
-// NewQueryRequesterWithPolicy creates a networked query client with an
-// explicit retry policy (MaxAttempts: 1 restores single-shot behavior).
-func (d *Deployment) NewQueryRequesterWithPolicy(timeout time.Duration, policy QueryRetryPolicy) *QueryRequester {
-	return query.NewRequesterWithPolicy(d.net, timeout, policy)
-}

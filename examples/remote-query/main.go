@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"dcert"
 )
@@ -57,32 +56,48 @@ func main() {
 		}
 	}
 
-	// Stand up the SP's network query service and a remote client.
-	server := dep.ServeQueries()
-	defer server.Stop()
-	requester := dep.NewQueryRequester(2 * time.Second)
-	defer requester.Close()
+	// Serve the deployment on a loopback socket and dial it as a remote
+	// client: every query is one request and one response on the wire's
+	// query route.
+	server, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		logger.Fatal("serve wire", dcert.LogF("err", err))
+	}
+	defer server.Close()
+	wc, err := dcert.DialWire(server.Addr(), dcert.WireClientConfig{Name: "remote-query"})
+	if err != nil {
+		logger.Fatal("dial wire", dcert.LogF("err", err))
+	}
+	defer wc.Close()
 
 	// 1. Remote historical query, verified against the certified root.
 	root, _, err := client.IndexRoot("history")
 	if err != nil {
 		logger.Fatal("index root", dcert.LogF("err", err))
 	}
-	hres, err := requester.Historical("history", "ct/SB-0000/checking/cust-4", 0, 100)
+	resp, err := dcert.RequestQuery(wc, dcert.NewRemoteHistoricalRequest("history", "ct/SB-0000/checking/cust-4", 0, 100))
 	if err != nil {
 		logger.Fatal("remote historical", dcert.LogF("err", err))
+	}
+	hres, err := dcert.ParseHistoricalResult(resp)
+	if err != nil {
+		logger.Fatal("historical result", dcert.LogF("err", err))
 	}
 	if err := dcert.VerifyHistorical(root, hres); err != nil {
 		logger.Fatal("verification failed", dcert.LogF("err", err))
 	}
 	fmt.Printf("remote historical query: %d verified versions (%d B over the wire)\n",
-		len(hres.Entries), len(hres.Marshal()))
+		len(hres.Entries), len(resp.Body))
 
 	// 2. Remote direct state read, verified against the certified header.
 	hdr, _ := client.Latest()
-	sres, err := requester.State("ct/SB-0000/checking/cust-4")
+	resp, err = dcert.RequestQuery(wc, dcert.NewRemoteStateRequest("ct/SB-0000/checking/cust-4"))
 	if err != nil {
 		logger.Fatal("remote state", dcert.LogF("err", err))
+	}
+	sres, err := dcert.ParseStateResult(resp)
+	if err != nil {
+		logger.Fatal("state result", dcert.LogF("err", err))
 	}
 	if err := dcert.VerifyState(hdr, sres); err != nil {
 		logger.Fatal("state verification failed", dcert.LogF("err", err))
@@ -90,7 +105,7 @@ func main() {
 	fmt.Printf("remote state read verified against certified header at height %d\n", hdr.Height)
 
 	// 3. A remote error round-trips cleanly.
-	if _, err := requester.Historical("no-such-index", "k", 0, 1); err != nil {
+	if _, err := dcert.RequestQuery(wc, dcert.NewRemoteHistoricalRequest("no-such-index", "k", 0, 1)); err != nil {
 		fmt.Printf("remote errors propagate: %v\n", err)
 	}
 }

@@ -14,9 +14,8 @@ import (
 // produced, so the serving plane validates a block once — while queries
 // split by key affinity: each shard owns a stable ~1/N slice of the key
 // space and serves it from a warm byte-bounded cache with singleflight
-// collapsing. Both serving doors route through the fleet once it is
-// started: the in-process fabric (ServeFleetQueries) and the TCP wire
-// transport (ServeWire's query route).
+// collapsing. Once the fleet is started, ServeWire's query route answers
+// through it.
 
 // Fleet types (package internal/query/fleet).
 type (
@@ -26,8 +25,6 @@ type (
 	QueryReplica = fleet.Replica
 	// FleetRouter is the rendezvous-hashing consistent router.
 	FleetRouter = fleet.Router
-	// FleetBusServer serves the query topic across the fleet's replicas.
-	FleetBusServer = fleet.BusServer
 )
 
 // StartFleet builds an n-shard serving fleet for the deployment: one full
@@ -92,18 +89,6 @@ func (d *Deployment) StartFleet(n int) (*QueryFleet, error) {
 // Fleet returns the serving fleet (nil until StartFleet).
 func (d *Deployment) Fleet() *QueryFleet {
 	return d.fleet.Load()
-}
-
-// ServeFleetQueries runs the fleet behind the deployment's fabric query
-// topic with the given per-shard worker count (0 = default). It replaces
-// the single-SP query server — do not run both on one fabric, or every
-// request is answered twice.
-func (d *Deployment) ServeFleetQueries(workers int) (*FleetBusServer, error) {
-	f := d.fleet.Load()
-	if f == nil {
-		return nil, fmt.Errorf("dcert: no fleet (call StartFleet first)")
-	}
-	return f.ServeBus(d.net, workers), nil
 }
 
 // feedServing advances the serving plane one block. The primary SP executes

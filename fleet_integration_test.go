@@ -3,7 +3,6 @@ package dcert_test
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"dcert"
 	"dcert/internal/query"
@@ -30,7 +29,7 @@ func probeWrittenKey(t *testing.T, dep *dcert.Deployment) string {
 // TestFleetDeploymentEndToEnd drives the full sharded serving plane: a
 // deployment with an index mines certified blocks, starts a 4-replica
 // fleet mid-chain (exercising replica catch-up), and serves verified
-// queries through both doors — the fabric topic path and the TCP wire RPC.
+// queries over the TCP wire RPC.
 func TestFleetDeploymentEndToEnd(t *testing.T) {
 	dep, err := dcert.NewDeployment(dcert.Config{
 		Workload:   dcert.KVStore,
@@ -85,23 +84,7 @@ func TestFleetDeploymentEndToEnd(t *testing.T) {
 	}
 	key := probeWrittenKey(t, dep)
 
-	// Door 1: the fabric topic path, served by the fleet's bus server.
-	bsrv, err := dep.ServeFleetQueries(2)
-	if err != nil {
-		t.Fatalf("ServeFleetQueries: %v", err)
-	}
-	defer bsrv.Stop()
-	req := dcert.NewQueryRequesterOver(dep.Net(), 2*time.Second)
-	defer req.Close()
-	sr, err := req.State(key)
-	if err != nil {
-		t.Fatalf("State over fabric: %v", err)
-	}
-	if err := dcert.VerifyState(&lastBlk.Header, sr); err != nil {
-		t.Fatalf("VerifyState (fabric door): %v", err)
-	}
-
-	// Door 2: the TCP wire RPC path.
+	// The TCP wire RPC path.
 	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("ServeWire: %v", err)
@@ -122,7 +105,7 @@ func TestFleetDeploymentEndToEnd(t *testing.T) {
 		t.Fatalf("UnmarshalStateResult: %v", err)
 	}
 	if err := dcert.VerifyState(&lastBlk.Header, wsr); err != nil {
-		t.Fatalf("VerifyState (wire door): %v", err)
+		t.Fatalf("VerifyState: %v", err)
 	}
 
 	// Batched multi-key read over the wire: one merged multiproof.
@@ -135,7 +118,7 @@ func TestFleetDeploymentEndToEnd(t *testing.T) {
 		t.Fatalf("UnmarshalBatchStateResult: %v", err)
 	}
 	if err := dcert.VerifyBatchState(&lastBlk.Header, br); err != nil {
-		t.Fatalf("VerifyBatchState (wire door): %v", err)
+		t.Fatalf("VerifyBatchState: %v", err)
 	}
 
 	// The fleet actually answered: per-replica counters sum to the traffic.

@@ -332,12 +332,14 @@ func RunServing(scale Scale) (*ServingResult, error) {
 			req.ID = id
 			ready.Done()
 			<-gate
-			resp := fleet.Handle(req)
-			if resp.Err != "" {
-				burstErr.CompareAndSwap(nil, fmt.Errorf("burst: remote: %s", resp.Err))
-				return
+			resp, err := query.UnmarshalResponse(fleet.HandleRaw(req.Marshal()))
+			if err == nil && resp.Err != "" {
+				err = fmt.Errorf("remote: %s", resp.Err)
 			}
-			r, err := query.UnmarshalStateResult(resp.Body)
+			var r *query.StateResult
+			if err == nil {
+				r, err = query.UnmarshalStateResult(resp.Body)
+			}
 			if err == nil {
 				err = query.VerifyState(hdr, r)
 			}

@@ -178,9 +178,7 @@ func TestBatchRequestWireRoundTrip(t *testing.T) {
 }
 
 func TestNetworkedBatchState(t *testing.T) {
-	r, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
+	r, c := servedRig(t)
 	tip := r.sp.Node().Tip()
 	ix, err := r.sp.Index("hist")
 	if err != nil {
@@ -189,9 +187,9 @@ func TestNetworkedBatchState(t *testing.T) {
 	// The historical index covers written state keys, so it supplies a
 	// present key regardless of workload.
 	keys := []string{anyIndexedKey(t, ix), "never-written"}
-	res, err := req.BatchState(keys)
+	res, err := UnmarshalBatchStateResult(askOK(t, c, NewBatchStateRequest(keys)).Body)
 	if err != nil {
-		t.Fatalf("BatchState: %v", err)
+		t.Fatalf("UnmarshalBatchStateResult: %v", err)
 	}
 	if err := VerifyBatchState(&tip.Header, res); err != nil {
 		t.Fatalf("VerifyBatchState over the wire: %v", err)

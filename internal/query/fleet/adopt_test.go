@@ -11,7 +11,6 @@ import (
 
 	"dcert/internal/chain"
 	"dcert/internal/chash"
-	"dcert/internal/network"
 	"dcert/internal/node"
 	"dcert/internal/obs"
 	"dcert/internal/query"
@@ -48,7 +47,7 @@ func viewOf(t *testing.T, rep *Replica, key string) shardView {
 		{query.NewStateRequest(key), &v.state},
 		{query.NewHistoricalRequest("hist", key, 0, 1<<40), &v.hist},
 	} {
-		resp := rep.Execute(q.req)
+		resp := execute(rep, q.req)
 		if resp.Err != "" {
 			t.Fatalf("%s: Execute: %s", rep.Name(), resp.Err)
 		}
@@ -214,11 +213,10 @@ func (c *chainView) verify(req *query.Request, resp *query.Response) (uint64, er
 
 // Run with -race. Eight goroutines hammer HandleRaw with state, batch and
 // historical requests over the whole key space (every shard owns part of
-// it) and a bus server answers alongside, while 200 blocks are adopted.
-// Every response must prove, as a whole, at one height; a request issued
-// after AdoptBlock returned must prove at the new height on every shard
-// (no cache survives the epoch swap); and tearing everything down must
-// leave no goroutine behind.
+// it) while 200 blocks are adopted. Every response must prove, as a whole,
+// at one height; a request issued after AdoptBlock returned must prove at
+// the new height on every shard (no cache survives the epoch swap); and
+// tearing everything down must leave no goroutine behind.
 func TestFleetAdoptUnderLoad(t *testing.T) {
 	blocks := 200
 	if testing.Short() {
@@ -256,10 +254,6 @@ func TestFleetAdoptUnderLoad(t *testing.T) {
 		}
 	}
 
-	bus := network.New()
-	srv := r.fleet.ServeBus(bus, 2)
-	requester := query.NewRequester(bus, 5*time.Second)
-
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -285,28 +279,6 @@ func TestFleetAdoptUnderLoad(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			key := keys[i%len(keys)]
-			res, err := requester.State(key)
-			if err != nil {
-				t.Errorf("State over bus: %v", err)
-				return
-			}
-			if _, err := view.verify(query.NewStateRequest(key), &query.Response{Body: res.Marshal()}); err != nil {
-				t.Errorf("bus response for %q: %v", key, err)
-				return
-			}
-		}
-	}()
-
 	for i := 0; i < blocks; i++ {
 		blk, writes := r.mine(t, 4)
 		view.add(t, r.ref) // before the swap: parked readers serve it at once
@@ -314,7 +286,7 @@ func TestFleetAdoptUnderLoad(t *testing.T) {
 			t.Fatalf("AdoptBlock %d: %v", blk.Header.Height, err)
 		}
 		for owner, req := range probe {
-			at, err := view.verify(req, r.fleet.Handle(req))
+			at, err := view.verify(req, handle(r.fleet, req))
 			if err != nil {
 				t.Fatalf("probe on %s: %v", owner, err)
 			}
@@ -328,7 +300,7 @@ func TestFleetAdoptUnderLoad(t *testing.T) {
 
 	// Quiet now: warm every shard, swap once more, and every cache is empty.
 	for _, req := range reqs {
-		r.fleet.Handle(req)
+		handle(r.fleet, req)
 	}
 	shards := r.fleet.Router().Members()
 	for _, name := range shards {
@@ -348,9 +320,6 @@ func TestFleetAdoptUnderLoad(t *testing.T) {
 		}
 	}
 
-	requester.Close()
-	srv.Stop()
-	bus.Close()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > goroutines {
 		if time.Now().After(deadline) {
@@ -402,7 +371,7 @@ func TestFleetIngestIndependentOfShardCount(t *testing.T) {
 		if *late.Tip() != tip {
 			t.Fatalf("late shard at height %d, want %d", late.Tip().Height, tip.Height)
 		}
-		resp := late.Execute(query.NewStateRequest(kvKeys()[0]))
+		resp := execute(late, query.NewStateRequest(kvKeys()[0]))
 		if resp.Err != "" {
 			t.Fatalf("late shard: %s", resp.Err)
 		}

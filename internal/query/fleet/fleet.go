@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"dcert/internal/chain"
-	"dcert/internal/network"
 	"dcert/internal/obs"
 	"dcert/internal/query"
 )
@@ -23,7 +22,7 @@ import (
 // the first place (clients verify every answer against CI-certified roots),
 // so N byte-identical replicas bought no assurance a single one lacks.
 //
-// Fleet is safe for concurrent use on the read path (Handle/HandleRaw);
+// Fleet is safe for concurrent use on the read path (HandleRaw);
 // ProcessBlock/AdoptBlock and membership changes must be serialized by the
 // caller, as with a single SP.
 type Fleet struct {
@@ -154,15 +153,6 @@ func (f *Fleet) route(req *query.Request) (*Replica, error) {
 	return f.Replica(name)
 }
 
-// Handle answers one parsed request on the owning shard.
-func (f *Fleet) Handle(req *query.Request) *query.Response {
-	r, err := f.route(req)
-	if err != nil {
-		return &query.Response{ID: req.ID, Err: err.Error()}
-	}
-	return r.Execute(req)
-}
-
 // HandleRaw answers one serialized request — the entry point a transport
 // RPC route mounts. Safe for concurrent calls (the wire transport runs each
 // RPC in its own goroutine).
@@ -208,123 +198,5 @@ func (f *Fleet) Instrument(reg *obs.Registry) {
 	f.met.height.Set(int64(height))
 	for _, name := range f.router.Members() { // sorted: a stable exposition order
 		f.replicas[name].instrument(reg)
-	}
-}
-
-// DefaultQueueDepth bounds each replica's bus-serving queue.
-const DefaultQueueDepth = 256
-
-// DefaultWorkers is the per-replica worker count for bus serving.
-const DefaultWorkers = 4
-
-// BusServer runs a fleet behind the network's query topic, replacing the
-// single-SP query.Server: a dispatcher routes each request to the owning
-// replica's bounded queue, and per-replica workers execute and respond.
-type BusServer struct {
-	fleet *Fleet
-	bus   network.Bus
-	sub   *network.Subscription
-	done  chan struct{}
-	wg    sync.WaitGroup
-
-	mu     sync.Mutex
-	queues map[string]chan busTask
-}
-
-type busTask struct {
-	req *query.Request
-}
-
-// ServeBus starts serving the query topic across the fleet's replicas with
-// the given per-replica worker count (0 = DefaultWorkers).
-func (f *Fleet) ServeBus(bus network.Bus, workers int) *BusServer {
-	if workers <= 0 {
-		workers = DefaultWorkers
-	}
-	s := &BusServer{
-		fleet:  f,
-		bus:    bus,
-		sub:    bus.Subscribe(query.TopicQueries, 64),
-		done:   make(chan struct{}),
-		queues: make(map[string]chan busTask),
-	}
-	s.wg.Add(1)
-	go s.dispatch(workers)
-	return s
-}
-
-// Stop drains the server: the dispatcher exits, queues close, and workers
-// finish their in-flight requests.
-func (s *BusServer) Stop() {
-	s.sub.Cancel()
-	close(s.done)
-	s.wg.Wait()
-}
-
-// queueFor returns (creating on first use) the owning replica's queue.
-func (s *BusServer) queueFor(name string, workers int) chan busTask {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q, ok := s.queues[name]
-	if !ok {
-		q = make(chan busTask, DefaultQueueDepth)
-		s.queues[name] = q
-		for i := 0; i < workers; i++ {
-			s.wg.Add(1)
-			go s.worker(name, q)
-		}
-	}
-	return q
-}
-
-func (s *BusServer) dispatch(workers int) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		for _, q := range s.queues {
-			close(q)
-		}
-		s.mu.Unlock()
-	}()
-	for {
-		select {
-		case <-s.done:
-			return
-		case m, ok := <-s.sub.C:
-			if !ok {
-				return
-			}
-			raw, isBytes := m.Payload.([]byte)
-			if !isBytes {
-				continue
-			}
-			req, err := query.UnmarshalRequest(raw)
-			if err != nil {
-				continue // gossip path: malformed traffic is dropped
-			}
-			name, err := s.fleet.router.Route(req.AffinityKey())
-			if err != nil {
-				continue // empty fleet
-			}
-			if r, err := s.fleet.Replica(name); err == nil {
-				r.met.queueDepth.Add(1)
-				s.queueFor(name, workers) <- busTask{req: req}
-			}
-		}
-	}
-}
-
-func (s *BusServer) worker(name string, q chan busTask) {
-	defer s.wg.Done()
-	for task := range q {
-		r, err := s.fleet.Replica(name)
-		if err != nil {
-			continue
-		}
-		r.met.queueDepth.Add(-1)
-		respRaw := r.ExecuteRaw(task.req)
-		if err := s.bus.Publish(query.TopicResults, name, respRaw); err != nil {
-			return // fabric shut down
-		}
 	}
 }

@@ -2,16 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"dcert/internal/chain"
 	"dcert/internal/consensus"
-	"dcert/internal/network"
 	"dcert/internal/node"
 	"dcert/internal/query"
 	"dcert/internal/vm"
@@ -130,7 +127,7 @@ func writtenKey(t *testing.T, f *Fleet) string {
 	}
 	for i := 0; i < 100; i++ {
 		probe := "ct/" + workload.ContractName(workload.KVStore, 0) + "/kv/user-key-" + fmt.Sprintf("%d", i)
-		resp := rep.Execute(query.NewStateRequest(probe))
+		resp := execute(rep, query.NewStateRequest(probe))
 		if resp.Err != "" {
 			t.Fatalf("Execute: %s", resp.Err)
 		}
@@ -144,6 +141,25 @@ func writtenKey(t *testing.T, f *Fleet) string {
 	}
 	t.Skip("no written key found")
 	return ""
+}
+
+// handle answers req through the fleet's serving entry point, HandleRaw,
+// and parses the response.
+func handle(f *Fleet, req *query.Request) *query.Response {
+	return parse(f.HandleRaw(req.Marshal()))
+}
+
+// execute answers req on one shard and parses the response.
+func execute(rep *Replica, req *query.Request) *query.Response {
+	return parse(rep.ExecuteRaw(req))
+}
+
+func parse(raw []byte) *query.Response {
+	resp, err := query.UnmarshalResponse(raw)
+	if err != nil {
+		return &query.Response{Err: "unparseable response: " + err.Error()}
+	}
+	return resp
 }
 
 func TestFleetServesVerifiedQueries(t *testing.T) {
@@ -161,9 +177,9 @@ func TestFleetServesVerifiedQueries(t *testing.T) {
 	}
 
 	// Single-key via the fleet front door.
-	resp := r.fleet.Handle(query.NewStateRequest(key))
+	resp := handle(r.fleet, query.NewStateRequest(key))
 	if resp.Err != "" {
-		t.Fatalf("Handle: %s", resp.Err)
+		t.Fatalf("handle: %s", resp.Err)
 	}
 	sr, err := query.UnmarshalStateResult(resp.Body)
 	if err != nil {
@@ -174,9 +190,9 @@ func TestFleetServesVerifiedQueries(t *testing.T) {
 	}
 
 	// Batch via the fleet front door: one replica, one merged proof.
-	resp = r.fleet.Handle(query.NewBatchStateRequest([]string{key, "never-written"}))
+	resp = handle(r.fleet, query.NewBatchStateRequest([]string{key, "never-written"}))
 	if resp.Err != "" {
-		t.Fatalf("Handle(batch): %s", resp.Err)
+		t.Fatalf("handle(batch): %s", resp.Err)
 	}
 	br, err := query.UnmarshalBatchStateResult(resp.Body)
 	if err != nil {
@@ -187,9 +203,9 @@ func TestFleetServesVerifiedQueries(t *testing.T) {
 	}
 
 	// Historical query routes and verifies too.
-	resp = r.fleet.Handle(query.NewHistoricalRequest("hist", key, 0, 100))
+	resp = handle(r.fleet, query.NewHistoricalRequest("hist", key, 0, 100))
 	if resp.Err != "" {
-		t.Fatalf("Handle(historical): %s", resp.Err)
+		t.Fatalf("handle(historical): %s", resp.Err)
 	}
 	if _, err := query.UnmarshalHistoricalResult(resp.Body); err != nil {
 		t.Fatalf("UnmarshalHistoricalResult: %v", err)
@@ -228,8 +244,8 @@ func TestFleetAffinityPinsKeysToReplicas(t *testing.T) {
 	}
 	// Repeated queries for the same key hit only the owner's cache.
 	for i := 0; i < 10; i++ {
-		if resp := r.fleet.Handle(query.NewStateRequest(key)); resp.Err != "" {
-			t.Fatalf("Handle: %s", resp.Err)
+		if resp := handle(r.fleet, query.NewStateRequest(key)); resp.Err != "" {
+			t.Fatalf("handle: %s", resp.Err)
 		}
 	}
 	for _, name := range r.fleet.Router().Members() {
@@ -246,38 +262,6 @@ func TestFleetAffinityPinsKeysToReplicas(t *testing.T) {
 		} else if dh+dm != 0 {
 			t.Fatalf("non-owner %s touched: %d hits, %d misses", name, dh, dm)
 		}
-	}
-}
-
-func TestFleetServesBusTraffic(t *testing.T) {
-	r := newFleetRig(t, 3)
-	r.advance(t, 4, 12)
-	key := writtenKey(t, r.fleet)
-
-	bus := network.New()
-	defer bus.Close()
-	srv := r.fleet.ServeBus(bus, 2)
-	defer srv.Stop()
-	req := query.NewRequester(bus, 2*time.Second)
-	defer req.Close()
-
-	tip := mustTip(t, r.fleet, "sp-0")
-	sr, err := req.State(key)
-	if err != nil {
-		t.Fatalf("State over bus: %v", err)
-	}
-	if err := query.VerifyState(tip, sr); err != nil {
-		t.Fatalf("VerifyState: %v", err)
-	}
-	br, err := req.BatchState([]string{key, "never-written"})
-	if err != nil {
-		t.Fatalf("BatchState over bus: %v", err)
-	}
-	if err := query.VerifyBatchState(tip, br); err != nil {
-		t.Fatalf("VerifyBatchState: %v", err)
-	}
-	if _, err := req.Historical("ghost-index", key, 0, 1); !errors.Is(err, query.ErrRemote) {
-		t.Fatalf("want ErrRemote for unknown index, got %v", err)
 	}
 }
 
@@ -304,9 +288,9 @@ func TestFleetQueriesConcurrentWithBlockIngest(t *testing.T) {
 					return
 				default:
 				}
-				resp := r.fleet.Handle(query.NewStateRequest(key))
+				resp := handle(r.fleet, query.NewStateRequest(key))
 				if resp.Err != "" {
-					t.Errorf("Handle: %s", resp.Err)
+					t.Errorf("handle: %s", resp.Err)
 					return
 				}
 				sr, err := query.UnmarshalStateResult(resp.Body)
@@ -356,7 +340,7 @@ func TestFleetRemoveRedistributes(t *testing.T) {
 	if r.fleet.Size() != 2 {
 		t.Fatalf("Size = %d after remove", r.fleet.Size())
 	}
-	resp := r.fleet.Handle(query.NewStateRequest(key))
+	resp := handle(r.fleet, query.NewStateRequest(key))
 	if resp.Err != "" {
 		t.Fatalf("Handle after remove: %s", resp.Err)
 	}
@@ -399,8 +383,8 @@ func TestCacheHitServesCachedBytes(t *testing.T) {
 	if hit := rep.ExecuteRaw(req); !bytes.Equal(hit, want) || &hit[0] == &canon[0] {
 		t.Fatal("a hit must be a stamped copy of the cached answer")
 	}
-	if raw := r.fleet.HandleRaw(req.Marshal()); !bytes.Equal(raw, r.fleet.Handle(req).Marshal()) {
-		t.Fatal("HandleRaw and Handle answer differently")
+	if raw := r.fleet.HandleRaw(req.Marshal()); !bytes.Equal(raw, want) {
+		t.Fatal("HandleRaw and ExecuteRaw answer differently")
 	}
 
 	keyAllocs := testing.AllocsPerRun(100, func() { _ = req.SemanticKey() })

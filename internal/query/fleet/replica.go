@@ -111,17 +111,6 @@ func (r *Replica) Cache() *query.ResponseCache {
 	return r.cache
 }
 
-// Execute answers one request against the snapshot's current sealed height
-// (ExecuteRaw, parsed).
-func (r *Replica) Execute(req *query.Request) *query.Response {
-	resp, err := query.UnmarshalResponse(r.ExecuteRaw(req))
-	if err != nil {
-		// Impossible for bytes we marshaled; fail loudly per request.
-		return &query.Response{ID: req.ID, Err: "fleet: corrupt cached response"}
-	}
-	return resp
-}
-
 // ExecuteRaw answers one request with its serialized response, collapsing
 // concurrent identical questions (by semantic key, ignoring the per-attempt
 // request ID) onto one computation. The cache holds the canonical answer
@@ -150,8 +139,7 @@ func (r *Replica) Tip() *chain.Header {
 
 // replicaObs bundles per-shard serving instruments.
 type replicaObs struct {
-	served     *obs.Counter
-	queueDepth *obs.Gauge
+	served *obs.Counter
 }
 
 // instrument attaches the shard (and its cache) to a metrics registry.
@@ -159,8 +147,6 @@ func (r *Replica) instrument(reg *obs.Registry) {
 	r.met = replicaObs{
 		served: reg.Counter("dcert_fleet_requests_total",
 			"Requests served by this replica.", obs.L("replica", r.name)),
-		queueDepth: reg.Gauge("dcert_fleet_queue_depth",
-			"Requests waiting in this replica's serving queue.", obs.L("replica", r.name)),
 	}
 	r.cache.Instrument(reg, r.name)
 }

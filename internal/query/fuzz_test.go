@@ -7,7 +7,7 @@ import (
 	"dcert/internal/mpt"
 )
 
-// Fuzz targets for the batch wire codec: the decoders face untrusted network
+// Fuzz targets for the query wire codecs: the decoders face untrusted network
 // bytes, so they must never panic, and anything they accept must re-encode
 // canonically (decode → marshal → decode is a fixed point).
 
@@ -67,6 +67,85 @@ func FuzzUnmarshalRequest(f *testing.F) {
 			// The codec is canonical: any accepted encoding is exactly what
 			// Marshal would produce.
 			t.Fatalf("accepted non-canonical request encoding:\n in  %x\n out %x", raw, re)
+		}
+	})
+}
+
+// reencode pairs a decoder with its value's encoder: decode, then marshal.
+func reencode[T interface{ Marshal() []byte }](decode func([]byte) (T, error)) func([]byte) ([]byte, error) {
+	return func(raw []byte) ([]byte, error) {
+		v, err := decode(raw)
+		if err != nil {
+			return nil, err
+		}
+		return v.Marshal(), nil
+	}
+}
+
+// answerDecoders are what a client runs on an SP's answer bytes.
+var answerDecoders = []func([]byte) ([]byte, error){
+	reencode(UnmarshalResponse),
+	reencode(UnmarshalStateResult),
+	reencode(UnmarshalHistoricalResult),
+	reencode(UnmarshalKeywordResult),
+	reencode(UnmarshalTxResult),
+	reencode(UnmarshalRangeProof),
+}
+
+// FuzzClientAnswerDecoders: the first byte picks one of answerDecoders, the
+// rest is the answer. A lying SP controls every byte, so each decoder must
+// refuse the input or decode a value whose encoding decodes back to itself.
+func FuzzClientAnswerDecoders(f *testing.F) {
+	r, hist, _ := queryableRig(f)
+	key := anyIndexedKey(f, hist)
+	hres, err := r.sp.HistoricalQuery("hist", key, 0, 100)
+	if err != nil {
+		f.Fatalf("HistoricalQuery: %v", err)
+	}
+	kres, err := r.sp.KeywordQuery("kw", []string{"deposit_check"})
+	if err != nil {
+		f.Fatalf("KeywordQuery: %v", err)
+	}
+	sres, err := r.sp.StateQuery(key)
+	if err != nil {
+		f.Fatalf("StateQuery: %v", err)
+	}
+	tres, err := r.sp.TxQuery(r.sp.Node().Tip().Hash(), 0)
+	if err != nil {
+		f.Fatalf("TxQuery: %v", err)
+	}
+	seeds := [][]byte{
+		HandleRaw(r.sp, NewHistoricalRequest("hist", key, 0, 100).Marshal()),
+		sres.Marshal(),
+		hres.Marshal(),
+		kres.Marshal(),
+		tres.Marshal(),
+		hres.Proof.Marshal(),
+	}
+	for sel, raw := range seeds {
+		if _, err := answerDecoders[sel](raw); err != nil {
+			f.Fatalf("honest seed %d refused: %v", sel, err)
+		}
+		f.Add(append([]byte{byte(sel)}, raw...))
+	}
+	f.Add([]byte{2, 0, 0, 0, 0})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
+		}
+		sel := int(in[0]) % len(answerDecoders)
+		decode := answerDecoders[sel]
+		re, err := decode(in[1:])
+		if err != nil {
+			return // refusing is fine; panicking or over-allocating is not
+		}
+		again, err := decode(re)
+		if err != nil {
+			t.Fatalf("decoder %d: the re-encoding of an accepted answer fails to decode: %v", sel, err)
+		}
+		if !bytes.Equal(re, again) {
+			t.Fatalf("decoder %d: the re-encoding is not a fixed point", sel)
 		}
 	})
 }

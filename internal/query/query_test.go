@@ -22,7 +22,7 @@ type rig struct {
 	kind  workload.Kind
 }
 
-func mkNode(t *testing.T, kind workload.Kind, contracts int, params consensus.Params) *node.FullNode {
+func mkNode(t testing.TB, kind workload.Kind, contracts int, params consensus.Params) *node.FullNode {
 	t.Helper()
 	reg := vm.NewRegistry()
 	if err := workload.Register(reg, kind, contracts); err != nil {
@@ -39,7 +39,7 @@ func mkNode(t *testing.T, kind workload.Kind, contracts int, params consensus.Pa
 	return n
 }
 
-func newRig(t *testing.T, kind workload.Kind) *rig {
+func newRig(t testing.TB, kind workload.Kind) *rig {
 	t.Helper()
 	accounts, err := workload.NewAccounts(5)
 	if err != nil {
@@ -60,7 +60,7 @@ func newRig(t *testing.T, kind workload.Kind) *rig {
 }
 
 // advance mines n blocks of size txs and feeds them to the SP.
-func (r *rig) advance(t *testing.T, n, txs int) {
+func (r *rig) advance(t testing.TB, n, txs int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		batch, err := r.gen.Block(txs)
@@ -78,7 +78,7 @@ func (r *rig) advance(t *testing.T, n, txs int) {
 }
 
 // anyIndexedKey returns a state key present in the index.
-func anyIndexedKey(t *testing.T, ix *TwoLevel) string {
+func anyIndexedKey(t testing.TB, ix *TwoLevel) string {
 	t.Helper()
 	for k := range ix.lowers {
 		return k

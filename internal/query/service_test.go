@@ -7,27 +7,59 @@ import (
 	"time"
 
 	"dcert/internal/network"
+	"dcert/internal/transport"
 )
 
-// servedRig builds a rig with indexes and a running network query server.
-func servedRig(t *testing.T) (*rig, *network.Network, *Requester, func()) {
+// rpcQueryRoute is the transport route the served rig mounts HandleRaw on.
+const rpcQueryRoute = "test/query"
+
+// servedRig builds a rig with indexes whose SP answers the query protocol
+// on a transport RPC route, and a client dialed to it over loopback TCP.
+func servedRig(t *testing.T) (*rig, *transport.Client) {
 	t.Helper()
 	r, _, _ := queryableRig(t)
-	net := network.New()
-	srv := Serve(r.sp, net)
-	req := NewRequester(net, 2*time.Second)
-	cleanup := func() {
-		req.Close()
-		srv.Stop()
-		net.Close()
+	hub := network.New()
+	t.Cleanup(hub.Close)
+	srv, err := transport.Serve(hub, transport.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
 	}
-	return r, net, req, cleanup
+	t.Cleanup(func() { srv.Close() })
+	srv.Handle(rpcQueryRoute, func(body []byte) ([]byte, error) {
+		return HandleRaw(r.sp, body), nil
+	})
+	c, err := transport.Dial(srv.Addr(), transport.ClientConfig{Name: "query-test"})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return r, c
+}
+
+// ask sends one serialized request and parses the response.
+func ask(c *transport.Client, raw []byte) (*Response, error) {
+	respRaw, err := c.Request(rpcQueryRoute, raw)
+	if err != nil {
+		return nil, err
+	}
+	return UnmarshalResponse(respRaw)
+}
+
+// askOK sends req and fails the test on anything but an answer.
+func askOK(t *testing.T, c *transport.Client, req *Request) *Response {
+	t.Helper()
+	resp, err := ask(c, req.Marshal())
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if resp.Err != "" {
+		t.Fatalf("query: remote error: %s", resp.Err)
+	}
+	return resp
 }
 
 func TestNetworkedHistoricalQuery(t *testing.T) {
-	r, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
+	r, c := servedRig(t)
 	ix, err := r.sp.Index("hist")
 	if err != nil {
 		t.Fatalf("Index: %v", err)
@@ -36,10 +68,10 @@ func TestNetworkedHistoricalQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Root: %v", err)
 	}
-	key := anyIndexedKey(t, ix)
-	res, err := req.Historical("hist", key, 0, 100)
+	resp := askOK(t, c, NewHistoricalRequest("hist", anyIndexedKey(t, ix), 0, 100))
+	res, err := UnmarshalHistoricalResult(resp.Body)
 	if err != nil {
-		t.Fatalf("Historical: %v", err)
+		t.Fatalf("UnmarshalHistoricalResult: %v", err)
 	}
 	if err := VerifyHistorical(root, res); err != nil {
 		t.Fatalf("VerifyHistorical over the wire: %v", err)
@@ -50,9 +82,7 @@ func TestNetworkedHistoricalQuery(t *testing.T) {
 }
 
 func TestNetworkedKeywordQuery(t *testing.T) {
-	r, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
+	r, c := servedRig(t)
 	ix, err := r.sp.Index("kw")
 	if err != nil {
 		t.Fatalf("Index: %v", err)
@@ -61,9 +91,10 @@ func TestNetworkedKeywordQuery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Root: %v", err)
 	}
-	res, err := req.Keyword("kw", []string{"deposit_check"})
+	resp := askOK(t, c, NewKeywordRequest("kw", []string{"deposit_check"}))
+	res, err := UnmarshalKeywordResult(resp.Body)
 	if err != nil {
-		t.Fatalf("Keyword: %v", err)
+		t.Fatalf("UnmarshalKeywordResult: %v", err)
 	}
 	if err := VerifyKeyword(root, res); err != nil {
 		t.Fatalf("VerifyKeyword over the wire: %v", err)
@@ -71,13 +102,12 @@ func TestNetworkedKeywordQuery(t *testing.T) {
 }
 
 func TestNetworkedStateQuery(t *testing.T) {
-	r, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
+	r, c := servedRig(t)
 	tip := r.sp.Node().Tip()
-	res, err := req.State("never-written")
+	resp := askOK(t, c, NewStateRequest("never-written"))
+	res, err := UnmarshalStateResult(resp.Body)
 	if err != nil {
-		t.Fatalf("State: %v", err)
+		t.Fatalf("UnmarshalStateResult: %v", err)
 	}
 	if err := VerifyState(&tip.Header, res); err != nil {
 		t.Fatalf("VerifyState over the wire: %v", err)
@@ -85,33 +115,46 @@ func TestNetworkedStateQuery(t *testing.T) {
 }
 
 func TestNetworkedQueryRemoteError(t *testing.T) {
-	_, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
-	_, err := req.Historical("no-such-index", "k", 0, 1)
-	if !errors.Is(err, ErrRemote) {
-		t.Fatalf("want ErrRemote, got %v", err)
+	_, c := servedRig(t)
+	req := NewHistoricalRequest("no-such-index", "k", 0, 1)
+	req.ID = 5
+	resp, err := ask(c, req.Marshal())
+	if err != nil {
+		t.Fatalf("query: %v", err)
 	}
-	if err != nil && !strings.Contains(err.Error(), "unknown index") {
-		t.Fatalf("remote error should carry the cause: %v", err)
+	if resp.ID != 5 || !strings.Contains(resp.Err, "unknown index") || len(resp.Body) != 0 {
+		t.Fatalf("response = %+v, want ID 5 and the cause, no body", resp)
 	}
 }
 
+// A query the SP never answers fails at the client's RequestTimeout
+// instead of hanging.
 func TestNetworkedQueryTimeout(t *testing.T) {
-	// No server running on this fabric.
-	net := network.New()
-	defer net.Close()
-	req := NewRequester(net, 50*time.Millisecond)
-	defer req.Close()
-	if _, err := req.Historical("hist", "k", 0, 1); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout, got %v", err)
+	hub := network.New()
+	defer hub.Close()
+	srv, err := transport.Serve(hub, transport.ServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer srv.Close()
+	release := make(chan struct{})
+	defer close(release) // before Close, which waits for the handler
+	srv.Handle(rpcQueryRoute, func([]byte) ([]byte, error) {
+		<-release
+		return nil, nil
+	})
+	c, err := transport.Dial(srv.Addr(), transport.ClientConfig{Name: "query-test", RequestTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	if _, err := ask(c, NewHistoricalRequest("hist", "k", 0, 1).Marshal()); !errors.Is(err, transport.ErrRequestTimeout) {
+		t.Fatalf("want ErrRequestTimeout, got %v", err)
 	}
 }
 
 func TestNetworkedQueryConcurrentClients(t *testing.T) {
-	r, _, req, cleanup := servedRig(t)
-	defer cleanup()
-
+	r, c := servedRig(t)
 	ix, err := r.sp.Index("hist")
 	if err != nil {
 		t.Fatalf("Index: %v", err)
@@ -125,141 +168,52 @@ func TestNetworkedQueryConcurrentClients(t *testing.T) {
 	const parallel = 8
 	errs := make(chan error, parallel)
 	for i := 0; i < parallel; i++ {
-		go func() {
-			res, err := req.Historical("hist", key, 0, 100)
-			if err != nil {
-				errs <- err
-				return
+		go func(id uint64) {
+			req := NewHistoricalRequest("hist", key, 0, 100)
+			req.ID = id
+			resp, err := ask(c, req.Marshal())
+			if err == nil && (resp.ID != id || resp.Err != "") {
+				t.Errorf("response %d = ID %d, error %q", id, resp.ID, resp.Err)
 			}
-			errs <- VerifyHistorical(root, res)
-		}()
+			var res *HistoricalResult
+			if err == nil {
+				res, err = UnmarshalHistoricalResult(resp.Body)
+			}
+			if err == nil {
+				err = VerifyHistorical(root, res)
+			}
+			errs <- err
+		}(uint64(i + 1))
 	}
 	for i := 0; i < parallel; i++ {
 		if err := <-errs; err != nil {
-			t.Fatalf("concurrent query %d: %v", i, err)
+			t.Fatalf("concurrent query: %v", err)
 		}
 	}
 }
 
-func TestRetryingRequesterSurvivesDrops(t *testing.T) {
-	r, net, _, cleanup := servedRig(t)
-	defer cleanup()
-
-	// Drop 60% of both request and response traffic; 6 attempts with fast
-	// backoff push the success probability to ~1 for a seeded stream.
-	net.SetFaults(&network.FaultPlan{Seed: 21, Rules: []network.FaultRule{
-		{Topic: TopicQueries, Drop: 0.6},
-		{Topic: TopicResults, Drop: 0.6},
-	}})
-	req := NewRequesterWithPolicy(net, 30*time.Millisecond, RetryPolicy{
-		MaxAttempts: 6, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond, JitterSeed: 21,
-	})
-	defer req.Close()
-
-	ix, err := r.sp.Index("hist")
-	if err != nil {
-		t.Fatalf("Index: %v", err)
-	}
-	root, err := ix.Root()
-	if err != nil {
-		t.Fatalf("Root: %v", err)
-	}
-	key := anyIndexedKey(t, ix)
-	res, err := req.Historical("hist", key, 0, 100)
-	if err != nil {
-		t.Fatalf("Historical under 60%% loss: %v", err)
-	}
-	if err := VerifyHistorical(root, res); err != nil {
-		t.Fatalf("VerifyHistorical: %v", err)
-	}
-}
-
-func TestRetriedTimeoutIsErrTimeout(t *testing.T) {
-	// No server: every attempt times out; the final error must still be
-	// errors.Is-able as ErrTimeout through the retry wrapper.
-	net := network.New()
-	defer net.Close()
-	req := NewRequesterWithPolicy(net, 10*time.Millisecond, RetryPolicy{
-		MaxAttempts: 3, BaseBackoff: time.Millisecond,
-	})
-	defer req.Close()
-	if _, err := req.State("k"); !errors.Is(err, ErrTimeout) {
-		t.Fatalf("want ErrTimeout through retry path, got %v", err)
-	}
-}
-
-func TestRemoteErrorIsNotRetried(t *testing.T) {
-	r, net, _, cleanup := servedRig(t)
-	defer cleanup()
-	_ = r
-	// Huge backoff: if the remote error were retried, the call would stall
-	// for minutes instead of returning on the first attempt.
-	req := NewRequesterWithPolicy(net, 2*time.Second, RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Minute})
-	defer req.Close()
-	start := time.Now()
-	_, err := req.Historical("no-such-index", "k", 0, 1)
-	if !errors.Is(err, ErrRemote) {
-		t.Fatalf("want ErrRemote through retry path, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 30*time.Second {
-		t.Fatalf("remote error appears to have been retried: took %v", elapsed)
-	}
-}
-
-func TestCloseFailsPendingRequestsImmediately(t *testing.T) {
-	// No server, long timeout: the request would block for 10s; Close must
-	// release it at once with ErrRequesterClosed (not ErrTimeout).
-	net := network.New()
-	defer net.Close()
-	req := NewRequesterWithPolicy(net, 10*time.Second, RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Second})
-	errs := make(chan error, 1)
-	go func() {
-		_, err := req.State("k")
-		errs <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the attempt get in flight
-	start := time.Now()
-	req.Close()
-	select {
-	case err := <-errs:
-		if !errors.Is(err, ErrRequesterClosed) {
-			t.Fatalf("want ErrRequesterClosed, got %v", err)
+// A malformed request is answered with an error response — an RPC is owed
+// an answer — and the connection keeps serving well-formed ones.
+func TestServerAnswersMalformedRequests(t *testing.T) {
+	r, c := servedRig(t)
+	for _, raw := range [][]byte{
+		{0xff, 0x01},
+		NewStateRequest("k").Marshal()[:3],
+		append(NewStateRequest("k").Marshal(), 0), // trailing byte
+		nil,
+	} {
+		resp, err := ask(c, raw)
+		if err != nil {
+			t.Fatalf("malformed %x: %v", raw, err)
 		}
-		if errors.Is(err, ErrTimeout) {
-			t.Fatalf("closed request must not read as a timeout: %v", err)
+		if !strings.Contains(resp.Err, "unmarshal request") || len(resp.Body) != 0 {
+			t.Fatalf("malformed %x: response %+v, want a decode error", raw, resp)
 		}
-		if elapsed := time.Since(start); elapsed > time.Second {
-			t.Fatalf("Close took %v to release the pending request", elapsed)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("pending request still blocked after Close")
 	}
-	if _, err := req.State("k"); !errors.Is(err, ErrRequesterClosed) {
-		t.Fatalf("post-Close request: want ErrRequesterClosed, got %v", err)
-	}
-}
-
-func TestServerIgnoresMalformedAndNonByteRequests(t *testing.T) {
-	r, net, req, cleanup := servedRig(t)
-	defer cleanup()
-
-	// Garbage bytes, truncated request, and a non-[]byte payload must all be
-	// ignored without wedging the serve loop.
-	if err := net.Publish(TopicQueries, "fuzzer", []byte{0xff, 0x01}); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	if err := net.Publish(TopicQueries, "fuzzer", (&Request{ID: 9, Kind: reqState, Key: "k"}).Marshal()[:3]); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	if err := net.Publish(TopicQueries, "fuzzer", 12345); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-
-	// The server still answers well-formed requests afterwards.
 	tip := r.sp.Node().Tip()
-	res, err := req.State("still-served")
+	res, err := UnmarshalStateResult(askOK(t, c, NewStateRequest("still-served")).Body)
 	if err != nil {
-		t.Fatalf("State after malformed traffic: %v", err)
+		t.Fatalf("UnmarshalStateResult: %v", err)
 	}
 	if err := VerifyState(&tip.Header, res); err != nil {
 		t.Fatalf("VerifyState: %v", err)
@@ -267,75 +221,13 @@ func TestServerIgnoresMalformedAndNonByteRequests(t *testing.T) {
 }
 
 func TestServerRejectsUnknownRequestKind(t *testing.T) {
-	_, net, _, cleanup := servedRig(t)
-	defer cleanup()
-
-	results := net.Subscribe(TopicResults, 8)
-	defer results.Cancel()
-	if err := net.Publish(TopicQueries, "client", (&Request{ID: 77, Kind: 0xAB}).Marshal()); err != nil {
-		t.Fatalf("Publish: %v", err)
+	_, c := servedRig(t)
+	resp, err := ask(c, (&Request{ID: 77, Kind: 0xAB}).Marshal())
+	if err != nil {
+		t.Fatalf("query: %v", err)
 	}
-	select {
-	case m := <-results.C:
-		resp, err := UnmarshalResponse(m.Payload.([]byte))
-		if err != nil {
-			t.Fatalf("UnmarshalResponse: %v", err)
-		}
-		if resp.ID != 77 || !strings.Contains(resp.Err, "unknown request kind") {
-			t.Fatalf("response = %+v", resp)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no response to unknown-kind request")
-	}
-}
-
-func TestServerIdempotentUnderDuplicatedRequests(t *testing.T) {
-	r, _, _ := queryableRig(t)
-	net := network.New()
-	defer net.Close()
-	srv := Serve(r.sp, net)
-	defer srv.Stop()
-
-	results := net.Subscribe(TopicResults, 16)
-	defer results.Cancel()
-	raw := (&Request{ID: 42, Kind: reqState, Key: "dup"}).Marshal()
-	const resends = 4
-	for i := 0; i < resends; i++ {
-		if err := net.Publish(TopicQueries, "client", raw); err != nil {
-			t.Fatalf("Publish: %v", err)
-		}
-	}
-
-	// Every duplicate is answered (byte-identical), but computed only once.
-	var first []byte
-	got := 0
-	deadline := time.After(2 * time.Second)
-	for got < resends {
-		select {
-		case m := <-results.C:
-			resp, err := UnmarshalResponse(m.Payload.([]byte))
-			if err != nil {
-				t.Fatalf("UnmarshalResponse: %v", err)
-			}
-			if resp.ID != 42 {
-				t.Fatalf("unexpected response ID %d", resp.ID)
-			}
-			if first == nil {
-				first = m.Payload.([]byte)
-			} else if string(first) != string(m.Payload.([]byte)) {
-				t.Fatal("duplicate request produced a different response")
-			}
-			got++
-		case <-deadline:
-			t.Fatalf("only %d/%d duplicate responses arrived", got, resends)
-		}
-	}
-	computed, replayed := srv.Stats()
-	if computed != 1 {
-		t.Fatalf("server computed %d times for one unique request", computed)
-	}
-	if replayed != resends-1 {
-		t.Fatalf("server replayed %d times, want %d", replayed, resends-1)
+	if resp.ID != 77 || !strings.Contains(resp.Err, "unknown request kind") {
+		t.Fatalf("response = %+v", resp)
 	}
 }
 

@@ -71,12 +71,19 @@ func marshalEntries(e *chash.Encoder, entries []mbtree.Entry) {
 	}
 }
 
+// entryMinSize is the fewest bytes one encoded entry takes: its version and
+// its value's length prefix.
+const entryMinSize = 8 + 4
+
+// unmarshalEntries decodes an untrusted entry list. The count is checked
+// against the bytes left before it sizes anything, so a lying count costs
+// the decoder no more memory than the answer's own length.
 func unmarshalEntries(d *chash.Decoder) ([]mbtree.Entry, error) {
 	n, err := d.Uint32()
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<24 {
+	if n > 1<<24 || int(n) > d.Remaining()/entryMinSize {
 		return nil, fmt.Errorf("oversized entry list: %d", n)
 	}
 	out := make([]mbtree.Entry, 0, n)

@@ -3,13 +3,15 @@ package query
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
+	"dcert/internal/chash"
 	"dcert/internal/workload"
 )
 
 // queryableRig builds a rig with a populated historical + keyword index.
-func queryableRig(t *testing.T) (*rig, *TwoLevel, *TwoLevel) {
+func queryableRig(t testing.TB) (*rig, *TwoLevel, *TwoLevel) {
 	t.Helper()
 	r := newRig(t, workload.SmallBank)
 	hist, err := NewHistoricalIndex("hist", "ct/")
@@ -214,6 +216,44 @@ func TestAggregateOpString(t *testing.T) {
 	for op, s := range want {
 		if op.String() != s {
 			t.Fatalf("%d.String() = %q", int(op), op.String())
+		}
+	}
+}
+
+// An answer whose entry count outruns its bytes is refused before anything
+// is sized by that count: decoding a few bytes claiming 2^24 entries must
+// allocate about what the bytes themselves are, not 2^24 entries.
+func TestEntryCountBoundedByAnswerBytes(t *testing.T) {
+	const lying = 1 << 24
+	hist := chash.NewEncoder(32)
+	hist.PutString("")    // key
+	hist.PutUint64(0)     // lo
+	hist.PutUint64(0)     // hi
+	hist.PutUint32(lying) // entry count
+	hist.PutByte(0)       // one byte of "entries"
+	kw := chash.NewEncoder(32)
+	kw.PutUint32(1)     // one conjunct
+	kw.PutString("")    // keyword
+	kw.PutUint32(lying) // entry count
+	kw.PutByte(0)
+	for _, tc := range []struct {
+		name   string
+		raw    []byte
+		decode func([]byte) error
+	}{
+		{"historical", hist.Bytes(), func(b []byte) error { _, err := UnmarshalHistoricalResult(b); return err }},
+		{"keyword", kw.Bytes(), func(b []byte) error { _, err := UnmarshalKeywordResult(b); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := tc.decode(tc.raw)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a %d-byte answer claiming %d entries was accepted", tc.name, len(tc.raw), lying)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<10 {
+			t.Fatalf("%s: decoding %d bytes allocated %d bytes", tc.name, len(tc.raw), got)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"dcert/internal/chain"
 	"dcert/internal/chash"
@@ -18,13 +17,13 @@ import (
 // sockets (internal/transport), so the node and its clients run as separate
 // OS processes. The wire carries two shapes of traffic:
 //
-//   - the topic streams (blocks, certificate bundles, catch-up requests,
-//     query request/response topics) — a remote WireClient is a network.Bus,
-//     so CertFollower and QueryRequester run over it unchanged;
-//   - an RPC route table for the pull-style interactions a fresh client
-//     needs before it can follow streams: node identity (trust anchors),
-//     the latest certificate bundle, raw blocks, certified segments, the
-//     whole interlink bootstrap in one response, and one-shot queries.
+//   - the topic streams (blocks, certificate bundles, catch-up requests) — a
+//     remote WireClient is a network.Bus, so CertFollower runs over it
+//     unchanged;
+//   - an RPC route table: node identity (trust anchors), the latest
+//     certificate bundle, raw blocks, certified segments, the whole
+//     interlink bootstrap in one response, and queries — every query is one
+//     request and one response on WireRouteQuery.
 
 // Bus is the topic API shared by the in-process fabric and the wire
 // transport (see internal/network.Bus).
@@ -454,14 +453,7 @@ func FollowCertsOver(bus Bus, client *SuperlightClient, cfg FollowerConfig) *Cer
 	return core.FollowCerts(client, bus, cfg)
 }
 
-// NewQueryRequesterOver creates a networked query requester on an arbitrary
-// bus — in particular a WireClient, for the streaming (topic) query path.
-// The node must be running ServeQueries.
-func NewQueryRequesterOver(bus Bus, timeout time.Duration) *QueryRequester {
-	return query.NewRequester(bus, timeout)
-}
-
-// Serialized query protocol types (package internal/query), used with the
+// Serialized query protocol types (package internal/query), carried by the
 // wire's RPC query route.
 type (
 	// QueryRequest is a serializable query.
@@ -485,6 +477,12 @@ func NewRemoteKeywordRequest(index string, keywords []string) *QueryRequest {
 	return query.NewKeywordRequest(index, keywords)
 }
 
+// NewRemoteBatchStateRequest builds a multi-key state read answered by one
+// merged multiproof.
+func NewRemoteBatchStateRequest(keys []string) *QueryRequest {
+	return query.NewBatchStateRequest(keys)
+}
+
 // ParseStateResult parses a state-read response body for VerifyState.
 func ParseStateResult(resp *QueryResponse) (*StateResult, error) {
 	return query.UnmarshalStateResult(resp.Body)
@@ -499,4 +497,10 @@ func ParseHistoricalResult(resp *QueryResponse) (*HistoricalResult, error) {
 // ParseKeywordResult parses a keyword response body for VerifyKeyword.
 func ParseKeywordResult(resp *QueryResponse) (*KeywordResult, error) {
 	return query.UnmarshalKeywordResult(resp.Body)
+}
+
+// ParseBatchStateResult parses a multi-key state-read response body for
+// VerifyBatchState.
+func ParseBatchStateResult(resp *QueryResponse) (*BatchStateResult, error) {
+	return query.UnmarshalBatchStateResult(resp.Body)
 }
