@@ -104,11 +104,12 @@ bench-json:
 	$(GO) run ./cmd/dcert-bench -exp certify -json BENCH_certify.json
 
 # Fuzz smoke for the decoders of untrusted bytes: the transport's frame
-# decoder and its protocol messages (the first bytes any TCP peer reaches),
-# the query wire codecs (the batch multiproof decoder, the canonical
-# request round trip, and every decoder a client runs on an SP's answer),
-# the segment certificate codec, the dcert/bootstrap
-# response (a count of segments), the block and transaction codecs (network
+# decoder, its protocol messages (the first bytes any TCP peer reaches) and
+# its topic payload codec (the certificate stream), the query wire codecs
+# (the batch multiproof decoder, the canonical request round trip, and every
+# decoder a client runs on an SP's answer), the index update witness the
+# trusted program decodes from its host, the segment certificate codec, the
+# dcert/bootstrap response (a count of segments), the block and transaction codecs (network
 # bytes, and every block a durable node reads back from its chain log), and
 # the state record the storage engine reads back from its WAL and snapshot.
 # Short budgets: CI regression surface, not a campaign — run with a longer
@@ -116,9 +117,11 @@ bench-json:
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireMessages$$' -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz='^FuzzPayload$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBatchStateResult$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalRequest$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzClientAnswerDecoders$$' -fuzztime=10s ./internal/query/
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeUpdateWitness$$' -fuzztime=10s ./internal/query/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalSegmentCert$$' -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeStateRecord$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBlock$$' -fuzztime=10s ./internal/chain/

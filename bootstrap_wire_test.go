@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"dcert/internal/chash"
 	"dcert/internal/core"
@@ -73,6 +74,44 @@ func (r *segmentedWireRig) client(t *testing.T) *SuperlightClient {
 		t.Fatalf("NewRemoteSuperlightClient: %v", err)
 	}
 	return cl
+}
+
+// TestSegmentCertCrossesTheWire: a K>1 segment certificate published on
+// TopicCerts reaches a TCP subscriber byte for byte, and a remote follower
+// adopts its tip from the stream alone (it never stalls into a pull).
+func TestSegmentCertCrossesTheWire(t *testing.T) {
+	r := newSegmentedWireRig(t, 77, 0)
+	defer r.dep.Net().Close()
+	sub := r.wc.Subscribe(TopicCerts, 4)
+	defer sub.Cancel()
+	follower := FollowCertsOver(r.wc, r.client(t), FollowerConfig{StallDeadline: time.Hour})
+	defer follower.Stop()
+
+	_, seg, err := r.dep.MineAndCertifySegment(4, 2)
+	if err != nil {
+		t.Fatalf("MineAndCertifySegment: %v", err)
+	}
+	select {
+	case m := <-sub.C:
+		got, ok := m.Payload.(*SegmentCert)
+		if !ok {
+			t.Fatalf("segment arrived as %T", m.Payload)
+		}
+		if !bytes.Equal(got.Marshal(), seg.Marshal()) {
+			t.Fatal("segment bytes changed in transit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("segment never reached the TCP subscriber (server %+v)", r.srv.Stats())
+	}
+	if err := follower.WaitForHeight(seg.End(), 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if hdr, _ := follower.Client().Latest(); hdr.Hash() != seg.Tip().Hash() {
+		t.Fatalf("follower tip %s, want the segment tip %s", hdr.Hash(), seg.Tip().Hash())
+	}
+	if st := follower.Stats(); st.Rerequests != 0 {
+		t.Fatalf("follower pulled %d times; the stream alone must carry the segment", st.Rerequests)
+	}
 }
 
 // TestBootstrapOverWire: a fresh client reaches the tip from genesis in ONE

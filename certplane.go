@@ -22,31 +22,27 @@ import (
 type (
 	// CertBundle pairs a header with its certificate for the fabric.
 	CertBundle = core.CertBundle
-	// CertRequest is a client's explicit catch-up request.
-	CertRequest = core.CertRequest
 	// CertFollower drives a SuperlightClient from the certificate stream,
-	// re-requesting the latest certificate when the stream stalls.
+	// pulling the newest certificate when the stream stalls.
 	CertFollower = core.Follower
 	// FollowerConfig tunes a CertFollower.
 	FollowerConfig = core.FollowerConfig
 	// FollowerStats counts a follower's activity.
 	FollowerStats = core.FollowerStats
-	// CertResponder answers catch-up requests for one issuer.
-	CertResponder = core.CertResponder
 )
 
 // FollowCerts starts a certificate follower for a client on the
-// deployment's fabric.
+// deployment's fabric. A stalled follower pulls the deployment's newest
+// certificate (tipSegment).
 func (d *Deployment) FollowCerts(client *SuperlightClient, cfg FollowerConfig) *CertFollower {
-	return core.FollowCerts(client, d.net, cfg)
+	return core.FollowCerts(client, d.net, func() (*SegmentCert, error) { return d.tipSegment(), nil }, cfg)
 }
 
 // ciSlot is one issuer of the certification plane.
 type ciSlot struct {
-	name      string
-	issuer    *core.Issuer // nil while crashed
-	node      *node.FullNode
-	responder *core.CertResponder
+	name   string
+	issuer *core.Issuer // nil while crashed
+	node   *node.FullNode
 	// tipCert is the certificate of the replica's tip kept across a crash,
 	// as the host's chain log keeps it (nil when it crashed before
 	// certifying).
@@ -74,20 +70,17 @@ type CertPlane struct {
 
 // StartCertPlane builds a certification plane of n issuers (n ≥ 1). The
 // deployment's primary issuer becomes slot "ci0"; n-1 additional issuers
-// ("ci1", ...) are provisioned on the same chain and authority. Every live
-// issuer serves catch-up requests on TopicCertRequests. Stop the plane to
-// release the responders.
+// ("ci1", ...) are provisioned on the same chain and authority.
 func (d *Deployment) StartCertPlane(n int) (*CertPlane, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dcert: cert plane needs at least 1 issuer, got %d", n)
 	}
 	p := &CertPlane{d: d}
 	for i := 0; i < n; i++ {
-		ci := d.issuer
+		ci := d.Issuer()
 		if i > 0 {
 			extra, err := d.AddIssuer()
 			if err != nil {
-				p.Stop()
 				return nil, err
 			}
 			ci = extra
@@ -98,13 +91,7 @@ func (d *Deployment) StartCertPlane(n int) (*CertPlane, error) {
 			// extra issuers join the same plane under their slot identity.
 			ci.Instrument(d.reg, d.tracer, d.logger, name)
 		}
-		p.slots = append(p.slots, &ciSlot{
-			name:      name,
-			issuer:    ci,
-			node:      ci.Node(),
-			responder: core.ServeCertRequests(ci, d.net, name),
-			alive:     true,
-		})
+		p.slots = append(p.slots, &ciSlot{name: name, issuer: ci, node: ci.Node(), alive: true})
 	}
 	return p, nil
 }
@@ -147,11 +134,11 @@ func (p *CertPlane) Issuer(name string) (*Issuer, error) {
 }
 
 // MineAndBroadcast mines a block of n transactions, has every live issuer
-// certify it, feeds the SP, and publishes the block plus one CertBundle per
-// live issuer on the fabric. With zero live issuers the block is still mined
-// and published — clients simply see no certificate until an issuer returns —
-// and it persists uncertified: recovery drops it unless a certificate lands
-// before the crash.
+// certify it, feeds the SP, and publishes one CertBundle per live issuer on
+// the fabric. With zero live issuers the block is still mined — clients
+// simply see no certificate until an issuer returns — and it persists
+// uncertified: recovery drops it unless a certificate lands before the
+// crash.
 func (p *CertPlane) MineAndBroadcast(n int) (*Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -247,8 +234,8 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 // MineAndBroadcastPipelined mines a block and submits it to every live
 // issuer's pipeline instead of certifying inline: block i+1 is proposed,
 // verified, and speculatively executed while block i is still inside the
-// enclaves. The block itself (and the SP feed) publishes immediately;
-// bundles follow as the pipelines certify.
+// enclaves. The SP is fed immediately; bundles follow as the pipelines
+// certify.
 func (p *CertPlane) MineAndBroadcastPipelined(n int) (*Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -304,13 +291,13 @@ func (p *CertPlane) CheckpointHeight(name string) (uint64, error) {
 	return s.node.Tip().Header.Height, nil
 }
 
-// Kill crashes an issuer: its enclave (and sealed key) is destroyed, its
-// responder stops answering, and the plane stops feeding it blocks. The
-// issuer's full-node replica and its tip certificate survive, as they would
-// on the untrusted host's disk. If the issuer was running a certification
-// pipeline, every speculative (uncertified) state commit is rolled back
-// first, so the surviving replica and certificate describe exactly the
-// certified tip — in-flight speculation dies with the enclave.
+// Kill crashes an issuer: its enclave (and sealed key) is destroyed and the
+// plane stops feeding it blocks. The issuer's full-node replica and its tip
+// certificate survive, as they would on the untrusted host's disk. If the
+// issuer was running a certification pipeline, every speculative
+// (uncertified) state commit is rolled back first, so the surviving replica
+// and certificate describe exactly the certified tip — in-flight speculation
+// dies with the enclave.
 func (p *CertPlane) Kill(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -327,8 +314,6 @@ func (p *CertPlane) Kill(name string) error {
 		s.pipe, s.pipeDone, s.pipeErr = nil, nil, nil
 	}
 	s.tipCert, _ = s.issuer.CertFor(s.node.Tip().Hash())
-	s.responder.Stop()
-	s.responder = nil
 	s.issuer = nil
 	s.alive = false
 	return nil
@@ -337,8 +322,7 @@ func (p *CertPlane) Kill(name string) error {
 // Restart recovers a crashed issuer: a fresh enclave resumes from the
 // kept tip certificate, re-certifies only the blocks mined while it was
 // down (fetching them from the miner, as a recovering full node would from
-// its peers), re-publishes its newest bundle, and resumes serving catch-up
-// requests.
+// its peers), and re-publishes its newest certificate.
 func (p *CertPlane) Restart(name string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -403,7 +387,6 @@ func (p *CertPlane) Restart(name string) error {
 		}
 	}
 	s.issuer = ci
-	s.responder = core.ServeCertRequests(ci, p.d.net, name)
 	s.alive = true
 	if p.pipeCfg != nil {
 		if err := p.startSlotPipeline(s); err != nil {
@@ -411,19 +394,11 @@ func (p *CertPlane) Restart(name string) error {
 		}
 	}
 	if s.name == "ci0" {
-		p.d.issuer = ci // keep Deployment.Issuer() pointing at the live primary
+		p.d.issuer.Store(ci) // keep Deployment.Issuer() pointing at the live primary
 	}
 	return nil
 }
 
-// Stop shuts down the plane's responders (issuers stay usable).
-func (p *CertPlane) Stop() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.slots {
-		if s.responder != nil {
-			s.responder.Stop()
-			s.responder = nil
-		}
-	}
-}
+// Stop releases the plane's background work. The plane runs none outside
+// its pipelines (DrainPipelines and Kill end those), so Stop is a no-op.
+func (p *CertPlane) Stop() {}

@@ -19,7 +19,7 @@ import (
 // remote followers over loopback TCP and asserts safety (each remote
 // client's certified tip is byte-identical to the miner's), liveness
 // (both converge despite 35% cert drops), and accounting (registry
-// counters == injection ledger on every topic).
+// counters == injection ledger on the certificate topic).
 func TestChaosNetSocketTransport(t *testing.T) {
 	dep, err := dcert.NewDeployment(dcert.Config{
 		Workload:   dcert.KVStore,
@@ -51,14 +51,13 @@ func TestChaosNetSocketTransport(t *testing.T) {
 	dep.Net().SetFaults(&dcert.FaultPlan{
 		Seed: 808,
 		Rules: []dcert.FaultRule{
-			{Topic: dcert.TopicCerts, Drop: 0.35, Duplicate: 0.35},
-			{Topic: dcert.TopicCertRequests, Drop: 0.3, Duplicate: 0.2},
-			{Topic: dcert.TopicBlocks, Drop: 0.2, Reorder: 0.4, ReorderDelay: 5 * time.Millisecond},
+			{Topic: dcert.TopicCerts, Drop: 0.35, Duplicate: 0.35, Reorder: 0.4, ReorderDelay: 5 * time.Millisecond},
 		},
 	})
 
 	// Two independent TCP clients, each with its own superlight state and
-	// follower. Catch-up requests and responses cross the same faulty wire.
+	// follower. A stalled follower pulls the tip segment over its own
+	// connection: an RPC, which the topic fault plan does not touch.
 	type remote struct {
 		wc       *dcert.WireClient
 		client   *dcert.SuperlightClient
@@ -75,10 +74,7 @@ func TestChaosNetSocketTransport(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewRemoteSuperlightClient %s: %v", name, err)
 		}
-		follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{
-			Name:          name,
-			StallDeadline: 15 * time.Millisecond,
-		})
+		follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{StallDeadline: 15 * time.Millisecond})
 		remotes[i] = &remote{wc: wc, client: client, follower: follower}
 	}
 	defer func() {
@@ -112,39 +108,8 @@ func TestChaosNetSocketTransport(t *testing.T) {
 	// injection ledger — now with socket traffic in the mix. The counters
 	// live at the hub, which every wire frame passes through, so the
 	// identity delivered = published - dropped - partitioned + duplicated
-	// must hold exactly per topic.
-	counter := func(name, topic string) uint64 {
-		return reg.Counter(name, "", dcert.MetricLabel("topic", topic)).Value()
-	}
-	sawFaults := false
-	for _, topic := range []string{dcert.TopicCerts, dcert.TopicCertRequests, dcert.TopicBlocks} {
-		tally := dep.FaultTally(topic)
-		if tally.Published == 0 && topic != dcert.TopicCertRequests {
-			t.Fatalf("topic %s: fault plan observed no publishes", topic)
-		}
-		got := dcert.NetFaultTally{
-			Published:   counter("dcert_net_published_total", topic),
-			Dropped:     counter("dcert_net_dropped_total", topic),
-			Partitioned: counter("dcert_net_partitioned_total", topic),
-			Duplicated:  counter("dcert_net_duplicated_total", topic),
-			Reordered:   counter("dcert_net_reordered_total", topic),
-		}
-		if got != tally {
-			t.Fatalf("topic %s: registry counters %+v != injection ledger %+v", topic, got, tally)
-		}
-		delivered := counter("dcert_net_delivered_total", topic)
-		want := tally.Published - tally.Dropped - tally.Partitioned + tally.Duplicated
-		if delivered != want {
-			t.Fatalf("topic %s: delivered %d, want published-dropped-partitioned+duplicated = %d (%+v)",
-				topic, delivered, want, tally)
-		}
-		if tally.Dropped > 0 || tally.Duplicated > 0 || tally.Reordered > 0 {
-			sawFaults = true
-		}
-	}
-	if !sawFaults {
-		t.Fatal("seeded plan injected no faults at all; reconciliation was vacuous")
-	}
+	// must hold exactly.
+	reconcileCertLedger(t, reg, dep.FaultTally(dcert.TopicCerts))
 
 	// The wire itself must have carried the stream: each remote connection
 	// subscribed and received topic frames.
@@ -192,10 +157,7 @@ func TestChaosNetSlowConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRemoteSuperlightClient: %v", err)
 	}
-	follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{
-		Name:          "slow",
-		StallDeadline: 10 * time.Millisecond,
-	})
+	follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{StallDeadline: 10 * time.Millisecond})
 	defer follower.Stop()
 
 	for i := 0; i < 10; i++ {
@@ -211,5 +173,168 @@ func TestChaosNetSlowConsumer(t *testing.T) {
 	hdr, _ := client.Latest()
 	if hdr.Hash() != tip.Hash() {
 		t.Fatalf("safety: client tip %s != miner tip %s", hdr.Hash(), tip.Hash())
+	}
+}
+
+// TestChaosNetStalledFollowerCostsOneRequestPerPull is the counted feed over
+// TCP: a remote follower cut off from the certificate topic catches up by
+// pulling the node's tip segment, every pull is one RPC on the node's wire
+// server, and the topic still carries only the landed certificates.
+func TestChaosNetStalledFollowerCostsOneRequestPerPull(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{
+		Workload:   dcert.KVStore,
+		Contracts:  4,
+		Accounts:   8,
+		Difficulty: 2,
+		Seed:       606,
+		KeySpace:   30,
+	})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	defer dep.Net().Close()
+	const issuers, blocks = 2, 6
+	plane, err := dep.StartCertPlane(issuers)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	defer srv.Close()
+	dep.Net().SetFaults(&dcert.FaultPlan{Seed: 606})
+
+	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "stalled"})
+	if err != nil {
+		t.Fatalf("DialWire: %v", err)
+	}
+	defer wc.Close()
+	client, err := dcert.NewRemoteSuperlightClient(wc)
+	if err != nil {
+		t.Fatalf("NewRemoteSuperlightClient: %v", err)
+	}
+	requestsBefore := srv.Stats().Requests
+	follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{StallDeadline: 15 * time.Millisecond})
+	defer follower.Stop()
+
+	dep.Net().Partition(dcert.TopicCerts)
+	for i := 0; i < blocks/2; i++ {
+		if _, err := plane.MineAndBroadcast(5); err != nil {
+			t.Fatalf("partitioned round %d: %v", i, err)
+		}
+	}
+	waitForPull(t, follower)
+	if err := follower.WaitForHeight(dep.Miner().Tip().Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("catch-up by pull under a partition: %v (server %+v)", err, srv.Stats())
+	}
+	dep.Net().Heal(dcert.TopicCerts)
+	for i := blocks / 2; i < blocks; i++ {
+		if _, err := plane.MineAndBroadcast(5); err != nil {
+			t.Fatalf("healed round %d: %v", i, err)
+		}
+	}
+	tip := dep.Miner().Tip()
+	if err := follower.WaitForHeight(tip.Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("liveness after heal: %v", err)
+	}
+	if hdr, _ := client.Latest(); hdr.Hash() != tip.Hash() {
+		t.Fatalf("safety: client tip %s != miner tip %s", hdr.Hash(), tip.Hash())
+	}
+
+	follower.Stop() // settle: every pull has its answer
+	pulls, requests := follower.Stats().Rerequests, srv.Stats().Requests-requestsBefore
+	if requests != pulls {
+		t.Fatalf("server served %d requests for %d pulls", requests, pulls)
+	}
+	if tally := dep.FaultTally(dcert.TopicCerts); tally.Published != issuers*blocks {
+		t.Fatalf("certificate topic carried %d publishes, want %d landed certificates (%+v)",
+			tally.Published, issuers*blocks, tally)
+	}
+}
+
+// TestChaosNetFollowerPullsPastKilledPrimary is failover over TCP: a remote
+// follower stalled through a partition and a primary crash must pull the tip
+// the surviving secondary certified, not the dead primary's last one. The
+// primary then restarts while the follower keeps pulling (the wire's tip
+// route reads the primary Restart swaps), and the client tracks the chain
+// it certifies.
+func TestChaosNetFollowerPullsPastKilledPrimary(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{
+		Workload:   dcert.KVStore,
+		Contracts:  4,
+		Accounts:   8,
+		Difficulty: 2,
+		Seed:       707,
+		KeySpace:   30,
+	})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	defer dep.Net().Close()
+	plane, err := dep.StartCertPlane(2)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	defer srv.Close()
+	dep.Net().SetFaults(&dcert.FaultPlan{Seed: 707}) // no rules: Partition alone cuts
+	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "failover"})
+	if err != nil {
+		t.Fatalf("DialWire: %v", err)
+	}
+	defer wc.Close()
+	client, err := dcert.NewRemoteSuperlightClient(wc)
+	if err != nil {
+		t.Fatalf("NewRemoteSuperlightClient: %v", err)
+	}
+	follower := dcert.FollowCertsOver(wc, client, dcert.FollowerConfig{StallDeadline: 15 * time.Millisecond})
+	defer follower.Stop()
+
+	mine := func(phase string, rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			if _, err := plane.MineAndBroadcast(5); err != nil {
+				t.Fatalf("%s round %d: %v", phase, i, err)
+			}
+		}
+	}
+	mine("healthy", 2)
+	if err := follower.WaitForHeight(dep.Miner().Tip().Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("healthy start: %v", err)
+	}
+
+	dep.Net().Partition(dcert.TopicCerts)
+	if err := plane.Kill("ci0"); err != nil {
+		t.Fatalf("Kill(ci0): %v", err)
+	}
+	mine("outage", 3)
+	dep.Net().Heal(dcert.TopicCerts)
+	tip := dep.Miner().Tip()
+	if err := follower.WaitForHeight(tip.Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("failover to ci1 over TCP: %v (server %+v)", err, srv.Stats())
+	}
+	if hdr, _ := client.Latest(); hdr.Hash() != tip.Hash() {
+		t.Fatalf("safety: client tip %s != miner tip %s", hdr.Hash(), tip.Hash())
+	}
+
+	if err := plane.Restart("ci0"); err != nil {
+		t.Fatalf("Restart(ci0): %v", err)
+	}
+	if err := plane.Kill("ci1"); err != nil {
+		t.Fatalf("Kill(ci1): %v", err)
+	}
+	mine("restarted", 2)
+	tip = dep.Miner().Tip()
+	if err := follower.WaitForHeight(tip.Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("after primary restart: %v", err)
+	}
+	if hdr, _ := client.Latest(); hdr.Hash() != tip.Hash() {
+		t.Fatalf("safety after restart: client tip %s != miner tip %s", hdr.Hash(), tip.Hash())
 	}
 }

@@ -46,7 +46,7 @@ func newChaosRigCost(t *testing.T, seed int64, issuers int, plan *dcert.FaultPla
 	}
 	dep.Net().SetFaults(plan)
 	client := dep.NewSuperlightClient()
-	follower := dep.FollowCerts(client, dcert.FollowerConfig{Name: "chaos-client", StallDeadline: 15 * time.Millisecond})
+	follower := dep.FollowCerts(client, dcert.FollowerConfig{StallDeadline: 15 * time.Millisecond})
 	rig := &chaosRig{dep: dep, plane: plane, client: client, follower: follower}
 	cleanup := func() {
 		follower.Stop()
@@ -75,15 +75,13 @@ func (r *chaosRig) converge(t *testing.T) {
 }
 
 // TestChaosDropsAndDuplicates runs two CIs under heavy loss and duplication
-// on every certification topic. Lost bundles are recovered through the
-// follower's stall-triggered catch-up requests.
+// on the certificate stream. Lost bundles are recovered through the
+// follower's stall-triggered pull of the newest certificate.
 func TestChaosDropsAndDuplicates(t *testing.T) {
 	rig, cleanup := newChaosRig(t, 101, 2, &dcert.FaultPlan{
 		Seed: 101,
 		Rules: []dcert.FaultRule{
 			{Topic: dcert.TopicCerts, Drop: 0.4, Duplicate: 0.4},
-			{Topic: dcert.TopicCertRequests, Drop: 0.3, Duplicate: 0.3},
-			{Topic: dcert.TopicBlocks, Drop: 0.2},
 		},
 	})
 	defer cleanup()
@@ -104,7 +102,6 @@ func TestChaosReorderAndJitter(t *testing.T) {
 		Seed: 202,
 		Rules: []dcert.FaultRule{
 			{Topic: dcert.TopicCerts, Reorder: 0.6, ReorderDelay: 10 * time.Millisecond, Duplicate: 0.5, JitterMax: 5 * time.Millisecond},
-			{Topic: dcert.TopicCertRequests, JitterMax: 3 * time.Millisecond},
 		},
 	})
 	defer cleanup()
@@ -159,9 +156,9 @@ func TestChaosPartitionHealAndFailover(t *testing.T) {
 		t.Fatalf("live issuers during outage = %v", live)
 	}
 
-	// Phase 3: the partition heals. The client's stall-triggered catch-up
-	// request is answered by the surviving secondary — failover without the
-	// primary.
+	// Phase 3: the partition heals. The client's stall-triggered pull reads
+	// the newest certificate landed, which only the surviving secondary
+	// issued — failover without the primary.
 	net.Heal(dcert.TopicCerts)
 	if err := rig.follower.WaitForHeight(rig.dep.Miner().Tip().Header.Height, 20*time.Second); err != nil {
 		t.Fatalf("failover to ci1 after heal: %v", err)
@@ -294,9 +291,7 @@ func TestChaosFaultCounterReconciliation(t *testing.T) {
 	rig, cleanup := newChaosRig(t, 707, 2, &dcert.FaultPlan{
 		Seed: 707,
 		Rules: []dcert.FaultRule{
-			{Topic: dcert.TopicCerts, Drop: 0.35, Duplicate: 0.35},
-			{Topic: dcert.TopicCertRequests, Drop: 0.3, Duplicate: 0.2},
-			{Topic: dcert.TopicBlocks, Drop: 0.2, Reorder: 0.4, ReorderDelay: 5 * time.Millisecond},
+			{Topic: dcert.TopicCerts, Drop: 0.35, Duplicate: 0.35, Reorder: 0.4, ReorderDelay: 5 * time.Millisecond},
 		},
 	})
 	defer cleanup()
@@ -311,39 +306,85 @@ func TestChaosFaultCounterReconciliation(t *testing.T) {
 	}
 	rig.converge(t)
 
-	counter := func(name, topic string) uint64 {
-		return reg.Counter(name, "", dcert.MetricLabel("topic", topic)).Value()
+	reconcileCertLedger(t, reg, rig.dep.FaultTally(dcert.TopicCerts))
+}
+
+// reconcileCertLedger asserts the registry's counters for the certificate
+// topic equal the fault layer's own injection ledger, that delivered =
+// published - dropped - partitioned + duplicated, and that the seeded plan
+// injected every kind of fault it names (drop, duplicate, reorder), so the
+// reconciliation is not vacuous.
+func reconcileCertLedger(t *testing.T, reg *dcert.MetricsRegistry, tally dcert.NetFaultTally) {
+	t.Helper()
+	counter := func(name string) uint64 {
+		return reg.Counter(name, "", dcert.MetricLabel("topic", dcert.TopicCerts)).Value()
 	}
-	sawFaults := false
-	for _, topic := range []string{dcert.TopicCerts, dcert.TopicCertRequests, dcert.TopicBlocks} {
-		tally := rig.dep.FaultTally(topic)
-		if tally.Published == 0 && topic != dcert.TopicCertRequests {
-			// Cert requests only flow when the follower stalls into catch-up,
-			// so that topic may legitimately stay quiet; blocks and certs
-			// must not.
-			t.Fatalf("topic %s: fault plan observed no publishes", topic)
+	got := dcert.NetFaultTally{
+		Published:   counter("dcert_net_published_total"),
+		Dropped:     counter("dcert_net_dropped_total"),
+		Partitioned: counter("dcert_net_partitioned_total"),
+		Duplicated:  counter("dcert_net_duplicated_total"),
+		Reordered:   counter("dcert_net_reordered_total"),
+	}
+	if got != tally {
+		t.Fatalf("registry counters %+v != injection ledger %+v", got, tally)
+	}
+	delivered := counter("dcert_net_delivered_total")
+	if want := tally.Published - tally.Dropped - tally.Partitioned + tally.Duplicated; delivered != want {
+		t.Fatalf("delivered %d, want published-dropped-partitioned+duplicated = %d (%+v)", delivered, want, tally)
+	}
+	if tally.Dropped == 0 || tally.Duplicated == 0 || tally.Reordered == 0 {
+		t.Fatalf("seeded plan left a fault kind uninjected (%+v); reconciliation was vacuous", tally)
+	}
+}
+
+// waitForPull polls until the follower has pulled at least once.
+func waitForPull(t *testing.T, f *dcert.CertFollower) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for f.Stats().Rerequests == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never pulled: %+v", f.Stats())
 		}
-		got := dcert.NetFaultTally{
-			Published:   counter("dcert_net_published_total", topic),
-			Dropped:     counter("dcert_net_dropped_total", topic),
-			Partitioned: counter("dcert_net_partitioned_total", topic),
-			Duplicated:  counter("dcert_net_duplicated_total", topic),
-			Reordered:   counter("dcert_net_reordered_total", topic),
-		}
-		if got != tally {
-			t.Fatalf("topic %s: registry counters %+v != injection ledger %+v", topic, got, tally)
-		}
-		delivered := counter("dcert_net_delivered_total", topic)
-		want := tally.Published - tally.Dropped - tally.Partitioned + tally.Duplicated
-		if delivered != want {
-			t.Fatalf("topic %s: delivered %d, want published-dropped-partitioned+duplicated = %d (%+v)",
-				topic, delivered, want, tally)
-		}
-		if tally.Dropped > 0 || tally.Duplicated > 0 || tally.Reordered > 0 {
-			sawFaults = true
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestChaosStalledFollowerPullsTheTip is the counted feed: a follower cut
+// off from the certificate topic catches up by pulling the newest landed
+// certificate, and its stalls cost the fabric nothing. The topic carries
+// exactly the certificates the issuers landed — one per live issuer per
+// block — and no broadcast made on a stalled client's behalf.
+func TestChaosStalledFollowerPullsTheTip(t *testing.T) {
+	const issuers, blocks = 2, 6
+	rig, cleanup := newChaosRig(t, 505, issuers, &dcert.FaultPlan{Seed: 505})
+	defer cleanup()
+	net := rig.dep.Net()
+
+	net.Partition(dcert.TopicCerts)
+	for i := 0; i < blocks/2; i++ {
+		if _, err := rig.plane.MineAndBroadcast(5); err != nil {
+			t.Fatalf("partitioned round %d: %v", i, err)
 		}
 	}
-	if !sawFaults {
-		t.Fatal("seeded plan injected no faults at all; reconciliation was vacuous")
+	waitForPull(t, rig.follower)
+	if err := rig.follower.WaitForHeight(rig.dep.Miner().Tip().Header.Height, 20*time.Second); err != nil {
+		t.Fatalf("catch-up by pull under a partition: %v", err)
+	}
+	net.Heal(dcert.TopicCerts)
+	for i := blocks / 2; i < blocks; i++ {
+		if _, err := rig.plane.MineAndBroadcast(5); err != nil {
+			t.Fatalf("healed round %d: %v", i, err)
+		}
+	}
+	rig.converge(t)
+
+	tally := rig.dep.FaultTally(dcert.TopicCerts)
+	if tally.Published != issuers*blocks {
+		t.Fatalf("certificate topic carried %d publishes, want %d landed certificates (%+v)",
+			tally.Published, issuers*blocks, tally)
+	}
+	if tally.Partitioned != issuers*blocks/2 {
+		t.Fatalf("partition cut %d publishes, want the %d landed while it was up", tally.Partitioned, issuers*blocks/2)
 	}
 }

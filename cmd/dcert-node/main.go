@@ -12,9 +12,9 @@
 //
 // With -listen the node becomes a multi-process server: after mining its
 // blocks it keeps running, serving the wire transport protocol on the given
-// address — live certificate/block topic streams, certificate catch-up, and
-// the RPC routes (node info, latest certificate, raw blocks, verifiable
-// queries) — until interrupted. Point dcert-query -connect (or any
+// address — the live certificate stream and the RPC routes (node info,
+// latest certificate, the tip segment a stalled follower pulls, raw blocks,
+// verifiable queries) — until interrupted. Point dcert-query -connect (or any
 // dcert.DialWire client) at the printed address from another OS process.
 // Combined with -data-dir, kill -9 the server and rerun with the same
 // directory: it recovers, mines on, and remote clients re-verify against the
@@ -151,8 +151,9 @@ func run() error {
 }
 
 // runServer runs the node as a long-lived wire server: a certification
-// plane with catch-up responders, and the TCP transport bridged onto the
-// deployment's fabric, with the query route among its RPC routes. It mines
+// plane, and the TCP transport bridged onto the deployment's fabric, with
+// the query route and the tip-segment route a stalled follower pulls from
+// among its RPC routes. It mines
 // the requested blocks (each broadcast as a live CertBundle on the
 // certificate topic), then serves until SIGINT/SIGTERM.
 func runServer(dep *dcert.Deployment, addr string, blocks, txs int, interval time.Duration) error {

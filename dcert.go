@@ -193,17 +193,9 @@ func VerifyKeyword(indexRoot Hash, res *KeywordResult) error {
 	return query.VerifyKeyword(indexRoot, res)
 }
 
-// Network topics for the simulated fabric.
-const (
-	// TopicBlocks carries proposed blocks.
-	TopicBlocks = network.TopicBlocks
-	// TopicCerts carries block certificates.
-	TopicCerts = network.TopicCerts
-	// TopicIndexCerts carries index certificates.
-	TopicIndexCerts = network.TopicIndexCerts
-	// TopicCertRequests carries clients' certificate catch-up requests.
-	TopicCertRequests = network.TopicCertRequests
-)
+// TopicCerts is the fabric's one topic: the certificate stream (a
+// CertBundle per certified block, a SegmentCert per multi-block segment).
+const TopicCerts = network.TopicCerts
 
 // Fault injection (package internal/network): deterministic adversarial
 // delivery for chaos testing — install a plan with Deployment.Net().SetFaults.

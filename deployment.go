@@ -75,7 +75,7 @@ type Deployment struct {
 	cfg       Config
 	authority *attest.Authority
 	miner     *node.Miner
-	issuer    *core.Issuer
+	issuer    atomic.Pointer[core.Issuer] // the primary; Restart("ci0") swaps it
 	sp        *query.ServiceProvider
 	net       *network.Network
 	gen       *workload.Generator
@@ -85,6 +85,10 @@ type Deployment struct {
 	// wire transport's RPC goroutines consult it per request.
 	fleet          atomic.Pointer[fleet.Fleet]
 	indexFactories []func() (*AuthIndex, error)
+
+	// tipSeg is the newest certificate (by End) any issuer has landed; see
+	// tipSegment.
+	tipSeg atomic.Pointer[SegmentCert]
 
 	// Instrumentation plane, nil until EnableObservability.
 	reg       *obs.Registry
@@ -185,12 +189,12 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		cfg:       cfg,
 		authority: authority,
 		miner:     node.NewMiner(minerNode),
-		issuer:    issuer,
 		sp:        query.NewServiceProvider(spNode),
 		net:       network.New(),
 		gen:       gen,
 		params:    params,
 	}
+	d.issuer.Store(issuer)
 	if cfg.Storage != nil {
 		engine, err := storage.OpenEngine(cfg.Storage.Dir, cfg.Storage.engineOptions())
 		if err != nil {
@@ -226,7 +230,7 @@ func (d *Deployment) Authority() *attest.Authority {
 
 // Issuer returns the certificate issuer.
 func (d *Deployment) Issuer() *Issuer {
-	return d.issuer
+	return d.issuer.Load()
 }
 
 // SP returns the query service provider.
@@ -252,7 +256,7 @@ func (d *Deployment) Params() ConsensusParams {
 // NewSuperlightClient creates a client pinned to this deployment's
 // attestation authority and CI enclave measurement.
 func (d *Deployment) NewSuperlightClient() *SuperlightClient {
-	return core.NewSuperlightClient(d.authority.PublicKey(), d.issuer.Measurement(), d.params)
+	return core.NewSuperlightClient(d.authority.PublicKey(), d.Issuer().Measurement(), d.params)
 }
 
 // NewLightClient creates a traditional light client pinned to the genesis —
@@ -280,7 +284,7 @@ type certTarget struct {
 
 // primary is the deployment's own issuer as a certification target.
 func (d *Deployment) primary() []certTarget {
-	return []certTarget{{name: "ci", issuer: d.issuer}}
+	return []certTarget{{name: "ci", issuer: d.Issuer()}}
 }
 
 // mine is the one way a block enters the deployment. It mines `blocks`
@@ -292,7 +296,7 @@ func (d *Deployment) primary() []certTarget {
 //	submit                        certify inline on every target (one segment
 //	                              Ecall for the run; Alg. 5 over one block
 //	                              with indexNames), or Submit to its pipeline
-//	serve → publish               per block: SP + fleet feed, TopicBlocks
+//	serve                         per block: SP + fleet feed
 //	certificate lands             per inline target: TopicCerts + journal
 //
 // Journal comes before submit because the engine refuses a certificate for a
@@ -301,7 +305,7 @@ func (d *Deployment) primary() []certTarget {
 // SP feed. It returns the blocks and, from the first inline target, the
 // covering segment certificate and the index certificates (nil under
 // pipelines and with no target at all: the blocks are still mined, journaled
-// uncertified, served and published).
+// uncertified and served).
 func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarget) ([]*Block, *SegmentCert, []*Certificate, error) {
 	clk := d.newMineClock()
 	// Uncertified: the certificate follows through persistCert.
@@ -366,9 +370,6 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 		if err := d.feedServing(blk); err != nil {
 			return nil, nil, nil, fmt.Errorf("dcert: SP: %w", err)
 		}
-		if err := d.net.Publish(TopicBlocks, "miner", blk); err != nil {
-			return nil, nil, nil, err
-		}
 	}
 	clk.stop()
 
@@ -387,13 +388,32 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 	return blks, first, idxCerts, nil
 }
 
+// tipSegment is the newest certificate the deployment can hand a stalled
+// follower: the newest any issuer has landed, or the primary's own when that
+// is newer (a resumed deployment's recovered tip, blocks certified through
+// Issuer() directly). The in-process pull (FollowCerts) and the wire's tip
+// route both read it, so a killed primary does not freeze either.
+func (d *Deployment) tipSegment() *SegmentCert {
+	seg := d.tipSeg.Load()
+	if own := d.Issuer().LatestSegment(); own != nil && (seg == nil || own.End() > seg.End()) {
+		return own
+	}
+	return seg
+}
+
 // certLanded is the mining routine's last step, run wherever a certificate
-// becomes available — inline after the blocks' publication, or in a
-// pipeline's result consumer: publish it on TopicCerts (a CertBundle for one
-// block, the SegmentCert for more) and journal it against every covered
-// block. ApplyCert is idempotent, so redundant issuers landing the same
-// height race harmlessly; one durable copy suffices.
+// becomes available — inline after the blocks are served, or in a
+// pipeline's result consumer: record it as the tip certificate if it is the
+// newest yet, publish it on TopicCerts (a CertBundle for one block, the
+// SegmentCert for more) and journal it against every covered block.
+// ApplyCert is idempotent, so redundant issuers landing the same height race
+// harmlessly; one durable copy suffices.
 func (d *Deployment) certLanded(issuer string, seg *SegmentCert) error {
+	for cur := d.tipSeg.Load(); cur == nil || cur.End() < seg.End(); cur = d.tipSeg.Load() {
+		if d.tipSeg.CompareAndSwap(cur, seg) {
+			break
+		}
+	}
 	var payload any = seg
 	if len(seg.Headers) == 1 {
 		payload = &CertBundle{Header: seg.Headers[0], Cert: seg.Cert}
@@ -408,8 +428,8 @@ func (d *Deployment) certLanded(issuer string, seg *SegmentCert) error {
 }
 
 // MineAndCertify generates a block of n transactions, mines it, runs the CI
-// certification (Alg. 1), feeds the SP, and publishes the block and its
-// CertBundle on the network. It returns the block and its certificate.
+// certification (Alg. 1), feeds the SP, and publishes its CertBundle on the
+// network. It returns the block and its certificate.
 func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 	blks, seg, _, err := d.mine(1, n, nil, d.primary())
 	if err != nil {
@@ -421,8 +441,8 @@ func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 // MineAndCertifySegment mines `blocks` consecutive blocks of n transactions
 // each and certifies them with ONE segment Ecall (core.Issuer.ProcessSegment)
 // — the amortized counterpart of calling MineAndCertify in a loop. Every
-// block feeds the SP and publishes on TopicBlocks; the segment certificate
-// publishes once on TopicCerts, and each covered block journals under it.
+// block feeds the SP; the segment certificate publishes once on TopicCerts,
+// and each covered block journals under it.
 func (d *Deployment) MineAndCertifySegment(blocks, n int) ([]*Block, *SegmentCert, error) {
 	if blocks < 1 {
 		return nil, nil, fmt.Errorf("dcert: segment needs at least 1 block, got %d", blocks)
@@ -446,7 +466,7 @@ func (d *Deployment) AddIndex(mk func() (*AuthIndex, error)) (*AuthIndex, error)
 	if err := d.sp.AddIndex(spIdx); err != nil {
 		return nil, err
 	}
-	if err := d.issuer.Program().RegisterUpdater(ciIdx); err != nil {
+	if err := d.Issuer().Program().RegisterUpdater(ciIdx); err != nil {
 		return nil, err
 	}
 	// Record the factory so StartFleet can equip the fleet's snapshot with

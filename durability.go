@@ -174,17 +174,18 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 		return fail(fmt.Errorf("dcert: generator: %w", err))
 	}
 
-	return &Deployment{
+	d := &Deployment{
 		cfg:       cfg,
 		authority: authority,
 		miner:     node.NewMiner(minerNode),
-		issuer:    issuer,
 		sp:        query.NewServiceProvider(spNode),
 		net:       network.New(),
 		gen:       gen,
 		params:    params,
 		engine:    engine,
-	}, nil
+	}
+	d.issuer.Store(issuer)
+	return d, nil
 }
 
 // StorageRecovery reports what the durability engine reconstructed at open

@@ -3,6 +3,7 @@ package dcert
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"dcert/internal/chain"
 	"dcert/internal/statedb"
@@ -85,6 +86,40 @@ func TestDurableDeploymentStateTries(t *testing.T) {
 	}
 	if got := statedb.Instances() - before; got != 5 {
 		t.Fatalf("resumed deployment + fleet built %d state tries, want 5 (genesis check, miner, CI, SP, fleet snapshot)", got)
+	}
+}
+
+// TestResumedFollowerReachesRecoveredTip reopens a durable deployment and
+// starts a follower with nothing mined since: its first pull must hand it
+// the recovered tip certificate, which no issuer has landed in this process.
+func TestResumedFollowerReachesRecoveredTip(t *testing.T) {
+	cfg := durableTestConfig(t.TempDir(), nil)
+	dep, err := NewDeployment(cfg)
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, _, err := dep.MineAndCertify(4); err != nil {
+			t.Fatalf("MineAndCertify: %v", err)
+		}
+	}
+	tip := dep.Miner().Tip()
+	if err := dep.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	resumed, err := ResumeDeployment(cfg)
+	if err != nil {
+		t.Fatalf("ResumeDeployment: %v", err)
+	}
+	defer resumed.Close()
+	follower := resumed.FollowCerts(resumed.NewSuperlightClient(), FollowerConfig{StallDeadline: 5 * time.Millisecond})
+	defer follower.Stop()
+	if err := follower.WaitForHeight(tip.Header.Height, 10*time.Second); err != nil {
+		t.Fatalf("follower on a resumed deployment: %v", err)
+	}
+	if hdr, _ := follower.Client().Latest(); hdr.Hash() != tip.Hash() {
+		t.Fatalf("client tip %s != recovered tip %s", hdr.Hash(), tip.Hash())
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"dcert"
 	"dcert/internal/core"
-	"dcert/internal/network"
 )
 
 // newSmallDeployment builds a fast deployment for integration tests.
@@ -28,33 +27,20 @@ func newSmallDeployment(t *testing.T, w dcert.Workload, seed int64) *dcert.Deplo
 }
 
 // TestNetworkedClientFollowsCertStream runs a superlight client as a
-// goroutine subscribed to the simulated network's block and certificate
-// topics — the certification workflow of Fig. 2 end to end over the fabric.
+// goroutine subscribed to the simulated network's certificate topic — the
+// certification workflow of Fig. 2 end to end over the fabric. Every bundle
+// must certify the block the miner holds at its height.
 func TestNetworkedClientFollowsCertStream(t *testing.T) {
 	dep := newSmallDeployment(t, dcert.KVStore, 1)
 	client := dep.NewSuperlightClient()
 
-	blocks := dep.Net().Subscribe(network.TopicBlocks, 32)
-	certs := dep.Net().Subscribe(network.TopicCerts, 32)
-	defer blocks.Cancel()
+	certs := dep.Net().Subscribe(dcert.TopicCerts, 32)
 	defer certs.Cancel()
 
 	const n = 6
 	done := make(chan error, 1)
 	go func() {
 		for validated := 0; validated < n; validated++ {
-			var pending *dcert.Block
-			select {
-			case m, ok := <-blocks.C:
-				if !ok {
-					done <- errors.New("block stream closed")
-					return
-				}
-				pending = m.Payload.(*dcert.Block)
-			case <-time.After(5 * time.Second):
-				done <- errors.New("timed out waiting for a block")
-				return
-			}
 			select {
 			case m, ok := <-certs.C:
 				if !ok {
@@ -62,8 +48,13 @@ func TestNetworkedClientFollowsCertStream(t *testing.T) {
 					return
 				}
 				bundle := m.Payload.(*dcert.CertBundle)
-				if bundle.Header.Hash() != pending.Hash() {
-					done <- errors.New("certificate bundle is not for the block just published")
+				blk, err := dep.Miner().Store().AtHeight(bundle.Header.Height)
+				if err != nil {
+					done <- err
+					return
+				}
+				if bundle.Header.Hash() != blk.Hash() {
+					done <- errors.New("certificate bundle is not for the miner's block")
 					return
 				}
 				if err := client.ValidateChain(bundle.Header, bundle.Cert); err != nil {

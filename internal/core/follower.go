@@ -12,10 +12,10 @@ import (
 // Client-side certificate catch-up (the liveness half of the fault-tolerant
 // certification plane). A superlight client normally just consumes the
 // certificate stream; under message loss or a partition the stream can stall
-// forever. The Follower detects the stall and explicitly re-requests the
-// latest certificate on TopicCertRequests; any live CertResponder answers by
-// re-publishing its newest ⟨header, certificate⟩ bundle — one accepted
-// bundle brings the client fully current (the superlight catch-up property).
+// forever. The Follower detects the stall and pulls the newest certificate
+// from the one provider it was given — one accepted certificate brings the
+// client fully current (the superlight catch-up property), so nothing is
+// broadcast on its behalf.
 
 // CertBundle pairs a header with its certificate — the unit a superlight
 // client needs to adopt a new tip, published on TopicCerts.
@@ -26,30 +26,16 @@ type CertBundle struct {
 	Cert *Certificate
 }
 
-// CertRequest asks live issuers to re-publish their latest bundle.
-type CertRequest struct {
-	// From identifies the requesting client (diagnostics only).
-	From string
-	// Height is the requester's current tip height; responders whose tip is
-	// not ahead may stay silent.
-	Height uint64
-}
-
 // FollowerConfig tunes a certificate follower.
 type FollowerConfig struct {
-	// Name identifies the follower on the fabric (default "client").
-	Name string
 	// StallDeadline is how long the cert stream may stay silent before the
-	// follower re-requests the latest certificate (default 200ms).
+	// follower pulls the newest certificate (default 200ms).
 	StallDeadline time.Duration
 	// QueueDepth is the cert subscription's buffer (default 64).
 	QueueDepth int
 }
 
 func (c FollowerConfig) withDefaults() FollowerConfig {
-	if c.Name == "" {
-		c.Name = "client"
-	}
 	if c.StallDeadline <= 0 {
 		c.StallDeadline = 200 * time.Millisecond
 	}
@@ -61,21 +47,22 @@ func (c FollowerConfig) withDefaults() FollowerConfig {
 
 // FollowerStats counts a follower's activity.
 type FollowerStats struct {
-	// Accepted is the number of bundles that advanced the client's tip.
+	// Accepted is the number of certificates that advanced the client's tip.
 	Accepted uint64
-	// Rejected is the number of bundles that failed validation or were
+	// Rejected is the number of certificates that failed validation or were
 	// stale/duplicated (expected under chaotic delivery).
 	Rejected uint64
-	// Rerequests is the number of stall-triggered catch-up requests sent.
+	// Rerequests is the number of stall-triggered pulls of the newest
+	// certificate.
 	Rerequests uint64
 }
 
 // Follower drives a SuperlightClient from the fabric's certificate stream,
-// re-requesting the latest certificate whenever the stream stalls.
+// pulling the newest certificate whenever the stream stalls.
 type Follower struct {
 	client *SuperlightClient
-	net    network.Bus
 	sub    *network.Subscription
+	pull   func() (*SegmentCert, error)
 	cfg    FollowerConfig
 	done   chan struct{}
 	wg     sync.WaitGroup
@@ -84,13 +71,18 @@ type Follower struct {
 	stats FollowerStats
 }
 
-// FollowCerts starts following certificate bundles on the client's behalf.
-func FollowCerts(client *SuperlightClient, net network.Bus, cfg FollowerConfig) *Follower {
+// FollowCerts starts following certificates on TopicCerts on the client's
+// behalf. pull fetches the provider's newest certificate (nil when it has
+// none) whenever the stream stalls; a pull error is retried at the next stall.
+// The pull runs on the follower's one goroutine: while it is in flight no
+// streamed certificate is read (the subscription queue absorbs them, and the
+// pulled tip supersedes any it drops), and Stop waits for it to return.
+func FollowCerts(client *SuperlightClient, bus network.Bus, pull func() (*SegmentCert, error), cfg FollowerConfig) *Follower {
 	cfg = cfg.withDefaults()
 	f := &Follower{
 		client: client,
-		net:    net,
-		sub:    net.Subscribe(network.TopicCerts, cfg.QueueDepth),
+		sub:    bus.Subscribe(network.TopicCerts, cfg.QueueDepth),
+		pull:   pull,
 		cfg:    cfg,
 		done:   make(chan struct{}),
 	}
@@ -144,9 +136,7 @@ func (f *Follower) loop() {
 			default:
 				continue
 			}
-			f.mu.Lock()
-			if verr == nil {
-				f.stats.Accepted++
+			if f.count(verr) {
 				// Progress: push the stall horizon out.
 				if !stall.Stop() {
 					select {
@@ -155,26 +145,34 @@ func (f *Follower) loop() {
 					}
 				}
 				stall.Reset(f.cfg.StallDeadline)
-			} else {
-				f.stats.Rejected++
 			}
-			f.mu.Unlock()
 		case <-stall.C:
-			hdr, _ := f.client.Latest()
-			var height uint64
-			if hdr != nil {
-				height = hdr.Height
-			}
-			// Publish errors only mean the fabric shut down.
-			if err := f.net.Publish(network.TopicCertRequests, f.cfg.Name, &CertRequest{From: f.cfg.Name, Height: height}); err != nil {
-				return
-			}
 			f.mu.Lock()
 			f.stats.Rerequests++
 			f.mu.Unlock()
+			// A failed or empty pull is retried at the next stall; a
+			// certificate not ahead of the client's tip is nothing new.
+			if seg, err := f.pull(); err == nil && seg != nil {
+				if hdr, _ := f.client.Latest(); hdr == nil || seg.End() > hdr.Height {
+					f.count(f.client.ValidateSegment(seg))
+				}
+			}
 			stall.Reset(f.cfg.StallDeadline)
 		}
 	}
+}
+
+// count records one validation outcome, reporting whether it advanced the
+// client's tip.
+func (f *Follower) count(verr error) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if verr != nil {
+		f.stats.Rejected++
+		return false
+	}
+	f.stats.Accepted++
+	return true
 }
 
 // WaitForHeight blocks until the client's tip reaches height (polling; the
@@ -199,45 +197,6 @@ func (f *Follower) WaitForHeight(height uint64, timeout time.Duration) error {
 	}
 }
 
-// CertResponder serves catch-up requests for one issuer: every CertRequest
-// whose sender is behind gets the issuer's newest bundle re-published on
-// TopicCerts (a broadcast, so all stalled clients benefit from one answer).
-type CertResponder struct {
-	ci   *Issuer
-	net  network.Bus
-	name string
-	sub  *network.Subscription
-	done chan struct{}
-	wg   sync.WaitGroup
-}
-
-// ServeCertRequests starts answering catch-up requests on the issuer's
-// behalf under the given fabric identity.
-func ServeCertRequests(ci *Issuer, net network.Bus, name string) *CertResponder {
-	r := &CertResponder{
-		ci:   ci,
-		net:  net,
-		name: name,
-		sub:  net.Subscribe(network.TopicCertRequests, 64),
-		done: make(chan struct{}),
-	}
-	r.wg.Add(1)
-	go r.loop()
-	return r
-}
-
-// Stop ends the responder (a killed CI answers nothing).
-func (r *CertResponder) Stop() {
-	select {
-	case <-r.done:
-		return
-	default:
-	}
-	close(r.done)
-	r.sub.Cancel()
-	r.wg.Wait()
-}
-
 // LatestBundle returns the issuer's newest ⟨header, certificate⟩ pair, or
 // nil before the first certified block.
 func (ci *Issuer) LatestBundle() *CertBundle {
@@ -251,37 +210,4 @@ func (ci *Issuer) LatestBundle() *CertBundle {
 		return nil // mid-certification: tip advanced, cert not recorded yet
 	}
 	return &CertBundle{Header: &tip.Header, Cert: ci.lastCert}
-}
-
-func (r *CertResponder) loop() {
-	defer r.wg.Done()
-	for {
-		select {
-		case <-r.done:
-			return
-		case m, ok := <-r.sub.C:
-			if !ok {
-				return
-			}
-			req, isReq := m.Payload.(*CertRequest)
-			if !isReq {
-				continue
-			}
-			// The newest certificate may cover a multi-block segment, in
-			// which case there is no per-block bundle for the tip — answer
-			// with the whole segment instead.
-			var payload any
-			if bundle := r.ci.LatestBundle(); bundle != nil && bundle.Header.Height > req.Height {
-				payload = bundle
-			} else if seg := r.ci.LatestSegment(); seg != nil && seg.End() > req.Height {
-				payload = seg
-			} else {
-				continue // nothing newer to offer
-			}
-			// Publish errors only mean the fabric shut down.
-			if err := r.net.Publish(network.TopicCerts, r.name, payload); err != nil {
-				return
-			}
-		}
-	}
 }

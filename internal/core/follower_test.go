@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,11 +11,16 @@ import (
 	"dcert/internal/workload"
 )
 
+// issuerTip is a pull source that reads an issuer's newest certificate.
+func issuerTip(ci *Issuer) func() (*SegmentCert, error) {
+	return func() (*SegmentCert, error) { return ci.LatestSegment(), nil }
+}
+
 func TestFollowerConsumesBundleStream(t *testing.T) {
 	e := newEnv(t, workload.KVStore, enclave.CostModel{})
 	net := network.New()
 	defer net.Close()
-	f := FollowCerts(e.client(), net, FollowerConfig{Name: "c1", StallDeadline: time.Second})
+	f := FollowCerts(e.client(), net, issuerTip(e.issuer), FollowerConfig{StallDeadline: time.Second})
 	defer f.Stop()
 
 	const n = 4
@@ -29,21 +36,21 @@ func TestFollowerConsumesBundleStream(t *testing.T) {
 	if err := f.WaitForHeight(n, 5*time.Second); err != nil {
 		t.Fatalf("WaitForHeight: %v", err)
 	}
+	f.Stop() // settle the counters
 	if st := f.Stats(); st.Accepted != n {
 		t.Fatalf("stats = %+v, want %d accepted", st, n)
 	}
 }
 
-// TestFollowerCatchesUpViaRerequest starves the follower of the live stream
-// entirely: every bundle publish is lost. The stall deadline must trigger an
-// explicit TopicCertRequests catch-up, and the responder's answer must bring
-// the client to the tip in one validation.
-func TestFollowerCatchesUpViaRerequest(t *testing.T) {
+// TestFollowerCatchesUpByPull starves the follower of the live stream
+// entirely: nothing is ever published. The stall deadline must trigger a
+// pull of the newest certificate, and that one certificate must bring the
+// client to the tip in one validation. The source's first answer is an
+// error, which only defers catch-up to the next stall.
+func TestFollowerCatchesUpByPull(t *testing.T) {
 	e := newEnv(t, workload.KVStore, enclave.CostModel{})
 	net := network.New()
 	defer net.Close()
-	responder := ServeCertRequests(e.issuer, net, "ci")
-	defer responder.Stop()
 
 	// Certify 3 blocks without publishing anything — the live stream is gone.
 	for i := 0; i < 3; i++ {
@@ -53,48 +60,21 @@ func TestFollowerCatchesUpViaRerequest(t *testing.T) {
 		}
 	}
 
-	f := FollowCerts(e.client(), net, FollowerConfig{Name: "c1", StallDeadline: 20 * time.Millisecond})
+	var pulls atomic.Int32
+	pull := func() (*SegmentCert, error) {
+		if pulls.Add(1) == 1 {
+			return nil, errors.New("provider unreachable")
+		}
+		return e.issuer.LatestSegment(), nil
+	}
+	f := FollowCerts(e.client(), net, pull, FollowerConfig{StallDeadline: 20 * time.Millisecond})
 	defer f.Stop()
 	if err := f.WaitForHeight(3, 5*time.Second); err != nil {
-		t.Fatalf("catch-up via re-request failed: %v", err)
+		t.Fatalf("catch-up by pull failed: %v", err)
 	}
+	f.Stop() // settle the counters
 	st := f.Stats()
-	if st.Rerequests == 0 {
-		t.Fatalf("stall never triggered a re-request: %+v", st)
-	}
-}
-
-func TestResponderStaysSilentWhenNotAhead(t *testing.T) {
-	e := newEnv(t, workload.KVStore, enclave.CostModel{})
-	net := network.New()
-	defer net.Close()
-	responder := ServeCertRequests(e.issuer, net, "ci")
-	defer responder.Stop()
-
-	certs := net.Subscribe(network.TopicCerts, 8)
-	defer certs.Cancel()
-
-	// Before any certification there is nothing to serve.
-	if err := net.Publish(network.TopicCertRequests, "c1", &CertRequest{From: "c1"}); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	select {
-	case m := <-certs.C:
-		t.Fatalf("responder answered with nothing certified: %+v", m)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// A requester already at the tip gets no redundant broadcast.
-	blk := e.mine(t, 3)
-	if _, _, err := e.issuer.ProcessBlock(blk); err != nil {
-		t.Fatalf("ProcessBlock: %v", err)
-	}
-	if err := net.Publish(network.TopicCertRequests, "c1", &CertRequest{From: "c1", Height: 1}); err != nil {
-		t.Fatalf("Publish: %v", err)
-	}
-	select {
-	case m := <-certs.C:
-		t.Fatalf("responder answered a caught-up client: %+v", m)
-	case <-time.After(50 * time.Millisecond):
+	if st.Rerequests < 2 || st.Accepted != 1 || st.Rejected != 0 {
+		t.Fatalf("stats = %+v, want a failed pull, then one accepted certificate", st)
 	}
 }

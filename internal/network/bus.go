@@ -3,8 +3,8 @@ package network
 // Bus is the topic API every DCert component speaks: publish a payload to a
 // topic, subscribe to a topic with a bounded queue. The in-process Network
 // implements it directly; the wire transport (internal/transport) implements
-// the same semantics over length-prefixed TCP, so followers, responders, and
-// query services run unchanged against either fabric:
+// the same semantics over length-prefixed TCP, so certificate followers run
+// unchanged against either fabric:
 //
 //   - delivery preserves per-publisher order on each topic;
 //   - every current subscriber of a topic receives each delivered message

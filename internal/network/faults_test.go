@@ -23,11 +23,11 @@ func TestFaultDropIsDeterministic(t *testing.T) {
 	run := func() []any {
 		n := New()
 		defer n.Close()
-		n.SetFaults(&FaultPlan{Seed: 42, Rules: []FaultRule{{Topic: TopicBlocks, Drop: 0.5}}})
-		sub := n.Subscribe(TopicBlocks, 64)
+		n.SetFaults(&FaultPlan{Seed: 42, Rules: []FaultRule{{Topic: testTopic, Drop: 0.5}}})
+		sub := n.Subscribe(testTopic, 64)
 		defer sub.Cancel()
 		for i := 0; i < 20; i++ {
-			if err := n.Publish(TopicBlocks, "miner", i); err != nil {
+			if err := n.Publish(testTopic, "miner", i); err != nil {
 				t.Fatalf("Publish: %v", err)
 			}
 		}
@@ -69,15 +69,15 @@ func TestFaultReorder(t *testing.T) {
 	defer n.Close()
 	// First message is always held back; the rest pass untouched.
 	n.SetFaults(&FaultPlan{Seed: 1, Rules: []FaultRule{
-		{Topic: TopicBlocks, From: "laggy", Reorder: 1, ReorderDelay: 30 * time.Millisecond},
-		{Topic: TopicBlocks},
+		{Topic: testTopic, From: "laggy", Reorder: 1, ReorderDelay: 30 * time.Millisecond},
+		{Topic: testTopic},
 	}})
-	sub := n.Subscribe(TopicBlocks, 64)
+	sub := n.Subscribe(testTopic, 64)
 	defer sub.Cancel()
-	if err := n.Publish(TopicBlocks, "laggy", "late"); err != nil {
+	if err := n.Publish(testTopic, "laggy", "late"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	if err := n.Publish(TopicBlocks, "miner", "early"); err != nil {
+	if err := n.Publish(testTopic, "miner", "early"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	got := collect(sub, 60*time.Millisecond)
@@ -89,13 +89,13 @@ func TestFaultReorder(t *testing.T) {
 func TestFaultRuleScopedToPublisher(t *testing.T) {
 	n := New()
 	defer n.Close()
-	n.SetFaults(&FaultPlan{Seed: 3, Rules: []FaultRule{{Topic: TopicBlocks, From: "evil", Drop: 1}}})
-	sub := n.Subscribe(TopicBlocks, 8)
+	n.SetFaults(&FaultPlan{Seed: 3, Rules: []FaultRule{{Topic: testTopic, From: "evil", Drop: 1}}})
+	sub := n.Subscribe(testTopic, 8)
 	defer sub.Cancel()
-	if err := n.Publish(TopicBlocks, "evil", "lost"); err != nil {
+	if err := n.Publish(testTopic, "evil", "lost"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	if err := n.Publish(TopicBlocks, "miner", "kept"); err != nil {
+	if err := n.Publish(testTopic, "miner", "kept"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	got := collect(sub, 20*time.Millisecond)
@@ -150,14 +150,14 @@ func TestPartitionIsPerTopic(t *testing.T) {
 	n := New()
 	defer n.Close()
 	n.SetFaults(&FaultPlan{Seed: 5})
-	blocks := n.Subscribe(TopicBlocks, 8)
-	defer blocks.Cancel()
+	other := n.Subscribe(testTopic, 8)
+	defer other.Cancel()
 
 	n.Partition(TopicCerts)
-	if err := n.Publish(TopicBlocks, "miner", "flows"); err != nil {
+	if err := n.Publish(testTopic, "miner", "flows"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
-	got := collect(blocks, 20*time.Millisecond)
+	got := collect(other, 20*time.Millisecond)
 	if len(got) != 1 {
 		t.Fatalf("partition of another topic blocked delivery: %v", got)
 	}
@@ -168,9 +168,9 @@ func TestSetFaultsNilRestoresCleanDelivery(t *testing.T) {
 	defer n.Close()
 	n.SetFaults(&FaultPlan{Seed: 2, Rules: []FaultRule{{Drop: 1}}})
 	n.SetFaults(nil)
-	sub := n.Subscribe(TopicBlocks, 8)
+	sub := n.Subscribe(testTopic, 8)
 	defer sub.Cancel()
-	if err := n.Publish(TopicBlocks, "miner", 1); err != nil {
+	if err := n.Publish(testTopic, "miner", 1); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	if got := collect(sub, 20*time.Millisecond); len(got) != 1 {

@@ -20,18 +20,9 @@ var (
 	ErrClosed = errors.New("network: closed")
 )
 
-// Well-known topics of the DCert certification workflow (Fig. 2).
-const (
-	// TopicBlocks carries newly proposed blocks (miner → everyone).
-	TopicBlocks = "blocks"
-	// TopicCerts carries block certificates (CI → clients).
-	TopicCerts = "certs"
-	// TopicIndexCerts carries index certificates (CI → clients).
-	TopicIndexCerts = "index-certs"
-	// TopicCertRequests carries clients' explicit catch-up requests for the
-	// latest certificate (client → CIs) when the cert stream stalls.
-	TopicCertRequests = "cert-requests"
-)
+// TopicCerts is the one topic of the DCert certification workflow (Fig. 2):
+// the certificate stream, CI → clients.
+const TopicCerts = "certs"
 
 // Message is one published datum.
 type Message struct {

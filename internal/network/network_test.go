@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// testTopic is a topic of the tests' own: the bus is topic-agnostic, and
+// the workflow's one topic (TopicCerts) stays free for per-topic checks.
+const testTopic = "test"
+
 func recvOne(t *testing.T, s *Subscription, timeout time.Duration) Message {
 	t.Helper()
 	select {
@@ -24,14 +28,14 @@ func recvOne(t *testing.T, s *Subscription, timeout time.Duration) Message {
 func TestPublishSubscribe(t *testing.T) {
 	n := New()
 	defer n.Close()
-	sub := n.Subscribe(TopicBlocks, 4)
+	sub := n.Subscribe(testTopic, 4)
 	defer sub.Cancel()
 
-	if err := n.Publish(TopicBlocks, "miner", 42); err != nil {
+	if err := n.Publish(testTopic, "miner", 42); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	m := recvOne(t, sub, time.Second)
-	if m.From != "miner" || m.Payload.(int) != 42 || m.Topic != TopicBlocks {
+	if m.From != "miner" || m.Payload.(int) != 42 || m.Topic != testTopic {
 		t.Fatalf("message = %+v", m)
 	}
 }
@@ -39,9 +43,9 @@ func TestPublishSubscribe(t *testing.T) {
 func TestTopicsIsolated(t *testing.T) {
 	n := New()
 	defer n.Close()
-	blocks := n.Subscribe(TopicBlocks, 4)
+	other := n.Subscribe(testTopic, 4)
 	certs := n.Subscribe(TopicCerts, 4)
-	defer blocks.Cancel()
+	defer other.Cancel()
 	defer certs.Cancel()
 
 	if err := n.Publish(TopicCerts, "ci", "cert"); err != nil {
@@ -49,8 +53,8 @@ func TestTopicsIsolated(t *testing.T) {
 	}
 	recvOne(t, certs, time.Second)
 	select {
-	case m := <-blocks.C:
-		t.Fatalf("blocks subscriber got cert message %+v", m)
+	case m := <-other.C:
+		t.Fatalf("test-topic subscriber got cert message %+v", m)
 	case <-time.After(20 * time.Millisecond):
 	}
 }
@@ -60,9 +64,9 @@ func TestMultipleSubscribersAllReceive(t *testing.T) {
 	defer n.Close()
 	var subs []*Subscription
 	for i := 0; i < 5; i++ {
-		subs = append(subs, n.Subscribe(TopicBlocks, 2))
+		subs = append(subs, n.Subscribe(testTopic, 2))
 	}
-	if err := n.Publish(TopicBlocks, "miner", "blk"); err != nil {
+	if err := n.Publish(testTopic, "miner", "blk"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	for i, s := range subs {
@@ -76,10 +80,10 @@ func TestMultipleSubscribersAllReceive(t *testing.T) {
 func TestSlowSubscriberDrops(t *testing.T) {
 	n := New()
 	defer n.Close()
-	sub := n.Subscribe(TopicBlocks, 1)
+	sub := n.Subscribe(testTopic, 1)
 	defer sub.Cancel()
 	for i := 0; i < 5; i++ {
-		if err := n.Publish(TopicBlocks, "miner", i); err != nil {
+		if err := n.Publish(testTopic, "miner", i); err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
 	}
@@ -97,10 +101,10 @@ func TestSlowSubscriberDrops(t *testing.T) {
 func TestCancelStopsDelivery(t *testing.T) {
 	n := New()
 	defer n.Close()
-	sub := n.Subscribe(TopicBlocks, 4)
+	sub := n.Subscribe(testTopic, 4)
 	sub.Cancel()
 	sub.Cancel() // idempotent
-	if err := n.Publish(TopicBlocks, "miner", 1); err != nil {
+	if err := n.Publish(testTopic, "miner", 1); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	if _, ok := <-sub.C; ok {
@@ -110,11 +114,11 @@ func TestCancelStopsDelivery(t *testing.T) {
 
 func TestLatencyDelaysDelivery(t *testing.T) {
 	n := New(WithLatency(50 * time.Millisecond))
-	sub := n.Subscribe(TopicBlocks, 4)
+	sub := n.Subscribe(testTopic, 4)
 	defer sub.Cancel()
 
 	start := time.Now()
-	if err := n.Publish(TopicBlocks, "miner", "slow"); err != nil {
+	if err := n.Publish(testTopic, "miner", "slow"); err != nil {
 		t.Fatalf("Publish: %v", err)
 	}
 	recvOne(t, sub, time.Second)
@@ -133,7 +137,7 @@ func TestConcurrentPublishSubscribeCancelStress(t *testing.T) {
 	n.SetFaults(&FaultPlan{Seed: 13, Rules: []FaultRule{
 		{Drop: 0.1, Duplicate: 0.2, Reorder: 0.2, ReorderDelay: 100 * time.Microsecond},
 	}})
-	topics := []string{TopicBlocks, TopicCerts, TopicIndexCerts}
+	topics := []string{testTopic, TopicCerts, "other"}
 
 	var wg sync.WaitGroup
 	// Churning subscribers: subscribe, read a little, cancel.
@@ -172,7 +176,7 @@ func TestConcurrentPublishSubscribeCancelStress(t *testing.T) {
 	}()
 	wg.Wait()
 	n.Close()
-	if err := n.Publish(TopicBlocks, "stress", 1); !errors.Is(err, ErrClosed) {
+	if err := n.Publish(testTopic, "stress", 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed after Close, got %v", err)
 	}
 }
@@ -181,7 +185,7 @@ func TestPublishAfterClose(t *testing.T) {
 	n := New()
 	n.Close()
 	n.Close() // idempotent
-	if err := n.Publish(TopicBlocks, "miner", 1); !errors.Is(err, ErrClosed) {
+	if err := n.Publish(testTopic, "miner", 1); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }

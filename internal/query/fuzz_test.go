@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 
+	"dcert/internal/chash"
+	"dcert/internal/mbtree"
 	"dcert/internal/mpt"
 )
 
@@ -146,6 +148,63 @@ func FuzzClientAnswerDecoders(f *testing.F) {
 		}
 		if !bytes.Equal(re, again) {
 			t.Fatalf("decoder %d: the re-encoding is not a fixed point", sel)
+		}
+	})
+}
+
+// FuzzDecodeUpdateWitness drives the decoder the trusted program runs first
+// on a host-supplied index witness (TwoLevel.Replay): every input must fail
+// or round-trip, and decoding may allocate only in proportion to the bytes.
+func FuzzDecodeUpdateWitness(f *testing.F) {
+	tr := mpt.New()
+	for _, k := range []string{"a", "ab", "b"} {
+		if err := tr.Put([]byte(k), chash.Zero[:]); err != nil {
+			f.Fatalf("Put: %v", err)
+		}
+	}
+	upper, err := tr.WitnessForKeys([][]byte{[]byte("a"), []byte("c")})
+	if err != nil {
+		f.Fatalf("WitnessForKeys: %v", err)
+	}
+	lower, err := mbtree.New(LowerOrder)
+	if err != nil {
+		f.Fatalf("mbtree.New: %v", err)
+	}
+	for v := uint64(1); v <= 8; v++ {
+		if err := lower.Insert(v, []byte{byte(v)}); err != nil {
+			f.Fatalf("Insert: %v", err)
+		}
+	}
+	lw, err := lower.WitnessForInsert([]uint64{9})
+	if err != nil {
+		f.Fatalf("WitnessForInsert: %v", err)
+	}
+	f.Add(encodeUpdateWitness(upper, map[string]*mbtree.Witness{"a": lw, "c": mbtree.NewWitness()}))
+	lying := chash.NewEncoder(12)
+	lying.PutBytes(mpt.NewWitness().Marshal())
+	lying.PutUint32(1 << 20)
+	f.Add(lying.Bytes())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var (
+			upper  *mpt.Witness
+			lowers map[string]*mbtree.Witness
+			err    error
+		)
+		if got := allocsOf(func() { upper, lowers, err = decodeUpdateWitness(raw) }); got > updateWitnessAllocBound(len(raw)) {
+			t.Fatalf("decoding %d bytes allocated %d bytes", len(raw), got)
+		}
+		if err != nil {
+			return
+		}
+		re := encodeUpdateWitness(upper, lowers)
+		upper2, lowers2, err := decodeUpdateWitness(re)
+		if err != nil {
+			t.Fatalf("accepted witness failed to re-decode: %v", err)
+		}
+		if !bytes.Equal(re, encodeUpdateWitness(upper2, lowers2)) {
+			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
 }

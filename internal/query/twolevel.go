@@ -194,7 +194,9 @@ func decodeUpdateWitness(raw []byte) (*mpt.Witness, map[string]*mbtree.Witness, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadWitness, err)
 	}
-	if n > 1<<20 {
+	// Each entry carries at least two uint32 length prefixes, so the bytes
+	// left bound the count before it sizes the map.
+	if n > 1<<20 || int(n) > d.Remaining()/8 {
 		return nil, nil, fmt.Errorf("%w: %d lower witnesses", ErrBadWitness, n)
 	}
 	lowers := make(map[string]*mbtree.Witness, n)

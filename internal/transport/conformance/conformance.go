@@ -9,8 +9,8 @@
 package conformance
 
 import (
+	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -384,66 +384,68 @@ func testPartitionHeal(t *testing.T, f Fabric) {
 	}
 }
 
-// testCertBundleByteIdentity publishes the certificate-plane vocabulary —
-// a cert bundle and a block — and requires the received values to marshal
-// byte-identically to the sent ones, whatever the fabric did in between.
-// This is the acceptance bar for the wire payload codec: a certificate
-// fetched over sockets is the same certificate, bit for bit.
+// testCertBundleByteIdentity publishes the certificate stream's vocabulary —
+// a cert bundle and a K=2 segment certificate — and requires the received
+// values to marshal byte-identically to the sent ones, whatever the fabric
+// did in between. This is the acceptance bar for the wire payload codec: a
+// certificate fetched over sockets is the same certificate, bit for bit.
 func testCertBundleByteIdentity(t *testing.T, f Fabric) {
-	bundle := &core.CertBundle{
-		Header: &chain.Header{
-			Height:    7,
-			PrevHash:  chash.Sum(chash.DomainHeader, []byte("prev")),
+	hdr := func(height uint64, prev chash.Hash) *chain.Header {
+		return &chain.Header{
+			Height:    height,
+			PrevHash:  prev,
 			StateRoot: chash.Sum(chash.DomainHeader, []byte("state")),
 			TxRoot:    chash.Sum(chash.DomainHeader, []byte("tx")),
 			Time:      1700000000,
 			Consensus: chain.ConsensusProof{Nonce: 42, Difficulty: 8},
-		},
-		Cert: &core.Certificate{
-			PubKey: []byte("der-encoded-public-key"),
-			Report: &attest.Report{
-				Measurement: chash.Sum(chash.DomainHeader, []byte("measurement")),
-				ReportData:  chash.Sum(chash.DomainHeader, []byte("report-data")),
-				PlatformID:  "sim-platform",
-				CertChain:   []byte("certificate-chain"),
-				Signature:   []byte("authority-signature"),
-			},
-			Digest: chash.Sum(chash.DomainHeader, []byte("digest")),
-			Sig:    []byte("enclave-signature"),
-		},
+		}
 	}
-	block := &chain.Block{Header: *bundle.Header}
+	cert := &core.Certificate{
+		PubKey: []byte("der-encoded-public-key"),
+		Report: &attest.Report{
+			Measurement: chash.Sum(chash.DomainHeader, []byte("measurement")),
+			ReportData:  chash.Sum(chash.DomainHeader, []byte("report-data")),
+			PlatformID:  "sim-platform",
+			CertChain:   []byte("certificate-chain"),
+			Signature:   []byte("authority-signature"),
+		},
+		Digest: chash.Sum(chash.DomainHeader, []byte("digest")),
+		Sig:    []byte("enclave-signature"),
+	}
+	prev := chash.Sum(chash.DomainHeader, []byte("prev"))
+	bundle := &core.CertBundle{Header: hdr(7, prev), Cert: cert}
+	first := hdr(8, bundle.Header.Hash())
+	seg := &core.SegmentCert{
+		Headers:   []*chain.Header{first, hdr(9, first.Hash())},
+		Cert:      cert,
+		Interlink: []chash.Hash{first.PrevHash, prev},
+	}
 
 	sub := f.Subscribe(network.TopicCerts, 4)
 	defer sub.Cancel()
-	blocks := f.Subscribe(network.TopicBlocks, 4)
-	defer blocks.Cancel()
-
 	if err := f.Publish(network.TopicCerts, "ci", bundle); err != nil {
 		t.Fatalf("publish bundle: %v", err)
 	}
-	if err := f.Publish(network.TopicBlocks, "miner", block); err != nil {
-		t.Fatalf("publish block: %v", err)
+	if err := f.Publish(network.TopicCerts, "ci", seg); err != nil {
+		t.Fatalf("publish segment: %v", err)
 	}
 
-	m := collect(t, sub, 1)[0]
-	got, ok := m.Payload.(*core.CertBundle)
+	got := collect(t, sub, 2)
+	gotBundle, ok := got[0].Payload.(*core.CertBundle)
 	if !ok {
-		t.Fatalf("cert payload arrived as %T, want *core.CertBundle", m.Payload)
+		t.Fatalf("cert payload arrived as %T, want *core.CertBundle", got[0].Payload)
 	}
-	if fmt.Sprintf("%x", got.Cert.Marshal()) != fmt.Sprintf("%x", bundle.Cert.Marshal()) {
+	if !bytes.Equal(gotBundle.Cert.Marshal(), bundle.Cert.Marshal()) {
 		t.Fatalf("certificate bytes changed in transit")
 	}
-	if fmt.Sprintf("%x", got.Header.Marshal()) != fmt.Sprintf("%x", bundle.Header.Marshal()) {
+	if !bytes.Equal(gotBundle.Header.Marshal(), bundle.Header.Marshal()) {
 		t.Fatalf("bundle header bytes changed in transit")
 	}
-
-	bm := collect(t, blocks, 1)[0]
-	gotBlock, ok := bm.Payload.(*chain.Block)
+	gotSeg, ok := got[1].Payload.(*core.SegmentCert)
 	if !ok {
-		t.Fatalf("block payload arrived as %T, want *chain.Block", bm.Payload)
+		t.Fatalf("segment payload arrived as %T, want *core.SegmentCert", got[1].Payload)
 	}
-	if fmt.Sprintf("%x", gotBlock.Marshal()) != fmt.Sprintf("%x", block.Marshal()) {
-		t.Fatalf("block bytes changed in transit")
+	if !bytes.Equal(gotSeg.Marshal(), seg.Marshal()) {
+		t.Fatalf("segment bytes changed in transit")
 	}
 }

@@ -2,11 +2,10 @@
 // length-prefixed TCP protocol that exposes the same Publish/Subscribe topic
 // semantics as the in-process network.Bus, plus a request/response RPC path
 // for queries and certificate catch-up. A Server bridges real sockets onto
-// an in-process hub bus, so the node's issuers, responders, and query
-// services — and the seeded fault-injection fabric — run unchanged while
-// remote clients speak the protocol over loopback or a real network. A
-// Client implements network.Bus over one connection, so followers and query
-// requesters work identically against either fabric.
+// an in-process hub bus, so the node's certificate stream — and the seeded
+// fault-injection fabric — run unchanged while remote clients speak the
+// protocol over loopback or a real network. A Client implements network.Bus
+// over one connection, so followers work identically against either fabric.
 //
 // The frame discipline reuses the storage engine's codec conventions
 // (big-endian length prefix + CRC32C over the body), and the listener is

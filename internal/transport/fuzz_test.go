@@ -5,7 +5,10 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"dcert/internal/attest"
+	"dcert/internal/chain"
 	"dcert/internal/chash"
+	"dcert/internal/core"
 )
 
 // Fuzz targets for the wire decoders: every byte sequence a hostile or
@@ -152,16 +155,26 @@ func FuzzWireMessages(f *testing.F) {
 // again to the same value.
 func FuzzPayload(f *testing.F) {
 	f.Add([]byte{payloadBytes, 1, 2, 3})
-	f.Add([]byte{payloadBlock})
-	f.Add([]byte{payloadCertificate, 0xFF})
 	f.Add([]byte{payloadCertBundle, 0, 0, 0, 0})
-	func() {
-		e := chash.NewEncoder(32)
-		e.PutByte(payloadCertRequest)
-		e.PutString("client-1")
-		e.PutUint64(12)
-		f.Add(e.Bytes())
-	}()
+	f.Add([]byte{payloadSegment, 0xFF})
+	f.Add([]byte{payloadSegment, 0, 0, 0, 2}) // two headers claimed, none present
+	first := &chain.Header{Height: 8, PrevHash: chash.Sum(chash.DomainHeader, []byte("prev"))}
+	seg, err := encodePayload(&core.SegmentCert{
+		Headers: []*chain.Header{first, {Height: 9, PrevHash: first.Hash()}},
+		Cert: &core.Certificate{
+			PubKey: []byte("key"),
+			Report: &attest.Report{PlatformID: "sim", CertChain: []byte("chain"), Signature: []byte("sig")},
+			Sig:    []byte("sig"),
+		},
+		Interlink: []chash.Hash{first.PrevHash},
+	})
+	if err != nil {
+		f.Fatalf("encode segment seed: %v", err)
+	}
+	if _, err := decodePayload(seg); err != nil {
+		f.Fatalf("segment seed does not decode: %v", err)
+	}
+	f.Add(seg)
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		v, err := decodePayload(raw)
@@ -172,8 +185,12 @@ func FuzzPayload(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoded payload failed to re-encode: %v", err)
 		}
-		if _, err := decodePayload(encoded); err != nil {
+		again, err := decodePayload(encoded)
+		if err != nil {
 			t.Fatalf("re-encoded payload failed to decode: %v", err)
+		}
+		if reencoded, _ := encodePayload(again); !bytes.Equal(reencoded, encoded) {
+			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
 }

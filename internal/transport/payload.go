@@ -9,12 +9,13 @@ import (
 	"dcert/internal/core"
 )
 
-// Payload codec: the in-process bus carries typed payloads (*chain.Block,
-// *core.CertBundle, ...); the wire carries bytes. This codec maps the topic
-// vocabulary of the DCert fabric onto tagged canonical encodings, so a
-// remote subscriber receives exactly the same Go value an in-process one
-// would — and, for certificates, byte-identical Marshal output, since the
-// codec round-trips through each type's own canonical wire format.
+// Payload codec: the in-process bus carries typed payloads; the wire carries
+// bytes. This codec maps the certificate stream's vocabulary (a
+// *core.CertBundle per certified block, a *core.SegmentCert per multi-block
+// segment) plus raw []byte onto tagged canonical encodings, so a remote
+// subscriber receives exactly the same Go value an in-process one would —
+// byte-identical Marshal output, since the codec round-trips through each
+// type's own canonical wire format.
 
 // Payload errors.
 var (
@@ -26,11 +27,9 @@ var (
 
 // Payload tags.
 const (
-	payloadBytes       byte = 0 // raw []byte (query protocol)
-	payloadBlock       byte = 1 // *chain.Block
-	payloadCertificate byte = 2 // *core.Certificate
-	payloadCertBundle  byte = 3 // *core.CertBundle
-	payloadCertRequest byte = 4 // *core.CertRequest
+	payloadBytes      byte = 0 // raw []byte
+	payloadCertBundle byte = 3 // *core.CertBundle
+	payloadSegment    byte = 5 // *core.SegmentCert
 )
 
 // encodePayload renders a topic payload as a tagged byte string.
@@ -38,10 +37,6 @@ func encodePayload(p any) ([]byte, error) {
 	switch v := p.(type) {
 	case []byte:
 		return append([]byte{payloadBytes}, v...), nil
-	case *chain.Block:
-		return append([]byte{payloadBlock}, v.Marshal()...), nil
-	case *core.Certificate:
-		return append([]byte{payloadCertificate}, v.Marshal()...), nil
 	case *core.CertBundle:
 		if v.Header == nil || v.Cert == nil {
 			return nil, fmt.Errorf("%w: incomplete cert bundle", ErrPayloadType)
@@ -53,11 +48,13 @@ func encodePayload(p any) ([]byte, error) {
 		e.PutBytes(hdr)
 		e.PutBytes(cert)
 		return e.Bytes(), nil
-	case *core.CertRequest:
-		e := chash.NewEncoder(24 + len(v.From))
-		e.PutByte(payloadCertRequest)
-		e.PutString(v.From)
-		e.PutUint64(v.Height)
+	case *core.SegmentCert:
+		if len(v.Headers) == 0 || v.Cert == nil {
+			return nil, fmt.Errorf("%w: incomplete segment", ErrPayloadType)
+		}
+		e := chash.NewEncoder(1 + v.EncodedSize())
+		e.PutByte(payloadSegment)
+		v.Encode(e)
 		return e.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrPayloadType, p)
@@ -75,18 +72,6 @@ func decodePayload(raw []byte) (any, error) {
 		out := make([]byte, len(rest))
 		copy(out, rest)
 		return out, nil
-	case payloadBlock:
-		blk, err := chain.UnmarshalBlock(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: block: %v", ErrPayloadCorrupt, err)
-		}
-		return blk, nil
-	case payloadCertificate:
-		cert, err := core.UnmarshalCertificate(rest)
-		if err != nil {
-			return nil, fmt.Errorf("%w: certificate: %v", ErrPayloadCorrupt, err)
-		}
-		return cert, nil
 	case payloadCertBundle:
 		d := chash.NewDecoder(rest)
 		hdrRaw, err := d.ReadBytes()
@@ -109,20 +94,12 @@ func decodePayload(raw []byte) (any, error) {
 			return nil, fmt.Errorf("%w: bundle certificate: %v", ErrPayloadCorrupt, err)
 		}
 		return &core.CertBundle{Header: hdr, Cert: cert}, nil
-	case payloadCertRequest:
-		d := chash.NewDecoder(rest)
-		var req core.CertRequest
-		var err error
-		if req.From, err = d.ReadString(); err != nil {
-			return nil, fmt.Errorf("%w: cert request: %v", ErrPayloadCorrupt, err)
+	case payloadSegment:
+		seg, err := core.UnmarshalSegmentCert(rest)
+		if err != nil {
+			return nil, fmt.Errorf("%w: segment: %v", ErrPayloadCorrupt, err)
 		}
-		if req.Height, err = d.Uint64(); err != nil {
-			return nil, fmt.Errorf("%w: cert request: %v", ErrPayloadCorrupt, err)
-		}
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("%w: cert request: %v", ErrPayloadCorrupt, err)
-		}
-		return &req, nil
+		return seg, nil
 	default:
 		return nil, fmt.Errorf("%w: tag %d", ErrPayloadCorrupt, tag)
 	}

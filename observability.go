@@ -84,7 +84,7 @@ func (d *Deployment) EnableObservability(logger *Logger) (*MetricsRegistry, *Tra
 		d.mineSteps[step] = d.reg.Histogram("dcert_mine_step_seconds",
 			"Wall time per mined block of each serial step of the mining routine.", nil, obs.L("step", step))
 	}
-	d.issuer.Instrument(d.reg, d.tracer, logger, "ci0")
+	d.Issuer().Instrument(d.reg, d.tracer, logger, "ci0")
 	if d.engine != nil {
 		d.engine.Instrument(d.reg)
 	}
@@ -166,7 +166,7 @@ func (d *Deployment) StartDebugServer(addr string) (*DebugServer, error) {
 
 // health builds the /healthz payload from the primary issuer.
 func (d *Deployment) health() Health {
-	ci := d.issuer
+	ci := d.Issuer()
 	tip := ci.Node().Tip()
 	h := Health{TipHeight: tip.Header.Height}
 	last := ci.LastCertTime()

@@ -1,6 +1,7 @@
 package dcert_test
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -189,14 +190,14 @@ func TestWireQueryRoute(t *testing.T) {
 			}
 
 			_, err := dcert.RequestQuery(wc, dcert.NewRemoteHistoricalRequest("no-such-index", r.key, 0, 1))
-			if err == nil || !strings.Contains(err.Error(), "remote query") || !strings.Contains(err.Error(), "unknown index") {
+			if !errors.Is(err, dcert.ErrRemote) || !strings.Contains(err.Error(), "unknown index") {
 				t.Fatalf("unknown index: %v, want a remote error naming the cause", err)
 			}
 			if err := ask(wc, cases[0]); err != nil {
 				t.Fatalf("after a remote error: %v", err)
 			}
 			_, err = dcert.RequestQuery(wc, &dcert.QueryRequest{ID: 9, Kind: 0xAB})
-			if err == nil || !strings.Contains(err.Error(), "unknown request kind") {
+			if !errors.Is(err, dcert.ErrRemote) || !strings.Contains(err.Error(), "unknown request kind") {
 				t.Fatalf("unknown kind: %v, want a remote error", err)
 			}
 			if err := ask(wc, cases[1]); err != nil {

@@ -17,9 +17,9 @@ import (
 // sockets (internal/transport), so the node and its clients run as separate
 // OS processes. The wire carries two shapes of traffic:
 //
-//   - the topic streams (blocks, certificate bundles, catch-up requests) — a
-//     remote WireClient is a network.Bus, so CertFollower runs over it
-//     unchanged;
+//   - the certificate stream (TopicCerts) — a remote WireClient is a
+//     network.Bus, so CertFollower runs over it unchanged, and a stalled
+//     follower pulls the tip segment on WireRouteCertSegment;
 //   - an RPC route table: node identity (trust anchors), the latest
 //     certificate bundle, raw blocks, certified segments, the whole
 //     interlink bootstrap in one response, and queries — every query is one
@@ -42,6 +42,11 @@ type (
 	// WireServerStats counts a wire server's activity.
 	WireServerStats = transport.ServerStats
 )
+
+// ErrRemote marks an error the remote node reported for an RPC — an
+// authoritative refusal (unknown index, malformed request), not a transport
+// failure. Test with errors.Is.
+var ErrRemote = transport.ErrRemote
 
 // Wire RPC routes served by ServeWire.
 const (
@@ -279,12 +284,12 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 	srv.Handle(WireRouteInfo, func([]byte) ([]byte, error) {
 		return encodeNodeInfo(&NodeInfo{
 			AuthorityKey: d.authority.PublicKey(),
-			Measurement:  d.issuer.Measurement(),
+			Measurement:  d.Issuer().Measurement(),
 			Params:       d.params,
 		}), nil
 	})
 	srv.Handle(WireRouteCertLatest, func([]byte) ([]byte, error) {
-		return encodeBundle(d.issuer.LatestBundle()), nil
+		return encodeBundle(d.Issuer().LatestBundle()), nil
 	})
 	srv.Handle(WireRouteBlock, func(body []byte) ([]byte, error) {
 		height, err := decodeHeightRequest(body)
@@ -308,9 +313,9 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		}
 		var seg *SegmentCert
 		if height == tipHeight {
-			seg = d.issuer.LatestSegment()
+			seg = d.tipSegment()
 		} else {
-			seg = d.issuer.SegmentCovering(height)
+			seg = d.Issuer().SegmentCovering(height)
 		}
 		if seg == nil {
 			return nil, nil // empty body = no segment covering that height
@@ -323,7 +328,7 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bootstrap request: %w", err)
 		}
-		return memo.path(d.issuer, anchor), nil
+		return memo.path(d.Issuer(), anchor), nil
 	})
 	srv.Handle(WireRouteQuery, func(body []byte) ([]byte, error) {
 		// With a fleet started, wire queries route through the
@@ -441,16 +446,17 @@ func RequestQuery(c *WireClient, req *QueryRequest) (*QueryResponse, error) {
 		return nil, err
 	}
 	if resp.Err != "" {
-		return nil, fmt.Errorf("dcert: remote query: %s", resp.Err)
+		return nil, fmt.Errorf("dcert: %w: %s", ErrRemote, resp.Err)
 	}
 	return resp, nil
 }
 
-// FollowCertsOver starts a certificate follower on an arbitrary bus — in
-// particular a WireClient, putting a remote client on the node's live
-// certificate stream with stall-triggered catch-up over the same socket.
-func FollowCertsOver(bus Bus, client *SuperlightClient, cfg FollowerConfig) *CertFollower {
-	return core.FollowCerts(client, bus, cfg)
+// FollowCertsOver puts a remote client on a node's live certificate stream.
+// A stalled follower pulls the node's tip segment (RequestTipSegment) over
+// the same connection; one unanswered pull holds the follower, and its Stop,
+// for up to the client's RequestTimeout.
+func FollowCertsOver(c *WireClient, client *SuperlightClient, cfg FollowerConfig) *CertFollower {
+	return core.FollowCerts(client, c, func() (*SegmentCert, error) { return RequestTipSegment(c) }, cfg)
 }
 
 // Serialized query protocol types (package internal/query), carried by the
