@@ -103,15 +103,18 @@ bench-json:
 	$(GO) run ./cmd/dcert-bench -exp serving -json BENCH_serving.json
 	$(GO) run ./cmd/dcert-bench -exp certify -json BENCH_certify.json
 
-# Fuzz smoke for the decoders of untrusted bytes: the transport's frame
-# decoder, its protocol messages (the first bytes any TCP peer reaches) and
-# its topic payload codec (the certificate stream), the query wire codecs
-# (the batch multiproof decoder, the canonical request round trip, and every
-# decoder a client runs on an SP's answer), the index update witness the
-# trusted program decodes from its host, the segment certificate codec, the
-# dcert/bootstrap response (a count of segments), the block and transaction codecs (network
-# bytes, and every block a durable node reads back from its chain log), and
-# the state record the storage engine reads back from its WAL and snapshot.
+# Fuzz smoke for the decoders of untrusted bytes: the record frame as the
+# wire decodes it and as the storage log recovers it, the transport's
+# protocol messages (the first bytes any TCP peer reaches) and its topic
+# payload codec (the certificate stream), the query wire codecs (the batch
+# multiproof decoder, the canonical request round trip, and every decoder a
+# client runs on an SP's answer), the index update witness and the SMT
+# multiproof the trusted program decodes from its host, the certificate and
+# segment certificate codecs, the dcert/bootstrap response (a count of
+# segments) and dcert/info response (the trust anchors), the header, block
+# and transaction codecs (network bytes, and every block a durable node
+# reads back from its chain log), and the state record the storage engine
+# reads back from its WAL and snapshot.
 # Short budgets: CI regression surface, not a campaign — run with a longer
 # -fuzztime locally when touching the codecs.
 fuzz-wire:
@@ -127,6 +130,11 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalBlock$$' -fuzztime=10s ./internal/chain/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalTransaction$$' -fuzztime=10s ./internal/chain/
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBootstrapPath$$' -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeNodeInfo$$' -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalMultiproof$$' -fuzztime=10s ./internal/smt/
+	$(GO) test -run='^$$' -fuzz='^FuzzFrameRecovery$$' -fuzztime=10s ./internal/storage/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalCertificate$$' -fuzztime=10s ./internal/core/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalHeader$$' -fuzztime=10s ./internal/chain/
 
 clean:
 	$(GO) clean ./...

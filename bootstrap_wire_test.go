@@ -422,3 +422,45 @@ func FuzzDecodeBootstrapPath(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeNodeInfo drives the decoder a client runs first on a node's
+// self-description (RequestNodeInfo, the trust anchors): every input must
+// fail or round-trip, and decoding may allocate only in proportion to the
+// bytes.
+func FuzzDecodeNodeInfo(f *testing.F) {
+	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 37, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		f.Fatalf("NewDeployment: %v", err)
+	}
+	honest := encodeNodeInfo(&NodeInfo{
+		AuthorityKey: dep.authority.PublicKey(),
+		Measurement:  dep.Issuer().Measurement(),
+		Params:       dep.params,
+	})
+	if _, err := decodeNodeInfo(honest); err != nil {
+		f.Fatalf("honest node info refused: %v", err)
+	}
+	f.Add(honest)
+	f.Add(honest[:len(honest)-1])
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		info, err := decodeNodeInfo(raw)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw))+64<<10; got > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(raw), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		re := encodeNodeInfo(info)
+		again, err := decodeNodeInfo(re)
+		if err != nil {
+			t.Fatalf("the re-encoding of accepted node info fails to decode: %v", err)
+		}
+		if !bytes.Equal(re, encodeNodeInfo(again)) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
+}

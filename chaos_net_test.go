@@ -338,3 +338,72 @@ func TestChaosNetFollowerPullsPastKilledPrimary(t *testing.T) {
 		t.Fatalf("safety after restart: client tip %s != miner tip %s", hdr.Hash(), tip.Hash())
 	}
 }
+
+// TestChaosNetLatestBundlePastKilledPrimary: dcert/cert-latest answers the
+// deployment's newest certificate, so with the primary killed a remote
+// client still gets the tip the secondary certified, and a fresh superlight
+// client accepts it.
+func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{
+		Workload:   dcert.KVStore,
+		Contracts:  4,
+		Accounts:   8,
+		Difficulty: 2,
+		Seed:       708,
+		KeySpace:   30,
+	})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	defer dep.Net().Close()
+	plane, err := dep.StartCertPlane(2)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	defer srv.Close()
+	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "latest"})
+	if err != nil {
+		t.Fatalf("DialWire: %v", err)
+	}
+	defer wc.Close()
+
+	mine := func(rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			if _, err := plane.MineAndBroadcast(5); err != nil {
+				t.Fatalf("mine: %v", err)
+			}
+		}
+	}
+	mine(2)
+	if err := plane.Kill("ci0"); err != nil {
+		t.Fatalf("Kill(ci0): %v", err)
+	}
+	mine(3)
+	tip := dep.Miner().Tip()
+	if tip.Header.Height != 5 {
+		t.Fatalf("miner tip at %d, want 5", tip.Header.Height)
+	}
+	bundle, err := dcert.RequestLatestBundle(wc)
+	if err != nil {
+		t.Fatalf("RequestLatestBundle: %v", err)
+	}
+	if bundle == nil {
+		t.Fatal("no latest bundle")
+	}
+	if bundle.Header.Height != tip.Header.Height {
+		t.Fatalf("latest bundle at height %d, want the secondary's certificate at %d", bundle.Header.Height, tip.Header.Height)
+	}
+	client, err := dcert.NewRemoteSuperlightClient(wc)
+	if err != nil {
+		t.Fatalf("NewRemoteSuperlightClient: %v", err)
+	}
+	if err := client.ValidateChain(bundle.Header, bundle.Cert); err != nil {
+		t.Fatalf("ValidateChain refused the latest bundle: %v", err)
+	}
+}

@@ -110,6 +110,27 @@ func (c Config) newRegistry() (*vm.Registry, error) {
 	return reg, nil
 }
 
+// newGenerator builds the deployment's transaction generator over a fresh
+// sender-account pool.
+func (c Config) newGenerator() (*workload.Generator, error) {
+	accounts, err := workload.NewAccounts(c.Accounts)
+	if err != nil {
+		return nil, fmt.Errorf("dcert: accounts: %w", err)
+	}
+	gen, err := workload.NewGenerator(workload.Config{
+		Kind:        c.Workload,
+		Contracts:   c.Contracts,
+		Seed:        c.Seed,
+		KeySpace:    c.KeySpace,
+		CPUSortSize: c.CPUSortSize,
+		IOOpsPerTx:  c.IOOpsPerTx,
+	}, accounts)
+	if err != nil {
+		return nil, fmt.Errorf("dcert: generator: %w", err)
+	}
+	return gen, nil
+}
+
 // newFullNode builds an independent full-node replica for the deployment's
 // genesis and workload.
 func (c Config) newFullNode(params consensus.Params) (*node.FullNode, error) {
@@ -169,20 +190,9 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("dcert: issuer: %w", err)
 	}
 
-	accounts, err := workload.NewAccounts(cfg.Accounts)
+	gen, err := cfg.newGenerator()
 	if err != nil {
-		return nil, fmt.Errorf("dcert: accounts: %w", err)
-	}
-	gen, err := workload.NewGenerator(workload.Config{
-		Kind:        cfg.Workload,
-		Contracts:   cfg.Contracts,
-		Seed:        cfg.Seed,
-		KeySpace:    cfg.KeySpace,
-		CPUSortSize: cfg.CPUSortSize,
-		IOOpsPerTx:  cfg.IOOpsPerTx,
-	}, accounts)
-	if err != nil {
-		return nil, fmt.Errorf("dcert: generator: %w", err)
+		return nil, err
 	}
 
 	d := &Deployment{

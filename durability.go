@@ -13,7 +13,6 @@ import (
 	"dcert/internal/query"
 	"dcert/internal/storage"
 	"dcert/internal/storage/vfs"
-	"dcert/internal/workload"
 )
 
 // The durability plane: a deployment configured with Storage journals every
@@ -158,20 +157,9 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 		return fail(fmt.Errorf("dcert: resume issuer: %w", err))
 	}
 
-	accounts, err := workload.NewAccounts(cfg.Accounts)
+	gen, err := cfg.newGenerator()
 	if err != nil {
-		return fail(fmt.Errorf("dcert: accounts: %w", err))
-	}
-	gen, err := workload.NewGenerator(workload.Config{
-		Kind:        cfg.Workload,
-		Contracts:   cfg.Contracts,
-		Seed:        cfg.Seed,
-		KeySpace:    cfg.KeySpace,
-		CPUSortSize: cfg.CPUSortSize,
-		IOOpsPerTx:  cfg.IOOpsPerTx,
-	}, accounts)
-	if err != nil {
-		return fail(fmt.Errorf("dcert: generator: %w", err))
+		return fail(err)
 	}
 
 	d := &Deployment{

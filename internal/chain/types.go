@@ -266,17 +266,12 @@ func UnmarshalTransaction(raw []byte) (*Transaction, error) {
 	if tx.Method, err = d.ReadString(); err != nil {
 		return nil, fmt.Errorf("chain: unmarshal tx: %w", err)
 	}
-	nArgs, err := d.Uint32()
+	nArgs, err := d.Count(1<<16, 4)
 	if err != nil {
-		return nil, fmt.Errorf("chain: unmarshal tx: %w", err)
-	}
-	// Every argument carries a 4-byte length prefix, so a count the
-	// remaining bytes cannot hold is refused before it sizes an allocation.
-	if nArgs > 1<<16 || int(nArgs) > d.Remaining()/4 {
-		return nil, fmt.Errorf("chain: unmarshal tx: %d args in %d bytes", nArgs, d.Remaining())
+		return nil, fmt.Errorf("chain: unmarshal tx args: %w", err)
 	}
 	tx.Args = make([][]byte, 0, nArgs)
-	for i := uint32(0); i < nArgs; i++ {
+	for i := range nArgs {
 		a, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("chain: unmarshal tx arg %d: %w", i, err)
@@ -361,16 +356,12 @@ func UnmarshalBlock(raw []byte) (*Block, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := d.Uint32()
+	n, err := d.Count(1<<20, 4)
 	if err != nil {
-		return nil, fmt.Errorf("chain: unmarshal block: %w", err)
-	}
-	// Every transaction carries a 4-byte length prefix (see nArgs above).
-	if n > 1<<20 || int(n) > d.Remaining()/4 {
-		return nil, fmt.Errorf("chain: unmarshal block: %d txs in %d bytes", n, d.Remaining())
+		return nil, fmt.Errorf("chain: unmarshal block txs: %w", err)
 	}
 	b := &Block{Header: *hdr, Txs: make([]*Transaction, 0, n)}
-	for i := uint32(0); i < n; i++ {
+	for i := range n {
 		txRaw, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("chain: unmarshal block tx %d: %w", i, err)

@@ -10,7 +10,8 @@ import (
 var (
 	// ErrTruncated is returned when a decoder runs out of input.
 	ErrTruncated = errors.New("chash: truncated input")
-	// ErrOversized is returned when a length prefix exceeds the decoder limit.
+	// ErrOversized is returned when a length prefix or an element count
+	// exceeds the decoder limit.
 	ErrOversized = errors.New("chash: length prefix exceeds limit")
 )
 
@@ -92,6 +93,39 @@ func NewDecoder(buf []byte) *Decoder {
 // Remaining reports how many bytes are left to decode.
 func (d *Decoder) Remaining() int {
 	return len(d.buf) - d.off
+}
+
+// Count reads a uint32 element count from untrusted input. It returns the
+// count only if it is at most limit and count elements of minSize encoded
+// bytes each fit in the bytes left, so a lying count is refused before it
+// sizes an allocation. Decoders size allocations from a count only through
+// Count or Count64 (TestCountsGoThroughTheHelper enforces it). A minSize of
+// 0 applies limit alone, for elements packed below one byte each.
+func (d *Decoder) Count(limit, minSize int) (int, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	return d.bound(uint64(n), limit, minSize)
+}
+
+// Count64 is Count over a uint64 count prefix.
+func (d *Decoder) Count64(limit, minSize int) (int, error) {
+	n, err := d.Uint64()
+	if err != nil {
+		return 0, err
+	}
+	return d.bound(n, limit, minSize)
+}
+
+func (d *Decoder) bound(n uint64, limit, minSize int) (int, error) {
+	if n > uint64(limit) {
+		return 0, fmt.Errorf("%w: count %d beyond %d", ErrOversized, n, limit)
+	}
+	if minSize > 0 && n > uint64(d.Remaining()/minSize) {
+		return 0, fmt.Errorf("%w: count %d in %d bytes", ErrOversized, n, d.Remaining())
+	}
+	return int(n), nil
 }
 
 // Finish returns an error unless the decoder consumed exactly all input.

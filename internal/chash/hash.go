@@ -1,6 +1,7 @@
 // Package chash provides the cryptographic primitives shared by every DCert
-// module: domain-separated SHA-256 hashing, ECDSA P-256 signatures, and
-// canonical binary encoding helpers.
+// module: domain-separated SHA-256 hashing, ECDSA P-256 signatures,
+// canonical binary encoding helpers with the one bounded element count, and
+// the CRC32C record frame shared by the wire and the storage log.
 //
 // All Merkle structures in this repository (MHT, SMT, MPT, MB-tree, skip
 // list) hash through this package so that domain separation is applied

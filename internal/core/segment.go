@@ -140,22 +140,18 @@ func (s *SegmentCert) Encode(e *chash.Encoder) {
 	}
 }
 
-// UnmarshalSegmentCert parses untrusted segment-certificate bytes. Count
-// fields are bounded before any count-proportional allocation: oversized
-// claims fail immediately instead of pre-allocating.
+// UnmarshalSegmentCert parses untrusted segment-certificate bytes.
 func UnmarshalSegmentCert(raw []byte) (*SegmentCert, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	n, err := d.Count(maxSegmentBlocks, 4+chain.HeaderSize)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
+		return nil, fmt.Errorf("%w: headers: %v", ErrBadSegment, err)
 	}
-	if n == 0 || n > maxSegmentBlocks {
-		return nil, fmt.Errorf("%w: header count %d out of range [1,%d]", ErrBadSegment, n, maxSegmentBlocks)
+	if n == 0 {
+		return nil, fmt.Errorf("%w: no headers", ErrBadSegment)
 	}
-	// Grow by append from a small capacity: the claimed count never sizes an
-	// allocation before the bytes backing it have been consumed.
-	headers := make([]*chain.Header, 0, min(int(n), 64))
-	for i := uint32(0); i < n; i++ {
+	headers := make([]*chain.Header, 0, n)
+	for i := range n {
 		hraw, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("%w: header %d: %v", ErrBadSegment, i, err)
@@ -174,15 +170,12 @@ func UnmarshalSegmentCert(raw []byte) (*SegmentCert, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
 	}
-	ln, err := d.Uint32()
+	ln, err := d.Count(maxInterlinkLevels, chash.Size)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadSegment, err)
-	}
-	if ln > maxInterlinkLevels {
-		return nil, fmt.Errorf("%w: interlink levels %d beyond %d", ErrBadSegment, ln, maxInterlinkLevels)
+		return nil, fmt.Errorf("%w: interlink: %v", ErrBadSegment, err)
 	}
 	var interlink []chash.Hash
-	for i := uint32(0); i < ln; i++ {
+	for i := range ln {
 		link, err := d.ReadHash()
 		if err != nil {
 			return nil, fmt.Errorf("%w: interlink %d: %v", ErrBadSegment, i, err)
@@ -199,6 +192,52 @@ func UnmarshalSegmentCert(raw []byte) (*SegmentCert, error) {
 // encoding it.
 func (s *SegmentCert) EncodedSize() int {
 	return 12 + len(s.Headers)*(4+chain.HeaderSize) + s.Cert.EncodedSize() + len(s.Interlink)*chash.Size
+}
+
+// Marshal renders the cert bundle canonically: the header, then the
+// certificate, each behind a length prefix.
+func (b *CertBundle) Marshal() []byte {
+	e := chash.NewEncoder(b.EncodedSize())
+	b.Encode(e)
+	return e.Bytes()
+}
+
+// Encode appends the cert bundle's Marshal bytes to e.
+func (b *CertBundle) Encode(e *chash.Encoder) {
+	e.PutUint32(chain.HeaderSize)
+	b.Header.Encode(e)
+	e.PutUint32(uint32(b.Cert.EncodedSize()))
+	b.Cert.Encode(e)
+}
+
+// EncodedSize is the cert bundle's wire footprint.
+func (b *CertBundle) EncodedSize() int {
+	return 8 + chain.HeaderSize + b.Cert.EncodedSize()
+}
+
+// UnmarshalCertBundle parses untrusted cert-bundle bytes.
+func UnmarshalCertBundle(raw []byte) (*CertBundle, error) {
+	d := chash.NewDecoder(raw)
+	hdrRaw, err := d.ReadBytes()
+	if err != nil {
+		return nil, fmt.Errorf("core: cert bundle: %w", err)
+	}
+	certRaw, err := d.ReadBytes()
+	if err != nil {
+		return nil, fmt.Errorf("core: cert bundle: %w", err)
+	}
+	if err := d.Finish(); err != nil {
+		return nil, fmt.Errorf("core: cert bundle: %w", err)
+	}
+	hdr, err := chain.UnmarshalHeader(hdrRaw)
+	if err != nil {
+		return nil, fmt.Errorf("core: cert bundle header: %w", err)
+	}
+	cert, err := UnmarshalCertificate(certRaw)
+	if err != nil {
+		return nil, fmt.Errorf("core: cert bundle certificate: %w", err)
+	}
+	return &CertBundle{Header: hdr, Cert: cert}, nil
 }
 
 // InterlinkHeights is the deterministic back-height schedule for a segment

@@ -2,6 +2,7 @@ package mbtree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dcert/internal/chash"
@@ -87,15 +88,13 @@ func decodeNode(h chash.Hash, raw []byte) (*node, error) {
 	}
 	switch tag {
 	case tagLeaf:
-		count, err := d.Uint32()
+		// An entry is at least its version and its value's length prefix.
+		count, err := d.Count(1<<20, 12)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
-		}
-		if count > 1<<20 {
-			return nil, fmt.Errorf("%w: oversized leaf", ErrBadNode)
+			return nil, fmt.Errorf("%w: leaf: %v", ErrBadNode, err)
 		}
 		n := &node{leaf: true, hash: h, entries: make([]Entry, 0, count)}
-		for i := uint32(0); i < count; i++ {
+		for range count {
 			v, err := d.Uint64()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
@@ -111,30 +110,27 @@ func decodeNode(h chash.Hash, raw []byte) (*node, error) {
 		}
 		return n, nil
 	case tagInternal:
-		nKeys, err := d.Uint32()
+		nKeys, err := d.Count(1<<20, 8)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
-		}
-		if nKeys > 1<<20 {
-			return nil, fmt.Errorf("%w: oversized node", ErrBadNode)
+			return nil, fmt.Errorf("%w: keys: %v", ErrBadNode, err)
 		}
 		n := &node{hash: h, keys: make([]uint64, 0, nKeys)}
-		for i := uint32(0); i < nKeys; i++ {
+		for range nKeys {
 			k, err := d.Uint64()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
 			}
 			n.keys = append(n.keys, k)
 		}
-		nKids, err := d.Uint32()
+		nKids, err := d.Count(nKeys+1, chash.Size)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
+			return nil, fmt.Errorf("%w: children: %v", ErrBadNode, err)
 		}
 		if nKids != nKeys+1 {
 			return nil, fmt.Errorf("%w: %d children for %d keys", ErrBadNode, nKids, nKeys)
 		}
 		n.kids = make([]child, 0, nKids)
-		for i := uint32(0); i < nKids; i++ {
+		for range nKids {
 			ch, err := d.ReadHash()
 			if err != nil {
 				return nil, fmt.Errorf("%w: %v", ErrBadNode, err)
@@ -226,12 +222,12 @@ func (w *Witness) Marshal() []byte {
 // UnmarshalWitness parses a witness produced by Marshal.
 func UnmarshalWitness(raw []byte) (*Witness, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	n, err := d.Count(math.MaxInt, 4)
 	if err != nil {
 		return nil, fmt.Errorf("mbtree: unmarshal witness: %w", err)
 	}
 	w := NewWitness()
-	for i := uint32(0); i < n; i++ {
+	for i := range n {
 		nodeRaw, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("mbtree: unmarshal witness node %d: %w", i, err)

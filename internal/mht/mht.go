@@ -362,15 +362,12 @@ func UnmarshalProof(raw []byte) (*Proof, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mht: unmarshal proof: %w", err)
 	}
-	n, err := d.Uint32()
+	n, err := d.Count(64, chash.Size)
 	if err != nil {
-		return nil, fmt.Errorf("mht: unmarshal proof: %w", err)
-	}
-	if n > 64 {
-		return nil, fmt.Errorf("%w: %d siblings", ErrBadProof, n)
+		return nil, fmt.Errorf("%w: siblings: %v", ErrBadProof, err)
 	}
 	p := &Proof{Index: int(idx), Leaves: int(leaves), Siblings: make([]chash.Hash, 0, n)}
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		h, err := d.ReadHash()
 		if err != nil {
 			return nil, fmt.Errorf("mht: unmarshal proof: %w", err)

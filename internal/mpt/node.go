@@ -103,26 +103,24 @@ func packNibbles(e *chash.Encoder, nibbles []byte) {
 }
 
 func unpackNibbles(d *chash.Decoder) ([]byte, error) {
-	count, err := d.Uint32()
+	// Nibbles pack two to a byte: the run's limit alone bounds the count.
+	count, err := d.Count(4096, 0)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: nibble run: %v", ErrBadNode, err)
 	}
-	if count > 4096 {
-		return nil, fmt.Errorf("%w: nibble run of %d", ErrBadNode, count)
-	}
-	nBytes := int(count+1) / 2
+	nBytes := (count + 1) / 2
 	out := make([]byte, 0, count)
-	for i := 0; i < nBytes; i++ {
+	for range nBytes {
 		b, err := d.Byte()
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, b>>4)
-		if len(out) < int(count) {
+		if len(out) < count {
 			out = append(out, b&0x0f)
 		}
 	}
-	if len(out) != int(count) {
+	if len(out) != count {
 		return nil, fmt.Errorf("%w: nibble count mismatch", ErrBadNode)
 	}
 	return out, nil

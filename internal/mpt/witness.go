@@ -2,6 +2,7 @@ package mpt
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dcert/internal/chash"
@@ -91,12 +92,12 @@ func (w *Witness) Marshal() []byte {
 // wrong) nodes.
 func UnmarshalWitness(raw []byte) (*Witness, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	n, err := d.Count(math.MaxInt, 4)
 	if err != nil {
 		return nil, fmt.Errorf("mpt: unmarshal witness: %w", err)
 	}
 	w := NewWitness()
-	for i := uint32(0); i < n; i++ {
+	for i := range n {
 		nodeRaw, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("mpt: unmarshal witness node %d: %w", i, err)

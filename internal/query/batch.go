@@ -54,18 +54,16 @@ func (r *BatchStateResult) Marshal() []byte {
 // UnmarshalBatchStateResult parses a batch state result.
 func UnmarshalBatchStateResult(raw []byte) (*BatchStateResult, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	// A key is at least its length prefix and its presence byte.
+	n, err := d.Count(MaxBatchKeys, 5)
 	if err != nil {
-		return nil, fmt.Errorf("query: unmarshal batch result: %w", err)
-	}
-	if n > MaxBatchKeys {
-		return nil, fmt.Errorf("query: unmarshal batch result: %d keys", n)
+		return nil, fmt.Errorf("query: unmarshal batch result keys: %w", err)
 	}
 	r := &BatchStateResult{
 		Keys:   make([]string, 0, n),
 		Values: make([][]byte, 0, n),
 	}
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		k, err := d.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("query: unmarshal batch result: %w", err)

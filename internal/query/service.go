@@ -90,14 +90,11 @@ func UnmarshalRequest(raw []byte) (*Request, error) {
 	if r.Hi, err = d.Uint64(); err != nil {
 		return nil, fmt.Errorf("query: unmarshal request: %w", err)
 	}
-	n, err := d.Uint32()
+	n, err := d.Count(64, 4)
 	if err != nil {
-		return nil, fmt.Errorf("query: unmarshal request: %w", err)
+		return nil, fmt.Errorf("query: unmarshal request keywords: %w", err)
 	}
-	if n > 64 {
-		return nil, fmt.Errorf("query: unmarshal request: %d keywords", n)
-	}
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		kw, err := d.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("query: unmarshal request: %w", err)
@@ -105,14 +102,11 @@ func UnmarshalRequest(raw []byte) (*Request, error) {
 		r.Keywords = append(r.Keywords, kw)
 	}
 	if r.Kind == reqBatchState {
-		k, err := d.Uint32()
+		k, err := d.Count(MaxBatchKeys, 4)
 		if err != nil {
-			return nil, fmt.Errorf("query: unmarshal request: %w", err)
+			return nil, fmt.Errorf("query: unmarshal request batch keys: %w", err)
 		}
-		if k > MaxBatchKeys {
-			return nil, fmt.Errorf("query: unmarshal request: %d batch keys", k)
-		}
-		for i := uint32(0); i < k; i++ {
+		for range k {
 			key, err := d.ReadString()
 			if err != nil {
 				return nil, fmt.Errorf("query: unmarshal request: %w", err)

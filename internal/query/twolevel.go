@@ -190,17 +190,12 @@ func decodeUpdateWitness(raw []byte) (*mpt.Witness, map[string]*mbtree.Witness, 
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadWitness, err)
 	}
-	n, err := d.Uint32()
+	n, err := d.Count(1<<20, 8)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %v", ErrBadWitness, err)
-	}
-	// Each entry carries at least two uint32 length prefixes, so the bytes
-	// left bound the count before it sizes the map.
-	if n > 1<<20 || int(n) > d.Remaining()/8 {
-		return nil, nil, fmt.Errorf("%w: %d lower witnesses", ErrBadWitness, n)
+		return nil, nil, fmt.Errorf("%w: lower witnesses: %v", ErrBadWitness, err)
 	}
 	lowers := make(map[string]*mbtree.Witness, n)
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		k, err := d.ReadString()
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: %v", ErrBadWitness, err)

@@ -75,19 +75,14 @@ func marshalEntries(e *chash.Encoder, entries []mbtree.Entry) {
 // its value's length prefix.
 const entryMinSize = 8 + 4
 
-// unmarshalEntries decodes an untrusted entry list. The count is checked
-// against the bytes left before it sizes anything, so a lying count costs
-// the decoder no more memory than the answer's own length.
+// unmarshalEntries decodes an untrusted entry list.
 func unmarshalEntries(d *chash.Decoder) ([]mbtree.Entry, error) {
-	n, err := d.Uint32()
+	n, err := d.Count(1<<24, entryMinSize)
 	if err != nil {
-		return nil, err
-	}
-	if n > 1<<24 || int(n) > d.Remaining()/entryMinSize {
-		return nil, fmt.Errorf("oversized entry list: %d", n)
+		return nil, fmt.Errorf("entry list: %w", err)
 	}
 	out := make([]mbtree.Entry, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		v, err := d.Uint64()
 		if err != nil {
 			return nil, err
@@ -163,15 +158,17 @@ func (r *KeywordResult) Marshal() []byte {
 // UnmarshalKeywordResult parses a keyword result.
 func UnmarshalKeywordResult(raw []byte) (*KeywordResult, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	// A conjunct is at least its keyword's, entry list's and proof's
+	// length prefixes.
+	n, err := d.Count(64, 12)
 	if err != nil {
-		return nil, fmt.Errorf("query: unmarshal keyword result: %w", err)
+		return nil, fmt.Errorf("query: unmarshal keyword result: conjuncts: %w", err)
 	}
-	if n == 0 || n > 64 {
-		return nil, fmt.Errorf("query: unmarshal keyword result: %d conjuncts", n)
+	if n == 0 {
+		return nil, fmt.Errorf("query: unmarshal keyword result: no conjuncts")
 	}
 	var r KeywordResult
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		kw, err := d.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("query: unmarshal keyword result: %w", err)
@@ -192,14 +189,11 @@ func UnmarshalKeywordResult(raw []byte) (*KeywordResult, error) {
 		r.Lists = append(r.Lists, entries)
 		r.Proofs = append(r.Proofs, proof)
 	}
-	m, err := d.Uint32()
+	m, err := d.Count(1<<24, 8+chash.Size)
 	if err != nil {
-		return nil, fmt.Errorf("query: unmarshal keyword result: %w", err)
+		return nil, fmt.Errorf("query: unmarshal keyword result: matches: %w", err)
 	}
-	if m > 1<<24 {
-		return nil, fmt.Errorf("query: unmarshal keyword result: %d matches", m)
-	}
-	for i := uint32(0); i < m; i++ {
+	for range m {
 		v, err := d.Uint64()
 		if err != nil {
 			return nil, fmt.Errorf("query: unmarshal keyword result: %w", err)

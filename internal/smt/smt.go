@@ -347,15 +347,12 @@ func UnmarshalMultiproof(raw []byte) (*Multiproof, error) {
 	if depth < 1 || depth > MaxDepth {
 		return nil, fmt.Errorf("%w: %d", ErrBadDepth, depth)
 	}
-	nKeys, err := d.Uint32()
+	nKeys, err := d.Count(1<<20, 4+chash.Size)
 	if err != nil {
-		return nil, fmt.Errorf("smt: unmarshal proof: %w", err)
-	}
-	if nKeys > 1<<20 {
-		return nil, fmt.Errorf("smt: unmarshal proof: %d keys", nKeys)
+		return nil, fmt.Errorf("smt: unmarshal proof keys: %w", err)
 	}
 	mp := &Multiproof{Depth: int(depth), Fills: make(map[Path]chash.Hash)}
-	for i := uint32(0); i < nKeys; i++ {
+	for range nKeys {
 		kb, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("smt: unmarshal proof key: %w", err)
@@ -367,14 +364,12 @@ func UnmarshalMultiproof(raw []byte) (*Multiproof, error) {
 		copy(k[:], kb)
 		mp.Keys = append(mp.Keys, k)
 	}
-	nFills, err := d.Uint32()
+	// A fill is at least its position's length prefix and its hash.
+	nFills, err := d.Count(1<<22, 4+chash.Size)
 	if err != nil {
-		return nil, fmt.Errorf("smt: unmarshal proof: %w", err)
+		return nil, fmt.Errorf("smt: unmarshal proof fills: %w", err)
 	}
-	if nFills > 1<<22 {
-		return nil, fmt.Errorf("smt: unmarshal proof: %d fills", nFills)
-	}
-	for i := uint32(0); i < nFills; i++ {
+	for range nFills {
 		s, err := d.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("smt: unmarshal proof fill: %w", err)

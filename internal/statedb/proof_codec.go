@@ -2,6 +2,7 @@ package statedb
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"dcert/internal/chash"
@@ -94,18 +95,14 @@ func putValueMap(e *chash.Encoder, m map[string][]byte) {
 }
 
 func readValueMap(d *chash.Decoder) (map[string][]byte, error) {
-	n, err := d.Uint32()
+	// An entry is at least its key's and value's length prefixes and its
+	// presence byte.
+	n, err := d.Count(math.MaxInt, 9)
 	if err != nil {
-		return nil, err
-	}
-	// The count is untrusted: never pre-size from it (a hostile count would
-	// allocate gigabytes before the first truncated read fails). Each entry
-	// occupies ≥ 9 encoded bytes, which bounds any honest count.
-	if int64(n) > int64(d.Remaining())/9 {
-		return nil, fmt.Errorf("statedb: value map count %d exceeds input", n)
+		return nil, fmt.Errorf("statedb: value map: %w", err)
 	}
 	m := make(map[string][]byte, n)
-	for i := uint32(0); i < n; i++ {
+	for range n {
 		k, err := d.ReadString()
 		if err != nil {
 			return nil, err

@@ -800,17 +800,12 @@ func decodeStateRecord(payload []byte) (uint64, chash.Hash, map[string][]byte, e
 	if err != nil {
 		return 0, chash.Hash{}, nil, err
 	}
-	n, err := d.Uint64()
+	n, err := d.Count64(maxRecord, 8)
 	if err != nil {
-		return 0, chash.Hash{}, nil, err
-	}
-	// Each entry carries at least its two length prefixes, so a count the
-	// remaining bytes cannot hold is refused before it sizes an allocation.
-	if n > uint64(d.Remaining())/8 {
-		return 0, chash.Hash{}, nil, fmt.Errorf("%w: %d state writes in %d bytes", ErrCorrupt, n, d.Remaining())
+		return 0, chash.Hash{}, nil, fmt.Errorf("%w: state writes: %v", ErrCorrupt, err)
 	}
 	writes := make(map[string][]byte, n)
-	for i := uint64(0); i < n; i++ {
+	for range n {
 		k, err := d.ReadString()
 		if err != nil {
 			return 0, chash.Hash{}, nil, err

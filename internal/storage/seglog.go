@@ -1,10 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
 	"strconv"
@@ -12,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"dcert/internal/chash"
 	"dcert/internal/obs"
 	"dcert/internal/storage/vfs"
 )
@@ -20,23 +19,14 @@ import (
 // CRC32C-framed record log split across fixed-size segment files, with
 // group-commit fsync batching and a tail-repairing opener.
 //
-// Frame layout (big-endian):
-//
-//	[4B body length][4B CRC32C of body][body: 1B tag + payload]
-//
-// A frame is written in a single Write call; durability follows from the
-// log's fsync policy, not from the write. On open the log scans every
-// segment in order and stops at the first structural defect — a torn
-// length/CRC prefix, a body shorter than its declared length, a CRC
-// mismatch, or an oversized length — truncates the file there, and deletes
-// any later segments: everything past a defect is unordered garbage, and
-// recovery promises a *prefix*, never a patchwork.
-
-// crcTable is the Castagnoli polynomial, the conventional storage CRC.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// frameHeaderSize is the per-record framing overhead.
-const frameHeaderSize = 8
+// Each record is one chash record frame whose body is a 1-byte tag and the
+// payload, at most maxRecord bytes. A frame is written in a single Write
+// call; durability follows from the log's fsync policy, not from the write.
+// On open the log scans every segment in order and stops at the first
+// structural defect — a torn length/CRC prefix, a body shorter than its
+// declared length, a CRC mismatch, or an oversized length — truncates the
+// file there, and deletes any later segments: everything past a defect is
+// unordered garbage, and recovery promises a *prefix*, never a patchwork.
 
 // segSuffix names segment files: 00000001.seg, 00000002.seg, ...
 const segSuffix = ".seg"
@@ -258,7 +248,7 @@ func (l *Log) appendPos(tag byte, payload []byte) (framePos, error) {
 	if len(payload)+1 > maxRecord {
 		return framePos{}, fmt.Errorf("storage: append: record of %d bytes exceeds limit", len(payload))
 	}
-	frame := buildFrame(tag, payload)
+	frame := chash.AppendFrame(make([]byte, 0, chash.FrameHeaderSize+1+len(payload)), []byte{tag}, payload)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -292,7 +282,7 @@ func (l *Log) appendPos(tag byte, payload []byte) (framePos, error) {
 // readFrame reads one frame back from disk, through a read-only handle of
 // its own so that appends never wait for it, and checks its CRC.
 func (l *Log) readFrame(pos framePos) (tag byte, payload []byte, err error) {
-	if pos.size <= frameHeaderSize || pos.size > frameHeaderSize+maxRecord {
+	if pos.size <= chash.FrameHeaderSize || pos.size > chash.FrameHeaderSize+maxRecord {
 		return 0, nil, fmt.Errorf("%w: frame of %d bytes", ErrCorrupt, pos.size)
 	}
 	f, err := l.fs.OpenFile(vfs.Join(l.dir, segName(pos.seg)), os.O_RDONLY, 0)
@@ -304,10 +294,11 @@ func (l *Log) readFrame(pos framePos) (tag byte, payload []byte, err error) {
 	if _, err := f.ReadAt(buf, pos.off); err != nil {
 		return 0, nil, fmt.Errorf("storage: read frame at %s:%d: %w", segName(pos.seg), pos.off, err)
 	}
-	if n, ok := nextFrame(buf); !ok || n != len(buf) {
+	body, n, err := chash.DecodeFrame(buf, maxRecord)
+	if err != nil || n != len(buf) {
 		return 0, nil, fmt.Errorf("%w: frame at %s:%d fails its CRC", ErrCorrupt, segName(pos.seg), pos.off)
 	}
-	return buf[frameHeaderSize], buf[frameHeaderSize+1:], nil
+	return body[0], body[1:], nil
 }
 
 // rotateLocked seals the current segment (fsyncing it) and starts the next.
@@ -381,11 +372,10 @@ func (l *Log) scanPos(fn func(tag byte, payload []byte, pos framePos) error) err
 		}
 		off := 0
 		for {
-			n, ok := nextFrame(raw[off:])
-			if !ok {
+			body, n, err := chash.DecodeFrame(raw[off:], maxRecord)
+			if err != nil {
 				break
 			}
-			body := raw[off+frameHeaderSize : off+n]
 			pos := framePos{seg: idx, off: int64(off), size: n}
 			off += n
 			if err := fn(body[0], body[1:], pos); err != nil {
@@ -496,45 +486,14 @@ func scanSegment(fs vfs.FS, path string) (valid int64, records int, total int64,
 	total = int64(len(raw))
 	off := 0
 	for {
-		n, ok := nextFrame(raw[off:])
-		if !ok {
+		_, n, err := chash.DecodeFrame(raw[off:], maxRecord)
+		if err != nil {
 			break
 		}
 		off += n
 		records++
 	}
 	return int64(off), records, total, nil
-}
-
-// buildFrame assembles one CRC32C frame around a tagged payload.
-func buildFrame(tag byte, payload []byte) []byte {
-	frame := make([]byte, frameHeaderSize+1+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(1+len(payload)))
-	frame[frameHeaderSize] = tag
-	copy(frame[frameHeaderSize+1:], payload)
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(frame[frameHeaderSize:], crcTable))
-	return frame
-}
-
-// nextFrame validates the frame at the head of buf, returning its total
-// size and whether it is intact.
-func nextFrame(buf []byte) (int, bool) {
-	if len(buf) < frameHeaderSize {
-		return 0, false
-	}
-	bodyLen := binary.BigEndian.Uint32(buf[0:4])
-	if bodyLen == 0 || bodyLen > maxRecord {
-		return 0, false
-	}
-	end := frameHeaderSize + int(bodyLen)
-	if len(buf) < end {
-		return 0, false
-	}
-	crc := binary.BigEndian.Uint32(buf[4:8])
-	if crc32.Checksum(buf[frameHeaderSize:end], crcTable) != crc {
-		return 0, false
-	}
-	return end, true
 }
 
 // scanRecords streams a segment's valid records to fn.
@@ -545,11 +504,10 @@ func scanRecords(fs vfs.FS, path string, fn func(tag byte, payload []byte) error
 	}
 	off := 0
 	for {
-		n, ok := nextFrame(raw[off:])
-		if !ok {
+		body, n, err := chash.DecodeFrame(raw[off:], maxRecord)
+		if err != nil {
 			return nil
 		}
-		body := raw[off+frameHeaderSize : off+n]
 		if err := fn(body[0], body[1:]); err != nil {
 			return err
 		}

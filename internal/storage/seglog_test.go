@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dcert/internal/chash"
 	"dcert/internal/storage/vfs"
 )
 
@@ -182,7 +183,7 @@ func TestLogTailCorruption(t *testing.T) {
 		return dir
 	}
 	segPath := func(dir string) string { return filepath.Join(dir, segName(1)) }
-	frameLen := frameHeaderSize + 1 + len("payload-00")
+	frameLen := chash.FrameHeaderSize + 1 + len("payload-00")
 
 	cases := []struct {
 		name   string
@@ -218,7 +219,7 @@ func TestLogTailCorruption(t *testing.T) {
 			name: "flipped byte mid-log cuts everything after",
 			damage: func(t *testing.T, path string) {
 				raw, _ := os.ReadFile(path)
-				raw[3*frameLen+frameHeaderSize] ^= 0x01
+				raw[3*frameLen+chash.FrameHeaderSize] ^= 0x01
 				os.WriteFile(path, raw, 0o644)
 			},
 			keep: 3,
@@ -315,7 +316,7 @@ func TestLogDropsSegmentsPastDefect(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadFile: %v", err)
 	}
-	raw[frameHeaderSize] ^= 0x55
+	raw[chash.FrameHeaderSize] ^= 0x55
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
@@ -380,7 +381,7 @@ func TestLogTruncateTailAndReset(t *testing.T) {
 // in a segment file, the opener must never serve a record that was not
 // appended intact, never crash, and always leave a file it can reopen.
 func FuzzFrameRecovery(f *testing.F) {
-	valid := buildFrame(1, []byte("seed-record"))
+	valid := chash.AppendFrame(nil, []byte{1}, []byte("seed-record"))
 	f.Add(valid)
 	f.Add(append(append([]byte(nil), valid...), valid[:5]...))
 	f.Add([]byte{0, 0, 0, 0})
@@ -397,8 +398,8 @@ func FuzzFrameRecovery(f *testing.F) {
 		// Every surviving record must re-verify its own CRC framing.
 		var n int
 		err = l.Scan(func(tag byte, payload []byte) error {
-			frame := buildFrame(tag, payload)
-			if size, ok := nextFrame(frame); !ok || size != len(frame) {
+			frame := chash.AppendFrame(nil, []byte{tag}, payload)
+			if _, size, err := chash.DecodeFrame(frame, maxRecord); err != nil || size != len(frame) {
 				t.Fatalf("served record fails its own framing")
 			}
 			n++

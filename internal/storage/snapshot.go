@@ -3,9 +3,9 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 
+	"dcert/internal/chash"
 	"dcert/internal/storage/vfs"
 )
 
@@ -29,7 +29,7 @@ func writeSnapshot(fs vfs.FS, path string, payload []byte) error {
 	tmp := path + ".tmp"
 	buf := make([]byte, snapHeaderSize+len(payload))
 	binary.BigEndian.PutUint32(buf[0:4], snapMagic)
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
+	binary.BigEndian.PutUint32(buf[4:8], chash.Checksum(payload))
 	binary.BigEndian.PutUint64(buf[8:16], uint64(len(payload)))
 	copy(buf[snapHeaderSize:], payload)
 
@@ -75,7 +75,7 @@ func readSnapshot(fs vfs.FS, path string) ([]byte, error) {
 		return nil, fmt.Errorf("%w: snapshot %s truncated payload", ErrCorrupt, path)
 	}
 	payload := raw[snapHeaderSize:]
-	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(raw[4:8]) {
+	if chash.Checksum(payload) != binary.BigEndian.Uint32(raw[4:8]) {
 		return nil, fmt.Errorf("%w: snapshot %s checksum", ErrCorrupt, path)
 	}
 	return payload, nil

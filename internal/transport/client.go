@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dcert/internal/chash"
 	"dcert/internal/network"
 )
 
@@ -122,7 +123,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		conn.Close()
 		return nil, err
 	}
-	body, err := readFrame(r)
+	body, err := chash.ReadFrame(r, MaxFrameSize)
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("%w: %v", ErrBadHandshake, err)
@@ -338,7 +339,7 @@ func (c *Client) dropPending(id uint64) {
 func (c *Client) readLoop() {
 	defer c.readerWG.Done()
 	for {
-		body, err := readFrame(c.r)
+		body, err := chash.ReadFrame(c.r, MaxFrameSize)
 		if err != nil {
 			c.shutdown(err)
 			return

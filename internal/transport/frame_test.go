@@ -16,11 +16,13 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dcert/internal/chash"
 )
 
 // TestReadFrameAllocatesAsBytesArrive: the length prefix is the peer's
 // claim, so a header that claims MaxFrameSize and then ends must not cost
-// the claimed 16 MiB — any TCP peer reaches readFrame through the
+// the claimed 16 MiB — any TCP peer reaches chash.ReadFrame through the
 // unauthenticated handshake.
 func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 	hdr := binary.BigEndian.AppendUint32(nil, MaxFrameSize)
@@ -35,34 +37,13 @@ func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if _, err := readFrame(wrap(bytes.NewReader(hdr))); err == nil {
+			if _, err := chash.ReadFrame(wrap(bytes.NewReader(hdr)), MaxFrameSize); err == nil {
 				t.Fatal("a header with no body was accepted")
 			}
 		}
 		runtime.ReadMemStats(&after)
 		if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead >= 128<<10 {
 			t.Fatalf("a bodiless MaxFrameSize header allocated %d bytes, want < %d", perRead, 128<<10)
-		}
-	}
-}
-
-// TestReadFrameRoundTripsAcrossChunks: bodies at, just past and far past
-// the first read chunk come back byte for byte.
-func TestReadFrameRoundTripsAcrossChunks(t *testing.T) {
-	for _, size := range []int{1, frameReadChunk, frameReadChunk + 1, 3 * frameReadChunk, 1 << 20} {
-		body := make([]byte, size)
-		for i := range body {
-			body[i] = byte(i*31 + i>>8)
-		}
-		got, err := readFrame(bytes.NewReader(AppendFrame(nil, body)))
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-		if !bytes.Equal(got, body) {
-			t.Fatalf("size %d: body changed in transit", size)
-		}
-		if _, err := readFrame(bytes.NewReader(AppendFrame(nil, body)[:frameHeaderSize+size-1])); err == nil {
-			t.Fatalf("size %d: a frame one byte short was accepted", size)
 		}
 	}
 }
@@ -83,12 +64,12 @@ func (c *countingReader) Read(p []byte) (int, error) {
 // buffered reader.
 func TestReadFrameBufferedBackToBack(t *testing.T) {
 	first, second := []byte{kindMessage, 1, 2, 3}, bytes.Repeat([]byte{kindResponse}, 1000)
-	src := &countingReader{r: bytes.NewReader(AppendFrame(AppendFrame(nil, first), second))}
+	src := &countingReader{r: bytes.NewReader(chash.AppendFrame(chash.AppendFrame(nil, first), second))}
 	r := bufio.NewReaderSize(src, readBufferSize)
 	for _, want := range [][]byte{first, second} {
-		got, err := readFrame(r)
+		got, err := chash.ReadFrame(r, MaxFrameSize)
 		if err != nil {
-			t.Fatalf("readFrame: %v", err)
+			t.Fatalf("ReadFrame: %v", err)
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("frame body changed: %d bytes, want %d", len(got), len(want))
@@ -157,11 +138,11 @@ func selfSignedTLS(t *testing.T) (server, client *tls.Config) {
 
 // TestFrameWriterMatchesAppendFrame: whichever way the writer sends a
 // frame — one copy below the small-frame cutoff, vectored above it on plain
-// TCP, one write on TLS — the peer reads exactly AppendFrame(nil, head‖body).
+// TCP, one write on TLS — the peer reads exactly chash.AppendFrame(nil, head‖body).
 func TestFrameWriterMatchesAppendFrame(t *testing.T) {
 	serverTLS, clientTLS := selfSignedTLS(t)
 	head := (&responseMsg{id: 9, body: make([]byte, 0)}).encodeHead()
-	cut := smallFrame - frameHeaderSize - len(head)
+	cut := smallFrame - chash.FrameHeaderSize - len(head)
 	for _, tc := range []struct {
 		name     string
 		vectored bool
@@ -192,7 +173,7 @@ func TestFrameWriterMatchesAppendFrame(t *testing.T) {
 			for i := range body {
 				body[i] = byte(i*7 + i>>9)
 			}
-			want := AppendFrame(nil, append(append([]byte(nil), head...), body...))
+			want := chash.AppendFrame(nil, append(append([]byte(nil), head...), body...))
 			errc := make(chan error, 1)
 			go func() { errc <- w.write(head, body) }()
 			got := make([]byte, len(want))

@@ -15,24 +15,24 @@ import (
 // corrupted peer could send must either parse into a valid structure or
 // fail with an error — never panic, never over-allocate past MaxFrameSize.
 
-// FuzzFrameDecode drives the pure frame decoder with arbitrary bytes:
+// FuzzFrameDecode drives the frame decoder, at the wire's limit, with arbitrary bytes:
 // truncated headers, hostile length prefixes, corrupt CRCs, and valid
 // frames alike.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
-	f.Add(AppendFrame(nil, []byte{kindHello, 1, 2, 3}))
-	f.Add(AppendFrame(nil, bytes.Repeat([]byte{7}, 100)))
+	f.Add(chash.AppendFrame(nil, []byte{kindHello, 1, 2, 3}))
+	f.Add(chash.AppendFrame(nil, bytes.Repeat([]byte{7}, 100)))
 	// Oversized length prefix with no body behind it.
 	huge := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
 	f.Add(append(huge, 0, 0, 0, 0))
 	// Valid header, flipped CRC.
-	corrupt := AppendFrame(nil, []byte{kindPublish, 9, 9})
+	corrupt := chash.AppendFrame(nil, []byte{kindPublish, 9, 9})
 	corrupt[4] ^= 0xFF
 	f.Add(corrupt)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		body, n, err := DecodeFrame(data)
+		body, n, err := chash.DecodeFrame(data, MaxFrameSize)
 		if err != nil {
 			if n != 0 {
 				t.Fatalf("error with nonzero consumed count %d", n)
@@ -46,7 +46,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		// A decoded frame must re-encode to exactly the bytes consumed.
-		if !bytes.Equal(AppendFrame(nil, body), data[:n]) {
+		if !bytes.Equal(chash.AppendFrame(nil, body), data[:n]) {
 			t.Fatal("re-encoding a decoded frame changed its bytes")
 		}
 	})

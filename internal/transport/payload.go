@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"dcert/internal/chain"
 	"dcert/internal/chash"
 	"dcert/internal/core"
 )
@@ -41,12 +40,9 @@ func encodePayload(p any) ([]byte, error) {
 		if v.Header == nil || v.Cert == nil {
 			return nil, fmt.Errorf("%w: incomplete cert bundle", ErrPayloadType)
 		}
-		hdr := v.Header.Marshal()
-		cert := v.Cert.Marshal()
-		e := chash.NewEncoder(16 + len(hdr) + len(cert))
+		e := chash.NewEncoder(1 + v.EncodedSize())
 		e.PutByte(payloadCertBundle)
-		e.PutBytes(hdr)
-		e.PutBytes(cert)
+		v.Encode(e)
 		return e.Bytes(), nil
 	case *core.SegmentCert:
 		if len(v.Headers) == 0 || v.Cert == nil {
@@ -73,27 +69,11 @@ func decodePayload(raw []byte) (any, error) {
 		copy(out, rest)
 		return out, nil
 	case payloadCertBundle:
-		d := chash.NewDecoder(rest)
-		hdrRaw, err := d.ReadBytes()
+		b, err := core.UnmarshalCertBundle(rest)
 		if err != nil {
-			return nil, fmt.Errorf("%w: bundle: %v", ErrPayloadCorrupt, err)
+			return nil, fmt.Errorf("%w: %v", ErrPayloadCorrupt, err)
 		}
-		certRaw, err := d.ReadBytes()
-		if err != nil {
-			return nil, fmt.Errorf("%w: bundle: %v", ErrPayloadCorrupt, err)
-		}
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("%w: bundle: %v", ErrPayloadCorrupt, err)
-		}
-		hdr, err := chain.UnmarshalHeader(hdrRaw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bundle header: %v", ErrPayloadCorrupt, err)
-		}
-		cert, err := core.UnmarshalCertificate(certRaw)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bundle certificate: %v", ErrPayloadCorrupt, err)
-		}
-		return &core.CertBundle{Header: hdr, Cert: cert}, nil
+		return b, nil
 	case payloadSegment:
 		seg, err := core.UnmarshalSegmentCert(rest)
 		if err != nil {

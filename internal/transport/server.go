@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dcert/internal/chash"
 	"dcert/internal/network"
 )
 
@@ -277,7 +278,7 @@ func (c *serverConn) serve() {
 	go c.writeLoop()
 
 	for {
-		body, err := readFrame(c.r)
+		body, err := chash.ReadFrame(c.r, MaxFrameSize)
 		if err != nil {
 			return
 		}
@@ -293,7 +294,7 @@ func (c *serverConn) handshake() error {
 	c.conn.SetDeadline(deadline)
 	defer c.conn.SetDeadline(time.Time{})
 
-	body, err := readFrame(c.r)
+	body, err := chash.ReadFrame(c.r, MaxFrameSize)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 // kindMessage, which the server pushes for topic deliveries.
 //
 // A decoded message's byte fields (payloads, request and response bodies)
-// alias its frame: readFrame allocates every frame afresh and nothing
+// alias its frame: chash.ReadFrame allocates every frame afresh and nothing
 // writes to it afterwards, so the body need not be copied out.
 
 // Protocol errors.
@@ -355,7 +355,7 @@ func decodeResponse(d *chash.Decoder) (*responseMsg, error) {
 // the rest.
 func splitKind(body []byte) (byte, *chash.Decoder, error) {
 	if len(body) == 0 {
-		return 0, nil, ErrFrameEmpty
+		return 0, nil, chash.ErrFrameEmpty
 	}
 	return body[0], chash.NewDecoder(body[1:]), nil
 }

@@ -53,7 +53,9 @@ const (
 	// WireRouteInfo returns the node's trust anchors (authority key, enclave
 	// measurement, consensus parameters).
 	WireRouteInfo = "dcert/info"
-	// WireRouteCertLatest returns the primary issuer's newest cert bundle.
+	// WireRouteCertLatest returns the deployment's newest certificate as a
+	// cert bundle, or nothing when that certificate covers more than one
+	// block (WireRouteCertSegment serves it).
 	WireRouteCertLatest = "dcert/cert-latest"
 	// WireRouteBlock returns one raw block by height.
 	WireRouteBlock = "dcert/block"
@@ -116,48 +118,6 @@ func decodeNodeInfo(raw []byte) (*NodeInfo, error) {
 		return nil, fmt.Errorf("dcert: node info: %w", err)
 	}
 	return &info, nil
-}
-
-// encodeBundle renders a cert bundle for the wire ("" means none yet).
-func encodeBundle(b *CertBundle) []byte {
-	if b == nil {
-		return nil
-	}
-	hdr := b.Header.Marshal()
-	cert := b.Cert.Marshal()
-	e := chash.NewEncoder(16 + len(hdr) + len(cert))
-	e.PutBytes(hdr)
-	e.PutBytes(cert)
-	return e.Bytes()
-}
-
-// decodeBundle parses a WireRouteCertLatest response (nil when the node has
-// not certified anything yet).
-func decodeBundle(raw []byte) (*CertBundle, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	d := chash.NewDecoder(raw)
-	hdrRaw, err := d.ReadBytes()
-	if err != nil {
-		return nil, fmt.Errorf("dcert: cert bundle: %w", err)
-	}
-	certRaw, err := d.ReadBytes()
-	if err != nil {
-		return nil, fmt.Errorf("dcert: cert bundle: %w", err)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("dcert: cert bundle: %w", err)
-	}
-	hdr, err := chain.UnmarshalHeader(hdrRaw)
-	if err != nil {
-		return nil, fmt.Errorf("dcert: cert bundle header: %w", err)
-	}
-	cert, err := core.UnmarshalCertificate(certRaw)
-	if err != nil {
-		return nil, fmt.Errorf("dcert: cert bundle certificate: %w", err)
-	}
-	return &CertBundle{Header: hdr, Cert: cert}, nil
 }
 
 // encodeBootstrapPath renders a WireRouteBootstrap response: a count, then
@@ -232,20 +192,15 @@ func (m *bootstrapMemo) path(issuer *core.Issuer, anchor uint64) []byte {
 	return raw
 }
 
-// decodeBootstrapPath parses an untrusted WireRouteBootstrap response. The
-// count is bounded by the walk's own bound and by the bytes left (every
-// segment takes at least its 4-byte length prefix) before it sizes anything.
+// decodeBootstrapPath parses an untrusted WireRouteBootstrap response.
 func decodeBootstrapPath(raw []byte) ([]*SegmentCert, error) {
 	d := chash.NewDecoder(raw)
-	n, err := d.Uint32()
+	n, err := d.Count(core.MaxBootstrapPath, 4)
 	if err != nil {
 		return nil, fmt.Errorf("dcert: bootstrap path: %w", err)
 	}
-	if n > core.MaxBootstrapPath || int(n) > d.Remaining()/4 {
-		return nil, fmt.Errorf("dcert: bootstrap path: %d segments beyond bound", n)
-	}
 	path := make([]*SegmentCert, 0, n)
-	for i := uint32(0); i < n; i++ {
+	for i := range n {
 		segRaw, err := d.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("dcert: bootstrap path segment %d: %w", i, err)
@@ -260,6 +215,13 @@ func decodeBootstrapPath(raw []byte) ([]*SegmentCert, error) {
 		return nil, fmt.Errorf("dcert: bootstrap path: %w", err)
 	}
 	return path, nil
+}
+
+// encodeHeightRequest renders a request body that is one height.
+func encodeHeightRequest(height uint64) []byte {
+	e := chash.NewEncoder(8)
+	e.PutUint64(height)
+	return e.Bytes()
 }
 
 // decodeHeightRequest parses a request body that is one height.
@@ -289,7 +251,11 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		}), nil
 	})
 	srv.Handle(WireRouteCertLatest, func([]byte) ([]byte, error) {
-		return encodeBundle(d.Issuer().LatestBundle()), nil
+		seg := d.tipSegment()
+		if seg == nil || len(seg.Headers) != 1 {
+			return nil, nil // empty body = no single-block tip certificate
+		}
+		return (&CertBundle{Header: seg.Headers[0], Cert: seg.Cert}).Marshal(), nil
 	})
 	srv.Handle(WireRouteBlock, func(body []byte) ([]byte, error) {
 		height, err := decodeHeightRequest(body)
@@ -367,20 +333,19 @@ func NewRemoteSuperlightClient(c *WireClient) (*SuperlightClient, error) {
 }
 
 // RequestLatestBundle fetches the node's newest certificate bundle (nil
-// before the first certification).
+// before the first certification, or when the newest certificate covers a
+// multi-block segment).
 func RequestLatestBundle(c *WireClient) (*CertBundle, error) {
 	raw, err := c.Request(WireRouteCertLatest, nil)
-	if err != nil {
+	if err != nil || len(raw) == 0 {
 		return nil, err
 	}
-	return decodeBundle(raw)
+	return core.UnmarshalCertBundle(raw)
 }
 
 // RequestBlock fetches one raw block by height.
 func RequestBlock(c *WireClient, height uint64) (*Block, error) {
-	e := chash.NewEncoder(8)
-	e.PutUint64(height)
-	raw, err := c.Request(WireRouteBlock, e.Bytes())
+	raw, err := c.Request(WireRouteBlock, encodeHeightRequest(height))
 	if err != nil {
 		return nil, err
 	}
@@ -395,9 +360,7 @@ func RequestTipBlock(c *WireClient) (*Block, error) {
 // RequestSegment fetches the certified segment covering a height (nil when
 // the node holds none for it).
 func RequestSegment(c *WireClient, height uint64) (*SegmentCert, error) {
-	e := chash.NewEncoder(8)
-	e.PutUint64(height)
-	raw, err := c.Request(WireRouteCertSegment, e.Bytes())
+	raw, err := c.Request(WireRouteCertSegment, encodeHeightRequest(height))
 	if err != nil {
 		return nil, err
 	}
@@ -419,9 +382,7 @@ func RequestTipSegment(c *WireClient) (*SegmentCert, error) {
 // response that drops, reorders or pads a hop is refused before the tip is
 // adopted. It returns the number of segments fetched, tip included.
 func BootstrapSublinearOver(c *WireClient, client *SuperlightClient, anchorHeight uint64, anchorHash Hash) (int, error) {
-	e := chash.NewEncoder(8)
-	e.PutUint64(anchorHeight)
-	raw, err := c.Request(WireRouteBootstrap, e.Bytes())
+	raw, err := c.Request(WireRouteBootstrap, encodeHeightRequest(anchorHeight))
 	if err != nil {
 		return 0, err
 	}
