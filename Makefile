@@ -105,12 +105,13 @@ bench-json:
 
 # Fuzz smoke for the decoders of untrusted bytes: the record frame as the
 # wire decodes it and as the storage log recovers it, the transport's
-# protocol messages (the first bytes any TCP peer reaches) and its topic
-# payload codec (the certificate stream), the query wire codecs (the batch
+# handshake and protocol messages (the first bytes any TCP peer reaches) and
+# its topic payload codec (the certificate stream), the query wire codecs (the batch
 # multiproof decoder, the canonical request round trip, and every decoder a
 # client runs on an SP's answer), the index update witness and the SMT
 # multiproof the trusted program decodes from its host, the certificate and
-# segment certificate codecs, the dcert/bootstrap response (a count of
+# segment certificate codecs, the attestation report every bootstrap
+# verifies on the tip certificate, the dcert/bootstrap response (a count of
 # segments) and dcert/info response (the trust anchors), the header, block
 # and transaction codecs (network bytes, and every block a durable node
 # reads back from its chain log), and the state record the storage engine
@@ -135,6 +136,8 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameRecovery$$' -fuzztime=10s ./internal/storage/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalCertificate$$' -fuzztime=10s ./internal/core/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalHeader$$' -fuzztime=10s ./internal/chain/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalReport$$' -fuzztime=10s ./internal/attest/
+	$(GO) test -run='^$$' -fuzz='^FuzzHandshake$$' -fuzztime=10s ./internal/transport/
 
 clean:
 	$(GO) clean ./...

@@ -334,7 +334,7 @@ func BenchmarkMinePath(b *testing.B) {
 		}
 	}
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
-		if cb := dep.Issuer().LatestBundle(); cb != nil && cb.Header.Height >= setUpTip.Header.Height {
+		if seg := dep.Issuer().LatestSegment(); seg != nil && seg.End() >= setUpTip.Header.Height {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -115,9 +115,9 @@ func TestSegmentCertCrossesTheWire(t *testing.T) {
 }
 
 // TestBootstrapOverWire: a fresh client reaches the tip from genesis in ONE
-// dcert/bootstrap round trip with the model's segment count, a client
-// anchored at a mid-chain tip fetches fewer, and an anchor of MaxUint64 gets
-// the tip alone, which the client refuses.
+// dcert/bootstrap round trip that carries the tip segment alone (the model's
+// count), a client anchored at a mid-chain tip walks at least one hop, and
+// an anchor of MaxUint64 gets the tip alone, which the client refuses.
 func TestBootstrapOverWire(t *testing.T) {
 	r := newSegmentedWireRig(t, 27, 18)
 
@@ -139,8 +139,8 @@ func TestBootstrapOverWire(t *testing.T) {
 	if requests := r.srv.Stats().Requests - before; requests != 1 {
 		t.Fatalf("bootstrap took %d requests, want 1", requests)
 	}
-	if want := ModelBootstrapFetches(tip.Height, bootstrapSegK) + 1; fetches != want {
-		t.Fatalf("bootstrap fetched %d segments, the model says %d", fetches, want)
+	if want := ModelBootstrapFetches(tip.Height, bootstrapSegK) + 1; fetches != 1 || fetches != want {
+		t.Fatalf("bootstrap fetched %d segments, want the tip alone (the model says %d)", fetches, want)
 	}
 	if hdr, _ := cl.Latest(); hdr == nil || hdr.Hash() != tip.Hash() {
 		t.Fatal("bootstrapped client does not sit on the issuer's tip")
@@ -150,8 +150,8 @@ func TestBootstrapOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatalf("BootstrapSublinearOver (from mid anchor): %v", err)
 	}
-	if midFetches >= fetches {
-		t.Fatalf("a client anchored at height %d fetched %d segments, from genesis %d", mid.Height, midFetches, fetches)
+	if midFetches < 2 {
+		t.Fatalf("a client anchored at height %d fetched %d segments, want the tip and at least one hop", mid.Height, midFetches)
 	}
 	if hdr, _ := midClient.Latest(); hdr.Hash() != tip.Hash() {
 		t.Fatal("mid-anchored client does not sit on the issuer's tip")
@@ -195,8 +195,10 @@ func segmentByteEncoding(path []*SegmentCert) []byte {
 // TestBootstrapRouteServesFreshPaths: the dcert/bootstrap route answers
 // repeats from its memo, yet every answer equals a fresh encoding of the
 // issuer's current path: a new segment replaces the old tip's paths, two
-// anchors get their own, and an empty path (no segment yet, or a tip block
-// still being certified) is never served from the memo.
+// mid-chain anchors get their own, and an empty path (no segment yet, or a
+// tip block still being certified) is never served from the memo. The
+// genesis anchor is answered with the newest certified tip alone, which a
+// block still being certified does not withdraw.
 func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 31, KeySpace: 30, Contracts: 4, Accounts: 8})
 	if err != nil {
@@ -242,9 +244,24 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 		return want
 	}
 	empty := encodeBootstrapPath(nil)
+	// genesisPath is the genesis anchor's answer: the deployment's newest
+	// certified segment alone.
+	genesisPath := func() []byte {
+		t.Helper()
+		want := encodeBootstrapPath([]*SegmentCert{dep.tipSegment()})
+		for i := 0; i < 2; i++ {
+			if got := fetch(0); !bytes.Equal(got, want) {
+				t.Fatalf("genesis anchor, ask %d: the route served %d bytes, the tip alone has %d", i, len(got), len(want))
+			}
+		}
+		return want
+	}
 
-	if got := check(0); !bytes.Equal(got, empty) {
-		t.Fatal("before any segment the route served a non-empty path")
+	const low = 1
+	for _, anchor := range []uint64{0, low} {
+		if got := check(anchor); !bytes.Equal(got, empty) {
+			t.Fatalf("anchor %d: before any segment the route served a non-empty path", anchor)
+		}
 	}
 	for i := 0; i < 2; i++ {
 		if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
@@ -257,19 +274,23 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 		if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
 			t.Fatalf("MineAndCertifySegment: %v", err)
 		}
-		fromGenesis, fromMid := check(0), check(mid)
-		if bytes.Equal(fromGenesis, prev) {
+		fromLow, fromMid := check(low), check(mid)
+		if bytes.Equal(fromLow, prev) {
 			t.Fatalf("round %d: a new segment landed and the route served the old tip's path", round)
 		}
-		if bytes.Equal(fromGenesis, fromMid) {
-			t.Fatalf("round %d: anchors 0 and %d got the same path", round, mid)
+		if bytes.Equal(fromLow, fromMid) {
+			t.Fatalf("round %d: anchors %d and %d got the same path", round, low, mid)
 		}
-		prev = fromGenesis
+		if fromGenesis := genesisPath(); bytes.Equal(fromGenesis, fromLow) {
+			t.Fatalf("round %d: anchors 0 and %d got the same path", round, low)
+		}
+		prev = fromLow
 	}
 
 	// Mid-certification: the issuer's node holds a block its segment does
-	// not yet cover, so there is no tip segment and the path is empty,
-	// though the memo still holds the last tip's paths.
+	// not yet cover, so there is no tip segment and a mid-chain anchor's
+	// path is empty, though the memo still holds the last tip's paths. The
+	// genesis anchor still gets the last certified tip.
 	blks, _, _, err := dep.mine(1, 1, nil, nil)
 	if err != nil {
 		t.Fatalf("mine: %v", err)
@@ -280,10 +301,13 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	if dep.Issuer().LatestSegment() != nil {
 		t.Fatal("the issuer reports a tip segment for an uncertified tip")
 	}
-	for _, anchor := range []uint64{0, mid} {
+	for _, anchor := range []uint64{low, mid} {
 		if got := check(anchor); !bytes.Equal(got, empty) {
 			t.Fatalf("anchor %d mid-certification: the route served a %d-byte path", anchor, len(got))
 		}
+	}
+	if got := genesisPath(); bytes.Equal(got, empty) {
+		t.Fatal("genesis anchor mid-certification: the route withdrew the last certified tip")
 	}
 }
 
@@ -301,8 +325,10 @@ func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
 			t.Fatalf("MineAndCertifySegment: %v", err)
 		}
 	}
+	// A mid-chain anchor near genesis: its path walks several hops.
+	const anchor = 1
 	memo := new(bootstrapMemo)
-	first := memo.path(dep.Issuer(), 0)
+	first := memo.path(dep, anchor)
 	if len(first) < 8<<10 {
 		t.Fatalf("the path is %d bytes; the test needs one far above its bound", len(first))
 	}
@@ -311,7 +337,7 @@ func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if raw := memo.path(dep.Issuer(), 0); &raw[0] != &first[0] {
+		if raw := memo.path(dep, anchor); &raw[0] != &first[0] {
 			t.Fatal("a repeat request was encoded again")
 		}
 	}
@@ -320,8 +346,8 @@ func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
 		t.Fatalf("a repeat request allocated %d bytes for a %d-byte path, want <= 256", perCall, len(first))
 	}
 	// Past the memo's bound, an anchor is still answered correctly.
-	for a := uint64(1); a <= bootstrapMemoAnchors+2; a++ {
-		if got, want := memo.path(dep.Issuer(), a), encodeBootstrapPath(dep.Issuer().BootstrapPath(a)); !bytes.Equal(got, want) {
+	for a := uint64(anchor + 1); a <= bootstrapMemoAnchors+3; a++ {
+		if got, want := memo.path(dep, a), encodeBootstrapPath(dep.Issuer().BootstrapPath(a)); !bytes.Equal(got, want) {
 			t.Fatalf("anchor %d: memo and fresh encoding differ", a)
 		}
 	}
@@ -330,10 +356,11 @@ func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
 	}
 }
 
-// TestBootstrapMemoUnderConcurrentSegments: readers share the memo while
-// segments land. Every answer is a path a fresh client adopts, and none
-// starts below the tip segment the reader saw before asking: the memo never
-// hands out a tip older than the issuer's.
+// TestBootstrapMemoUnderConcurrentSegments: readers of the genesis anchor
+// and of a mid-chain anchor share the memo while segments land. Every answer
+// is a path a fresh client adopts, and none starts below the tip segment the
+// reader saw before asking: the memo never hands out a tip older than the
+// issuer's.
 func TestBootstrapMemoUnderConcurrentSegments(t *testing.T) {
 	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 35, KeySpace: 30, Contracts: 4, Accounts: 8})
 	if err != nil {
@@ -342,12 +369,18 @@ func TestBootstrapMemoUnderConcurrentSegments(t *testing.T) {
 	if _, _, err := dep.MineAndCertifySegment(4, 1); err != nil {
 		t.Fatalf("MineAndCertifySegment: %v", err)
 	}
-	genesis := dep.Issuer().Node().Store().Genesis()
+	anchorHashes := []Hash{dep.Issuer().Node().Store().Genesis()}
+	if h, err := dep.Issuer().Node().Store().HashAt(1); err != nil {
+		t.Fatalf("HashAt(1): %v", err)
+	} else {
+		anchorHashes = append(anchorHashes, h)
+	}
 	memo := new(bootstrapMemo)
 	done := make(chan struct{})
 	errs := make(chan error, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
+		anchor := uint64(g % len(anchorHashes))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -358,7 +391,7 @@ func TestBootstrapMemoUnderConcurrentSegments(t *testing.T) {
 				default:
 				}
 				seen := dep.Issuer().LatestSegment().End()
-				path, err := decodeBootstrapPath(memo.path(dep.Issuer(), 0))
+				path, err := decodeBootstrapPath(memo.path(dep, anchor))
 				if err != nil {
 					errs <- err
 					return
@@ -371,7 +404,7 @@ func TestBootstrapMemoUnderConcurrentSegments(t *testing.T) {
 					errs <- fmt.Errorf("served a path from height %d after seeing the tip at %d", path[0].End(), seen)
 					return
 				}
-				if _, err := dep.NewSuperlightClient().BootstrapFromPath(path, 0, genesis); err != nil {
+				if _, err := dep.NewSuperlightClient().BootstrapFromPath(path, anchor, anchorHashes[anchor]); err != nil {
 					errs <- err
 					return
 				}

@@ -407,3 +407,71 @@ func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
 		t.Fatalf("ValidateChain refused the latest bundle: %v", err)
 	}
 }
+
+// TestChaosNetBootstrapPastKilledPrimary: dcert/bootstrap from the genesis
+// anchor answers the deployment's newest certificate, so with the primary
+// killed a fresh remote client still bootstraps to the tip the secondary
+// certified.
+func TestChaosNetBootstrapPastKilledPrimary(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{
+		Workload:   dcert.KVStore,
+		Contracts:  4,
+		Accounts:   8,
+		Difficulty: 2,
+		Seed:       709,
+		KeySpace:   30,
+	})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	defer dep.Net().Close()
+	plane, err := dep.StartCertPlane(2)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatalf("ServeWire: %v", err)
+	}
+	defer srv.Close()
+	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "bootstrap"})
+	if err != nil {
+		t.Fatalf("DialWire: %v", err)
+	}
+	defer wc.Close()
+
+	mine := func(rounds int) {
+		t.Helper()
+		for i := 0; i < rounds; i++ {
+			if _, err := plane.MineAndBroadcast(5); err != nil {
+				t.Fatalf("mine: %v", err)
+			}
+		}
+	}
+	mine(2)
+	if err := plane.Kill("ci0"); err != nil {
+		t.Fatalf("Kill(ci0): %v", err)
+	}
+	mine(3)
+	tip := dep.Miner().Tip()
+	if tip.Header.Height != 5 {
+		t.Fatalf("miner tip at %d, want 5", tip.Header.Height)
+	}
+	client, err := dcert.NewRemoteSuperlightClient(wc)
+	if err != nil {
+		t.Fatalf("NewRemoteSuperlightClient: %v", err)
+	}
+	genesis := dep.Issuer().Node().Store().Genesis()
+	fetches, err := dcert.BootstrapSublinearOver(wc, client, 0, genesis)
+	if err != nil {
+		t.Fatalf("BootstrapSublinearOver: %v", err)
+	}
+	hdr, _ := client.Latest()
+	if hdr.Height != tip.Header.Height || hdr.Hash() != tip.Hash() {
+		t.Fatalf("bootstrapped to height %d, want the secondary's certificate at %d", hdr.Height, tip.Header.Height)
+	}
+	if fetches != 1 {
+		t.Fatalf("genesis bootstrap fetched %d segments, want the tip alone", fetches)
+	}
+}

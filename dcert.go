@@ -89,8 +89,9 @@ func SegmentDigest(headers []*Header) Hash {
 	return core.SegmentDigest(headers)
 }
 
-// ModelBootstrapFetches predicts the sublinear bootstrap's fetch count for a
-// chain certified in fixed-size segments (mirrors the client's walk exactly).
+// ModelBootstrapFetches predicts the bootstrap's fetch count beyond the tip
+// from the genesis anchor for a chain certified in fixed-size segments: 0 at
+// every chain length, as the measurement binds genesis.
 func ModelBootstrapFetches(chainLen uint64, segBlocks int) int {
 	return core.ModelBootstrapFetches(chainLen, segBlocks)
 }

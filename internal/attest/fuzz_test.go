@@ -1,11 +1,17 @@
 package attest
 
 import (
+	"runtime"
 	"testing"
 
 	"dcert/internal/chash"
 )
 
+// FuzzUnmarshalReport drives the attestation-report decoder every bootstrap
+// runs on the tip certificate with hostile bytes: it must never allocate more
+// than a small multiple of its input, whatever lengths the bytes claim,
+// whatever it accepts must re-encode to the same bytes, and only the genuine
+// report may verify.
 func FuzzUnmarshalReport(f *testing.F) {
 	a, err := NewAuthority()
 	if err != nil {
@@ -31,7 +37,13 @@ func FuzzUnmarshalReport(f *testing.F) {
 
 	genuine := string(rep.Marshal())
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		parsed, err := UnmarshalReport(raw)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw))+64<<10; got > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(raw), got, bound)
+		}
 		if err != nil {
 			return
 		}

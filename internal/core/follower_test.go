@@ -29,7 +29,8 @@ func TestFollowerConsumesBundleStream(t *testing.T) {
 		if _, _, err := e.issuer.ProcessBlock(blk); err != nil {
 			t.Fatalf("ProcessBlock: %v", err)
 		}
-		if err := net.Publish(network.TopicCerts, "ci", e.issuer.LatestBundle()); err != nil {
+		seg := e.issuer.LatestSegment()
+		if err := net.Publish(network.TopicCerts, "ci", &CertBundle{Header: seg.Tip(), Cert: seg.Cert}); err != nil {
 			t.Fatalf("Publish: %v", err)
 		}
 	}

@@ -440,13 +440,13 @@ func TestPipelineExclusive(t *testing.T) {
 }
 
 // TestCheckpointCertConsistency is the regression test for the tip/cert read
-// skew: LatestBundle used to read the store tip and the latest certificate
-// without a common critical section, so a concurrent ProcessBlock could
-// advance the tip between the two reads and pair block i's header with block
-// i-1's certificate. Readers hammer the accessor while the issuer certifies;
-// every observed pair must be self-consistent (the cert's digest matches the
-// bundled header). Run under -race this also proves the accesses are
-// synchronized.
+// skew: an accessor that read the store tip and the latest certificate
+// without a common critical section let a concurrent ProcessBlock advance
+// the tip between the two reads and pair block i's header with block i-1's
+// certificate. Readers hammer the issuer's tip accessor (LatestSegment)
+// while the issuer certifies; every observed segment must be self-consistent
+// (the cert's digest matches its headers) and sit on the node's tip or
+// below. Run under -race this also proves the accesses are synchronized.
 func TestCheckpointCertConsistency(t *testing.T) {
 	e := newEnv(t, workload.KVStore, enclave.CostModel{})
 	const numBlocks = 12
@@ -468,8 +468,8 @@ func TestCheckpointCertConsistency(t *testing.T) {
 					return
 				default:
 				}
-				if bundle := e.issuer.LatestBundle(); bundle != nil {
-					if bundle.Cert.Digest != BlockDigest(bundle.Header) {
+				if seg := e.issuer.LatestSegment(); seg != nil {
+					if seg.Cert.Digest != SegmentDigest(seg.Headers) || seg.End() > e.issuer.Node().Tip().Header.Height {
 						violations[r]++
 						return
 					}

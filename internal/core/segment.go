@@ -9,6 +9,7 @@ import (
 	"dcert/internal/chain"
 	"dcert/internal/chash"
 	"dcert/internal/consensus"
+	"dcert/internal/enclave"
 	"dcert/internal/statedb"
 )
 
@@ -29,15 +30,18 @@ import (
 // On top of segments, every certificate carries an interlink — hash links to
 // the certified headers at exponentially spaced back-heights, the same
 // deterministic exponential back-structure as internal/skiplist's tower —
-// which lets a stale superlight client walk from the tip back to any trusted
-// anchor in O(log n) certificate fetches (BootstrapSublinear) instead of
-// replaying the stream. The interlink itself is NOT signed (signing it would
-// break the K=1 byte identity): it is a routing hint, and every hop is
-// verified by fetching the pointed-to segment, validating its enclave
-// signature, and comparing its own certified header hash against the
-// pointer. A forged pointer is therefore refuted by the first honest
-// segment it names; soundness reduces to the enclave-only-signs-valid-chains
-// invariant that all DCert trust rests on (DESIGN.md §15).
+// which lets a stale superlight client walk from the tip back to a trusted
+// mid-chain anchor in O(log n) certificate fetches (BootstrapSublinear)
+// instead of replaying the stream. The genesis anchor needs no walk: the
+// enclave measurement binds the genesis hash (ProgramID), so the verified
+// tip certificate alone certifies descent from genesis. The interlink itself
+// is NOT signed (signing it would break the K=1 byte identity): it is a
+// routing hint, and every hop is verified by fetching the pointed-to
+// segment, validating its enclave signature, and comparing its own certified
+// header hash against the pointer. A forged pointer is therefore refuted by
+// the first honest segment it names; soundness reduces to the
+// enclave-only-signs-valid-chains invariant that all DCert trust rests on
+// (DESIGN.md §15).
 
 // Segment errors.
 var (
@@ -311,7 +315,8 @@ func (ci *Issuer) segmentCoveringLocked(height uint64) *SegmentCert {
 }
 
 // LatestSegment returns the issuer's newest certified segment, or nil before
-// the first certificate (or mid-certification, mirroring LatestBundle).
+// the first certificate (or mid-certification, when the node's tip is not
+// yet covered).
 func (ci *Issuer) LatestSegment() *SegmentCert {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
@@ -333,10 +338,11 @@ func (ci *Issuer) latestSegmentLocked() *SegmentCert {
 // tip segment, then every segment BootstrapSublinear would fetch on its way
 // down to anchorHeight, in walk order — the whole bootstrap in one response
 // (the dcert/bootstrap wire route). It returns nil before the first
-// certified segment. The anchor is untrusted input: an anchor inside the
-// tip segment, above it, or directly below its first height yields the tip
-// alone, and the path never exceeds MaxBootstrapPath. A height the issuer no longer serves ends the
-// path early; the client's walk then reports the missing hop.
+// certified segment. The genesis anchor (0) yields the tip alone, as does
+// an untrusted anchor inside the tip segment, above it, or directly below
+// its first height; the path never exceeds MaxBootstrapPath. A height the
+// issuer no longer serves ends the path early; the client's walk then
+// reports the missing hop.
 func (ci *Issuer) BootstrapPath(anchorHeight uint64) []*SegmentCert {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
@@ -452,37 +458,24 @@ func segmentHeaders(blks []*chain.Block) []*chain.Header {
 
 // ModelBootstrapFetches predicts BootstrapSublinear's fetch count for a
 // chain of chainLen blocks certified in segBlocks-block segments, walking to
-// the genesis anchor. It mirrors the client's greedy largest-hop walk
-// exactly (the regression test pins model == measured), so the 100k-block
-// point in BENCH_certify.json is honest arithmetic, not extrapolation.
+// the genesis anchor: 0 hops at every chain length and segment size. The
+// enclave measurement binds genesis, so the verified tip certificate alone
+// certifies descent from it and nextHop is done at the tip (the regression
+// tests pin model == measured at 16, 512 and 10 000 blocks).
 func ModelBootstrapFetches(chainLen uint64, segBlocks int) int {
-	if chainLen == 0 {
-		return 0
-	}
-	k := uint64(segBlocks)
-	if k < 1 {
-		k = 1
-	}
-	segStart := func(h uint64) uint64 { return (h-1)/k*k + 1 }
-	fetches := 0
-	for cur := segStart(chainLen); ; fetches++ {
-		_, target, done := nextHop(cur, maxInterlinkLevels, 0)
-		if done {
-			return fetches
-		}
-		cur = segStart(target)
-	}
+	return 0
 }
 
 // nextHop is the interlink walk's one step rule, shared by the client's walk
-// (BootstrapSublinear), the serving side's (Issuer.BootstrapPath) and the
-// model. From a segment starting at start that carries levels interlink
-// levels, the walk is done once the segment covers the anchor height or
-// directly follows it; otherwise it takes the greedy hop of the returned
-// level to target. It never computes anchor+1, so an anchor of MaxUint64
-// cannot wrap around.
+// (BootstrapSublinear) and the serving side's (Issuer.BootstrapPath). The
+// walk is done at once for the genesis anchor (height 0), whose hash the
+// pinned measurement binds, and otherwise once the segment starting at start
+// covers the anchor height or directly follows it; until then it takes the
+// greedy hop of the returned level to target, clamped to the levels the
+// segment's interlink carries. It never computes anchor+1, so an anchor of
+// MaxUint64 cannot wrap around.
 func nextHop(start uint64, levels int, anchor uint64) (level int, target uint64, done bool) {
-	if start <= anchor || start-1 == anchor {
+	if anchor == 0 || start <= anchor || start-1 == anchor {
 		return 0, 0, true
 	}
 	level = interlinkHop(start, anchor, levels)
@@ -490,18 +483,14 @@ func nextHop(start uint64, levels int, anchor uint64) (level int, target uint64,
 }
 
 // interlinkHop picks the greedy hop level from a segment starting at start
-// toward anchor: the largest level whose target start−2^level stays at or
-// above the anchor (and above genesis, which no segment covers), clamped to
-// the levels the interlink actually carries.
+// toward a non-genesis anchor: the largest level whose target start−2^level
+// stays at or above the anchor, clamped to the levels the interlink actually
+// carries.
 func interlinkHop(start, anchor uint64, levels int) int {
-	lo := anchor
-	if lo == 0 {
-		lo = 1
-	}
 	best := 0
 	for l := 1; l < maxInterlinkLevels; l++ {
 		step := uint64(1) << uint(l)
-		if step > start || start-step < lo {
+		if step > start || start-step < anchor {
 			break
 		}
 		best = l
@@ -581,15 +570,18 @@ func (c *SuperlightClient) adoptSegment(seg *SegmentCert) error {
 }
 
 // BootstrapSublinear brings the client current from a tip segment in
-// O(log n) certificate fetches: starting from the (fully verified) tip
-// segment, it repeatedly takes the largest interlink hop that does not
-// overshoot the trusted anchor, fetches the segment covering the hop target,
-// verifies that segment's own enclave certificate, and cross-checks its
-// certified header hash against the pointer — a forged pointer is refuted at
-// the first hop that uses it. The walk terminates when a verified segment
-// reaches the anchor height and its certified hash (or, for an anchor just
-// below a segment, the signed PrevHash) equals anchorHash; only then is the
-// tip adopted. It returns the number of fetches performed.
+// O(log n) certificate fetches. From the genesis anchor it fetches none: the
+// verified tip certificate certifies descent from genesis once the client
+// checks that its pinned measurement binds anchorHash. From any other anchor
+// it starts at the (fully verified) tip segment and repeatedly takes the
+// largest interlink hop that does not overshoot the anchor, fetches the
+// segment covering the hop target, verifies that segment's own enclave
+// certificate, and cross-checks its certified header hash against the
+// pointer — a forged pointer is refuted at the first hop that uses it. The
+// walk terminates when a verified segment reaches the anchor height and its
+// certified hash (or, for an anchor just below a segment, the signed
+// PrevHash) equals anchorHash; only then is the tip adopted. It returns the
+// number of fetches performed.
 //
 // anchorHeight/anchorHash are the client's trusted anchor — genesis, or any
 // previously validated tip. Each hop at least halves the remaining distance,
@@ -651,15 +643,24 @@ func (c *SuperlightClient) walkInterlink(fetch SegmentFetcher, tip *SegmentCert,
 		start := cur.Start()
 		level, target, done := nextHop(start, len(cur.Interlink), anchorHeight)
 		if done {
-			if start <= anchorHeight {
+			var refuted bool
+			switch {
+			case anchorHeight == 0:
+				// The measurement the tip verified under binds genesis
+				// (ProgramID), so the tip certificate alone certifies
+				// descent from it — if the anchor is that genesis.
+				refuted = enclave.Measure(ProgramID(anchorHash, c.authorityPK, c.params)) != c.measurement
+			case start <= anchorHeight:
 				// The current segment covers the anchor height: its
 				// certified header there must BE the anchor.
-				if hdr := cur.HeaderAt(anchorHeight); hdr == nil || hdr.Hash() != anchorHash {
-					return fetches, fmt.Errorf("%w: anchor at height %d refuted", ErrBadInterlink, anchorHeight)
-				}
-			} else if cur.Headers[0].PrevHash != anchorHash {
+				hdr := cur.HeaderAt(anchorHeight)
+				refuted = hdr == nil || hdr.Hash() != anchorHash
+			default:
 				// The anchor immediately precedes this segment: the signed
-				// PrevHash settles it (this is also the genesis case).
+				// PrevHash settles it.
+				refuted = cur.Headers[0].PrevHash != anchorHash
+			}
+			if refuted {
 				return fetches, fmt.Errorf("%w: anchor at height %d refuted", ErrBadInterlink, anchorHeight)
 			}
 			return fetches, nil

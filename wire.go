@@ -154,10 +154,19 @@ type bootstrapMemo struct {
 	paths map[uint64][]byte // by anchor height, at most bootstrapMemoAnchors
 }
 
-// path returns the encoded bootstrap path from the issuer's tip down to
-// anchor.
-func (m *bootstrapMemo) path(issuer *core.Issuer, anchor uint64) []byte {
-	tip := issuer.LatestSegment()
+// path returns the encoded bootstrap path from the deployment's tip down to
+// anchor. The genesis path is the tip segment alone, and any issuer's newest
+// certificate will do (Deployment.tipSegment), so a killed primary does not
+// freeze it; a mid-chain anchor's hops are the primary issuer's segments, so
+// its path starts from the primary's tip (Issuer.BootstrapPath).
+func (m *bootstrapMemo) path(d *Deployment, anchor uint64) []byte {
+	issuer := d.Issuer()
+	var tip *SegmentCert
+	if anchor == 0 {
+		tip = d.tipSegment()
+	} else {
+		tip = issuer.LatestSegment()
+	}
 	if tip == nil {
 		return encodeBootstrapPath(nil)
 	}
@@ -173,7 +182,10 @@ func (m *bootstrapMemo) path(issuer *core.Issuer, anchor uint64) []byte {
 	if ok {
 		return raw
 	}
-	path := issuer.BootstrapPath(anchor)
+	path := []*SegmentCert{tip}
+	if anchor != 0 {
+		path = issuer.BootstrapPath(anchor)
+	}
 	raw = encodeBootstrapPath(path)
 	if len(path) == 0 || path[0] != tip {
 		return raw // a segment landed since LatestSegment: not this tip's
@@ -294,7 +306,7 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bootstrap request: %w", err)
 		}
-		return memo.path(d.Issuer(), anchor), nil
+		return memo.path(d, anchor), nil
 	})
 	srv.Handle(WireRouteQuery, func(body []byte) ([]byte, error) {
 		// With a fleet started, wire queries route through the
@@ -378,9 +390,10 @@ func RequestTipSegment(c *WireClient) (*SegmentCert, error) {
 // BootstrapSublinearOver brings a superlight client current over the wire in
 // one round trip: the node runs the interlink walk down to the anchor and
 // returns the tip segment with every hop (WireRouteBootstrap), and the
-// client re-verifies each hop offline (see core.BootstrapFromPath). A
-// response that drops, reorders or pads a hop is refused before the tip is
-// adopted. It returns the number of segments fetched, tip included.
+// client re-verifies each hop offline (see core.BootstrapFromPath). From the
+// genesis anchor the response is the tip segment alone. A response that
+// drops, reorders or pads a hop is refused before the tip is adopted. It
+// returns the number of segments fetched, tip included.
 func BootstrapSublinearOver(c *WireClient, client *SuperlightClient, anchorHeight uint64, anchorHash Hash) (int, error) {
 	raw, err := c.Request(WireRouteBootstrap, encodeHeightRequest(anchorHeight))
 	if err != nil {
