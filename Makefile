@@ -112,7 +112,9 @@ bench-json:
 # multiproof the trusted program decodes from its host, the certificate and
 # segment certificate codecs, the attestation report every bootstrap
 # verifies on the tip certificate, the dcert/bootstrap response (a count of
-# segments) and dcert/info response (the trust anchors), the header, block
+# segments) and dcert/info response (the trust anchors), the MPT and
+# MB-tree witnesses (state and range proofs in client answers and enclave
+# update proofs, with allocation bounded per input byte), the header, block
 # and transaction codecs (network bytes, and every block a durable node
 # reads back from its chain log), and the state record the storage engine
 # reads back from its WAL and snapshot.
@@ -138,6 +140,8 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalHeader$$' -fuzztime=10s ./internal/chain/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalReport$$' -fuzztime=10s ./internal/attest/
 	$(GO) test -run='^$$' -fuzz='^FuzzHandshake$$' -fuzztime=10s ./internal/transport/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalWitness$$' -fuzztime=10s ./internal/mpt/
+	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalWitness$$' -fuzztime=10s ./internal/mbtree/
 
 clean:
 	$(GO) clean ./...

@@ -28,7 +28,7 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 		t.Fatalf("honest bootstrap: %v", err)
 	}
 	trusted, _ := cl.Latest()
-	stale := encodeBootstrapPath(r.dep.Issuer().BootstrapPath(trusted.Height))
+	stale := encodeBootstrapPath(r.dep.Issuer().BootstrapPath(r.dep.Issuer().LatestSegment(), trusted.Height))
 	r.mine(t, 16)
 	iss := r.dep.Issuer()
 	older := iss.SegmentCovering(trusted.Height - bootstrapSegK)
@@ -74,7 +74,7 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		honest := encodeBootstrapPath(iss.BootstrapPath(anchor))
+		honest := encodeBootstrapPath(iss.BootstrapPath(iss.LatestSegment(), anchor))
 		if f := tamper.Load(); f != nil {
 			return (*f)(honest), nil
 		}
@@ -86,7 +86,7 @@ func TestBootstrapRelayLiesRefuted(t *testing.T) {
 	}
 	defer rc.Close()
 
-	if path := iss.BootstrapPath(trusted.Height); len(path) < 4 {
+	if path := iss.BootstrapPath(iss.LatestSegment(), trusted.Height); len(path) < 4 {
 		t.Fatalf("honest path has %d segments, the tamper cases need 4", len(path))
 	}
 	for _, tc := range cases {
@@ -132,14 +132,14 @@ func TestGenesisBootstrapLiesRefuted(t *testing.T) {
 	}
 	defer relay.Close()
 	relay.Handle(WireRouteBootstrap, func([]byte) ([]byte, error) {
-		return encodeBootstrapPath(iss.BootstrapPath(1)), nil
+		return encodeBootstrapPath(iss.BootstrapPath(iss.LatestSegment(), 1)), nil
 	})
 	padding, err := DialWire(relay.Addr(), WireClientConfig{Name: "padded-relay-client"})
 	if err != nil {
 		t.Fatalf("DialWire(relay): %v", err)
 	}
 	defer padding.Close()
-	if path := iss.BootstrapPath(1); len(path) < 3 || path[len(path)-1].Start() != 1 {
+	if path := iss.BootstrapPath(iss.LatestSegment(), 1); len(path) < 3 || path[len(path)-1].Start() != 1 {
 		t.Fatalf("the padded path has %d segments, want the tip and hops down to height 1", len(path))
 	}
 

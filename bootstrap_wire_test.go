@@ -194,11 +194,11 @@ func segmentByteEncoding(path []*SegmentCert) []byte {
 
 // TestBootstrapRouteServesFreshPaths: the dcert/bootstrap route answers
 // repeats from its memo, yet every answer equals a fresh encoding of the
-// issuer's current path: a new segment replaces the old tip's paths, two
-// mid-chain anchors get their own, and an empty path (no segment yet, or a
-// tip block still being certified) is never served from the memo. The
-// genesis anchor is answered with the newest certified tip alone, which a
-// block still being certified does not withdraw.
+// path from the deployment's newest certified tip: a new segment replaces
+// the old tip's paths, two mid-chain anchors get their own, and the empty
+// path before any segment is never served from the memo. The genesis anchor
+// is answered with the tip alone, and a block still being certified
+// withdraws no anchor's path.
 func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	dep, err := NewDeployment(Config{Difficulty: 2, Seed: 31, KeySpace: 30, Contracts: 4, Accounts: 8})
 	if err != nil {
@@ -228,7 +228,8 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	// path is not empty) and compares both with a fresh encoding.
 	check := func(anchor uint64) []byte {
 		t.Helper()
-		path := dep.Issuer().BootstrapPath(anchor)
+		tip := dep.tipSegment()
+		path := tip.issuer.BootstrapPath(tip.seg, anchor)
 		want := encodeBootstrapPath(path)
 		if !bytes.Equal(want, segmentByteEncoding(path)) {
 			t.Fatal("encodeBootstrapPath differs from the specified encoding")
@@ -248,7 +249,7 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	// certified segment alone.
 	genesisPath := func() []byte {
 		t.Helper()
-		want := encodeBootstrapPath([]*SegmentCert{dep.tipSegment()})
+		want := encodeBootstrapPath([]*SegmentCert{dep.tipSegment().seg})
 		for i := 0; i < 2; i++ {
 			if got := fetch(0); !bytes.Equal(got, want) {
 				t.Fatalf("genesis anchor, ask %d: the route served %d bytes, the tip alone has %d", i, len(got), len(want))
@@ -288,9 +289,8 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 	}
 
 	// Mid-certification: the issuer's node holds a block its segment does
-	// not yet cover, so there is no tip segment and a mid-chain anchor's
-	// path is empty, though the memo still holds the last tip's paths. The
-	// genesis anchor still gets the last certified tip.
+	// not yet cover, so the issuer reports no tip segment, yet every anchor
+	// is still answered from the last certified tip.
 	blks, _, _, err := dep.mine(1, 1, nil, nil)
 	if err != nil {
 		t.Fatalf("mine: %v", err)
@@ -302,8 +302,8 @@ func TestBootstrapRouteServesFreshPaths(t *testing.T) {
 		t.Fatal("the issuer reports a tip segment for an uncertified tip")
 	}
 	for _, anchor := range []uint64{low, mid} {
-		if got := check(anchor); !bytes.Equal(got, empty) {
-			t.Fatalf("anchor %d mid-certification: the route served a %d-byte path", anchor, len(got))
+		if got := check(anchor); bytes.Equal(got, empty) {
+			t.Fatalf("anchor %d mid-certification: the route withdrew the last certified tip's path", anchor)
 		}
 	}
 	if got := genesisPath(); bytes.Equal(got, empty) {
@@ -347,7 +347,7 @@ func TestBootstrapRepeatAllocatesConstant(t *testing.T) {
 	}
 	// Past the memo's bound, an anchor is still answered correctly.
 	for a := uint64(anchor + 1); a <= bootstrapMemoAnchors+3; a++ {
-		if got, want := memo.path(dep, a), encodeBootstrapPath(dep.Issuer().BootstrapPath(a)); !bytes.Equal(got, want) {
+		if got, want := memo.path(dep, a), encodeBootstrapPath(dep.Issuer().BootstrapPath(dep.Issuer().LatestSegment(), a)); !bytes.Equal(got, want) {
 			t.Fatalf("anchor %d: memo and fresh encoding differ", a)
 		}
 	}
@@ -437,7 +437,7 @@ func FuzzDecodeBootstrapPath(f *testing.F) {
 			f.Fatalf("MineAndCertifySegment: %v", err)
 		}
 	}
-	honest := encodeBootstrapPath(dep.Issuer().BootstrapPath(0))
+	honest := encodeBootstrapPath(dep.Issuer().BootstrapPath(dep.Issuer().LatestSegment(), 0))
 	f.Add(honest)
 	f.Add(encodeBootstrapPath(nil))
 	f.Add(honest[:len(honest)-1])

@@ -35,7 +35,7 @@ type (
 // deployment's fabric. A stalled follower pulls the deployment's newest
 // certificate (tipSegment).
 func (d *Deployment) FollowCerts(client *SuperlightClient, cfg FollowerConfig) *CertFollower {
-	return core.FollowCerts(client, d.net, func() (*SegmentCert, error) { return d.tipSegment(), nil }, cfg)
+	return core.FollowCerts(client, d.net, func() (*SegmentCert, error) { return d.tipSegment().seg, nil }, cfg)
 }
 
 // ciSlot is one issuer of the certification plane.
@@ -208,7 +208,7 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 	s.pipe = pl
 	s.pipeDone = make(chan struct{})
 	s.pipeErr = nil
-	go func(s *ciSlot, pl *core.Pipeline) {
+	go func(s *ciSlot, ci *core.Issuer, pl *core.Pipeline) {
 		defer close(s.pipeDone)
 		for res := range pl.Results() {
 			if res.Err != nil {
@@ -223,11 +223,11 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 			if res.Segment.End() != res.Block.Header.Height {
 				continue
 			}
-			if err := p.d.certLanded(s.name, res.Segment); err != nil && s.pipeErr == nil {
+			if err := p.d.certLanded(s.name, ci, res.Segment); err != nil && s.pipeErr == nil {
 				s.pipeErr = err
 			}
 		}
-	}(s, pl)
+	}(s, s.issuer, pl)
 	return nil
 }
 
@@ -313,7 +313,10 @@ func (p *CertPlane) Kill(name string) error {
 		<-s.pipeDone
 		s.pipe, s.pipeDone, s.pipeErr = nil, nil, nil
 	}
-	s.tipCert, _ = s.issuer.CertFor(s.node.Tip().Hash())
+	s.tipCert = nil
+	if seg := s.issuer.LatestSegment(); seg != nil {
+		s.tipCert = seg.Cert
+	}
 	s.issuer = nil
 	s.alive = false
 	return nil
@@ -382,7 +385,7 @@ func (p *CertPlane) Restart(name string) error {
 		}
 	}
 	if seg := ci.LatestSegment(); seg != nil {
-		if err := p.d.certLanded(name, seg); err != nil {
+		if err := p.d.certLanded(name, ci, seg); err != nil {
 			return err
 		}
 	}

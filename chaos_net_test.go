@@ -1,6 +1,7 @@
 package dcert_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 	"time"
@@ -339,38 +340,39 @@ func TestChaosNetFollowerPullsPastKilledPrimary(t *testing.T) {
 	}
 }
 
-// TestChaosNetLatestBundlePastKilledPrimary: dcert/cert-latest answers the
-// deployment's newest certificate, so with the primary killed a remote
-// client still gets the tip the secondary certified, and a fresh superlight
-// client accepts it.
-func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
+// servePastKilledPrimary serves a two-issuer deployment over TCP, mines two
+// blocks, kills the primary ci0 and mines three more that only ci1
+// certifies. It returns the plane and a client connection; the miner's tip
+// is at height 5.
+func servePastKilledPrimary(t *testing.T, seed int64) (*dcert.Deployment, *dcert.CertPlane, *dcert.WireClient) {
+	t.Helper()
 	dep, err := dcert.NewDeployment(dcert.Config{
 		Workload:   dcert.KVStore,
 		Contracts:  4,
 		Accounts:   8,
 		Difficulty: 2,
-		Seed:       708,
+		Seed:       seed,
 		KeySpace:   30,
 	})
 	if err != nil {
 		t.Fatalf("NewDeployment: %v", err)
 	}
-	defer dep.Net().Close()
+	t.Cleanup(dep.Net().Close)
 	plane, err := dep.StartCertPlane(2)
 	if err != nil {
 		t.Fatalf("StartCertPlane: %v", err)
 	}
-	defer plane.Stop()
+	t.Cleanup(plane.Stop)
 	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatalf("ServeWire: %v", err)
 	}
-	defer srv.Close()
-	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "latest"})
+	t.Cleanup(func() { srv.Close() })
+	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "past-killed-primary"})
 	if err != nil {
 		t.Fatalf("DialWire: %v", err)
 	}
-	defer wc.Close()
+	t.Cleanup(func() { wc.Close() })
 
 	mine := func(rounds int) {
 		t.Helper()
@@ -385,10 +387,19 @@ func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
 		t.Fatalf("Kill(ci0): %v", err)
 	}
 	mine(3)
-	tip := dep.Miner().Tip()
-	if tip.Header.Height != 5 {
-		t.Fatalf("miner tip at %d, want 5", tip.Header.Height)
+	if h := dep.Miner().Tip().Header.Height; h != 5 {
+		t.Fatalf("miner tip at %d, want 5", h)
 	}
+	return dep, plane, wc
+}
+
+// TestChaosNetLatestBundlePastKilledPrimary: dcert/cert-latest answers the
+// deployment's newest certificate, so with the primary killed a remote
+// client still gets the tip the secondary certified, and a fresh superlight
+// client accepts it.
+func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
+	dep, _, wc := servePastKilledPrimary(t, 708)
+	tip := dep.Miner().Tip()
 	bundle, err := dcert.RequestLatestBundle(wc)
 	if err != nil {
 		t.Fatalf("RequestLatestBundle: %v", err)
@@ -413,51 +424,8 @@ func TestChaosNetLatestBundlePastKilledPrimary(t *testing.T) {
 // killed a fresh remote client still bootstraps to the tip the secondary
 // certified.
 func TestChaosNetBootstrapPastKilledPrimary(t *testing.T) {
-	dep, err := dcert.NewDeployment(dcert.Config{
-		Workload:   dcert.KVStore,
-		Contracts:  4,
-		Accounts:   8,
-		Difficulty: 2,
-		Seed:       709,
-		KeySpace:   30,
-	})
-	if err != nil {
-		t.Fatalf("NewDeployment: %v", err)
-	}
-	defer dep.Net().Close()
-	plane, err := dep.StartCertPlane(2)
-	if err != nil {
-		t.Fatalf("StartCertPlane: %v", err)
-	}
-	defer plane.Stop()
-	srv, err := dep.ServeWire(dcert.WireServerConfig{Addr: "127.0.0.1:0"})
-	if err != nil {
-		t.Fatalf("ServeWire: %v", err)
-	}
-	defer srv.Close()
-	wc, err := dcert.DialWire(srv.Addr(), dcert.WireClientConfig{Name: "bootstrap"})
-	if err != nil {
-		t.Fatalf("DialWire: %v", err)
-	}
-	defer wc.Close()
-
-	mine := func(rounds int) {
-		t.Helper()
-		for i := 0; i < rounds; i++ {
-			if _, err := plane.MineAndBroadcast(5); err != nil {
-				t.Fatalf("mine: %v", err)
-			}
-		}
-	}
-	mine(2)
-	if err := plane.Kill("ci0"); err != nil {
-		t.Fatalf("Kill(ci0): %v", err)
-	}
-	mine(3)
+	dep, _, wc := servePastKilledPrimary(t, 709)
 	tip := dep.Miner().Tip()
-	if tip.Header.Height != 5 {
-		t.Fatalf("miner tip at %d, want 5", tip.Header.Height)
-	}
 	client, err := dcert.NewRemoteSuperlightClient(wc)
 	if err != nil {
 		t.Fatalf("NewRemoteSuperlightClient: %v", err)
@@ -473,5 +441,44 @@ func TestChaosNetBootstrapPastKilledPrimary(t *testing.T) {
 	}
 	if fetches != 1 {
 		t.Fatalf("genesis bootstrap fetched %d segments, want the tip alone", fetches)
+	}
+}
+
+// TestChaosNetMidChainRoutesPastKilledPrimary: the routes that read below
+// the tip — dcert/bootstrap from a mid-chain anchor and dcert/cert-segment
+// by height — answer from the issuer that certified the newest tip, so with
+// the primary killed a client anchored mid-chain bootstraps to the tip the
+// secondary certified, and a segment by height is the secondary's.
+func TestChaosNetMidChainRoutesPastKilledPrimary(t *testing.T) {
+	dep, plane, wc := servePastKilledPrimary(t, 710)
+	tip := dep.Miner().Tip()
+	client, err := dcert.NewRemoteSuperlightClient(wc)
+	if err != nil {
+		t.Fatalf("NewRemoteSuperlightClient: %v", err)
+	}
+	anchor, err := dep.Miner().Store().HashAt(1)
+	if err != nil {
+		t.Fatalf("HashAt(1): %v", err)
+	}
+	if _, err := dcert.BootstrapSublinearOver(wc, client, 1, anchor); err != nil {
+		t.Fatalf("BootstrapSublinearOver from height 1: %v", err)
+	}
+	if hdr, _ := client.Latest(); hdr.Height != tip.Header.Height || hdr.Hash() != tip.Hash() {
+		t.Fatalf("anchored at height 1, bootstrapped to height %d, want the secondary's certificate at %d", hdr.Height, tip.Header.Height)
+	}
+
+	seg, err := dcert.RequestSegment(wc, 4)
+	if err != nil {
+		t.Fatalf("RequestSegment(4): %v", err)
+	}
+	if seg == nil {
+		t.Fatal("no segment served for height 4, which the secondary certified")
+	}
+	ci1, err := plane.Issuer("ci1")
+	if err != nil {
+		t.Fatalf("Issuer(ci1): %v", err)
+	}
+	if want := ci1.SegmentCovering(4); !bytes.Equal(seg.Marshal(), want.Marshal()) {
+		t.Fatal("the segment served for height 4 is not the secondary's")
 	}
 }

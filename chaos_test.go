@@ -268,12 +268,15 @@ func TestChaosPipelinedCrashRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("AtHeight(%d): %v", h, err)
 		}
-		_, ok := ci0.CertFor(blk.Hash())
-		if h < ckptHeight && ok {
+		seg := ci0.SegmentCovering(h)
+		if h < ckptHeight && seg != nil {
 			t.Fatalf("restarted CI holds a certificate for pre-checkpoint height %d", h)
 		}
-		if h >= ckptHeight && !ok {
+		if h >= ckptHeight && seg == nil {
 			t.Fatalf("certificate chain gap at height %d (checkpoint %d)", h, ckptHeight)
+		}
+		if seg != nil && seg.Headers[h-seg.Start()].Hash() != blk.Hash() {
+			t.Fatalf("the segment covering height %d certifies another block than the miner's", h)
 		}
 	}
 	if ci0.Node().Tip().Hash() != rig.dep.Miner().Tip().Hash() {

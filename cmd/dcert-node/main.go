@@ -187,8 +187,8 @@ func runServer(dep *dcert.Deployment, addr string, blocks, txs int, interval tim
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	st := srv.Stats()
-	fmt.Printf("wire: shutting down (conns=%d subs=%d sent=%d dropped=%d publishes=%d requests=%d)\n",
-		st.ActiveConns, st.ActiveSubs, st.MessagesSent, st.SlowDrops, st.Publishes, st.Requests)
+	fmt.Printf("wire: shutting down (conns=%d subs=%d sent=%d dropped=%d requests=%d)\n",
+		st.ActiveConns, st.ActiveSubs, st.MessagesSent, st.SlowDrops, st.Requests)
 	return nil
 }
 

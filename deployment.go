@@ -86,9 +86,9 @@ type Deployment struct {
 	fleet          atomic.Pointer[fleet.Fleet]
 	indexFactories []func() (*AuthIndex, error)
 
-	// tipSeg is the newest certificate (by End) any issuer has landed; see
-	// tipSegment.
-	tipSeg atomic.Pointer[SegmentCert]
+	// tipSeg is the newest certificate (by End) any issuer has landed, with
+	// that issuer; see tipSegment.
+	tipSeg atomic.Pointer[landedSeg]
 
 	// Instrumentation plane, nil until EnableObservability.
 	reg       *obs.Registry
@@ -388,7 +388,7 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 		if seg == nil {
 			continue
 		}
-		if err := d.certLanded(targets[i].name, seg); err != nil {
+		if err := d.certLanded(targets[i].name, targets[i].issuer, seg); err != nil {
 			return nil, nil, nil, err
 		}
 		if first == nil {
@@ -398,29 +398,44 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 	return blks, first, idxCerts, nil
 }
 
-// tipSegment is the newest certificate the deployment can hand a stalled
-// follower: the newest any issuer has landed, or the primary's own when that
+// landedSeg is a certified segment with the issuer that certified it: the
+// issuer whose segment history serves the heights below it.
+type landedSeg struct {
+	seg    *SegmentCert
+	issuer *core.Issuer
+}
+
+// tipSegment is the newest certificate the deployment serves, with its
+// issuer: the newest any issuer has landed, or the primary's own when that
 // is newer (a resumed deployment's recovered tip, blocks certified through
-// Issuer() directly). The in-process pull (FollowCerts) and the wire's tip
-// route both read it, so a killed primary does not freeze either.
-func (d *Deployment) tipSegment() *SegmentCert {
-	seg := d.tipSeg.Load()
-	if own := d.Issuer().LatestSegment(); own != nil && (seg == nil || own.End() > seg.End()) {
-		return own
+// Issuer() directly). The in-process pull (FollowCerts) and every wire
+// route that reads certificates — the tip, a segment by height, a bootstrap
+// path from any anchor — read it, so a killed primary freezes none of them.
+// Its seg is nil before the first certificate.
+func (d *Deployment) tipSegment() landedSeg {
+	var tip landedSeg
+	if landed := d.tipSeg.Load(); landed != nil {
+		tip = *landed
 	}
-	return seg
+	primary := d.Issuer()
+	if own := primary.LatestSegment(); own != nil && (tip.seg == nil || own.End() > tip.seg.End()) {
+		return landedSeg{seg: own, issuer: primary}
+	}
+	return tip
 }
 
 // certLanded is the mining routine's last step, run wherever a certificate
 // becomes available — inline after the blocks are served, or in a
-// pipeline's result consumer: record it as the tip certificate if it is the
-// newest yet, publish it on TopicCerts (a CertBundle for one block, the
-// SegmentCert for more) and journal it against every covered block.
-// ApplyCert is idempotent, so redundant issuers landing the same height race
-// harmlessly; one durable copy suffices.
-func (d *Deployment) certLanded(issuer string, seg *SegmentCert) error {
-	for cur := d.tipSeg.Load(); cur == nil || cur.End() < seg.End(); cur = d.tipSeg.Load() {
-		if d.tipSeg.CompareAndSwap(cur, seg) {
+// pipeline's result consumer: record it, with the issuer that certified it,
+// as the tip certificate if it is the newest yet, publish it on TopicCerts
+// (a CertBundle for one block, the SegmentCert for more) under the issuer's
+// name and journal it against every covered block. ApplyCert is idempotent,
+// so redundant issuers landing the same height race harmlessly; one durable
+// copy suffices.
+func (d *Deployment) certLanded(name string, issuer *core.Issuer, seg *SegmentCert) error {
+	landed := &landedSeg{seg: seg, issuer: issuer}
+	for cur := d.tipSeg.Load(); cur == nil || cur.seg.End() < seg.End(); cur = d.tipSeg.Load() {
+		if d.tipSeg.CompareAndSwap(cur, landed) {
 			break
 		}
 	}
@@ -428,7 +443,7 @@ func (d *Deployment) certLanded(issuer string, seg *SegmentCert) error {
 	if len(seg.Headers) == 1 {
 		payload = &CertBundle{Header: seg.Headers[0], Cert: seg.Cert}
 	}
-	err := d.net.Publish(TopicCerts, issuer, payload)
+	err := d.net.Publish(TopicCerts, name, payload)
 	for _, h := range seg.Headers {
 		if perr := d.persistCert(h.Hash(), seg.Cert); perr != nil && err == nil {
 			err = perr

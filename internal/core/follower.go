@@ -77,7 +77,7 @@ type Follower struct {
 // The pull runs on the follower's one goroutine: while it is in flight no
 // streamed certificate is read (the subscription queue absorbs them, and the
 // pulled tip supersedes any it drops), and Stop waits for it to return.
-func FollowCerts(client *SuperlightClient, bus network.Bus, pull func() (*SegmentCert, error), cfg FollowerConfig) *Follower {
+func FollowCerts(client *SuperlightClient, bus network.Subscriber, pull func() (*SegmentCert, error), cfg FollowerConfig) *Follower {
 	cfg = cfg.withDefaults()
 	f := &Follower{
 		client: client,

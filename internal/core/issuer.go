@@ -35,12 +35,9 @@ type Issuer struct {
 	mu             sync.RWMutex
 	lastCertAt     time.Time
 	lastCert       *Certificate
-	certs          map[chash.Hash]*Certificate            // block hash → block cert
-	indexCerts     map[string]map[chash.Hash]*Certificate // index → block hash → cert
-	indexRoots     map[string]chash.Hash                  // index → last certified root
-	lastIndexBlock map[string]chash.Hash                  // index → block hash of last cert
-	lastSegHeaders []*chain.Header                        // headers under lastCert's digest
-	segs           []*SegmentCert                         // ordered certified-segment history
+	indexes        map[string]indexTip // index → last certified root and its cert
+	lastSegHeaders []*chain.Header     // headers under lastCert's digest
+	segs           []*SegmentCert      // ordered certified-segment history
 }
 
 // CostBreakdown reports where one certificate construction spent its time,
@@ -105,14 +102,11 @@ func newIssuer(n *node.FullNode, authority *attest.Authority, platform *attest.P
 		return nil, fmt.Errorf("core: issuer attestation: %w", err)
 	}
 	return &Issuer{
-		node:           n,
-		encl:           encl,
-		prog:           prog,
-		report:         report,
-		certs:          make(map[chash.Hash]*Certificate),
-		indexCerts:     make(map[string]map[chash.Hash]*Certificate),
-		indexRoots:     make(map[string]chash.Hash),
-		lastIndexBlock: make(map[string]chash.Hash),
+		node:    n,
+		encl:    encl,
+		prog:    prog,
+		report:  report,
+		indexes: make(map[string]indexTip),
 	}, nil
 }
 
@@ -141,22 +135,6 @@ func (ci *Issuer) Report() *attest.Report {
 // clients pin.
 func (ci *Issuer) Measurement() chash.Hash {
 	return ci.encl.Measurement()
-}
-
-// CertFor returns the block certificate for a block hash.
-func (ci *Issuer) CertFor(blockHash chash.Hash) (*Certificate, bool) {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	c, ok := ci.certs[blockHash]
-	return c, ok
-}
-
-// IndexCertFor returns the index certificate for (index, block hash).
-func (ci *Issuer) IndexCertFor(index string, blockHash chash.Hash) (*Certificate, bool) {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	c, ok := ci.indexCerts[index][blockHash]
-	return c, ok
 }
 
 // LatestCert returns the newest block certificate (nil before the first
@@ -282,7 +260,6 @@ func (ci *Issuer) adopt(blks []*chain.Block, cert *Certificate) (*SegmentCert, e
 		if _, err := ci.node.Store().Add(blk); err != nil {
 			return nil, fmt.Errorf("core: advance chain: %w", err)
 		}
-		ci.certs[blk.Hash()] = cert
 		ci.met.blocksCertified.Inc()
 	}
 	ci.lastCert = cert

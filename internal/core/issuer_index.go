@@ -22,36 +22,26 @@ type IndexJob struct {
 	Witness []byte
 }
 
+// indexTip is what the issuer keeps of one index: its last certified root
+// and that root's certificate, the recursion base of the next index Ecall.
+type indexTip struct {
+	root chash.Hash
+	cert *Certificate
+}
+
 // indexState returns the tracked (prevRoot, prevCert) pair for an index.
 func (ci *Issuer) indexState(name string) (chash.Hash, *Certificate) {
 	ci.mu.RLock()
 	defer ci.mu.RUnlock()
-	return ci.indexRoots[name], ci.lastIndexCert(name)
-}
-
-// lastIndexCert must be called with ci.mu held.
-func (ci *Issuer) lastIndexCert(name string) *Certificate {
-	certs := ci.indexCerts[name]
-	if len(certs) == 0 {
-		return nil
-	}
-	// The tracked root corresponds to the cert stored under lastIndexBlock.
-	return certs[ci.lastIndexBlock[name]]
+	tip := ci.indexes[name]
+	return tip.root, tip.cert
 }
 
 // storeIndexCert records a fresh index certificate.
-func (ci *Issuer) storeIndexCert(name string, blockHash chash.Hash, root chash.Hash, cert *Certificate) {
+func (ci *Issuer) storeIndexCert(name string, root chash.Hash, cert *Certificate) {
 	ci.mu.Lock()
 	defer ci.mu.Unlock()
-	if ci.indexCerts[name] == nil {
-		ci.indexCerts[name] = make(map[chash.Hash]*Certificate)
-	}
-	ci.indexCerts[name][blockHash] = cert
-	ci.indexRoots[name] = root
-	if ci.lastIndexBlock == nil {
-		ci.lastIndexBlock = make(map[string]chash.Hash)
-	}
-	ci.lastIndexBlock[name] = blockHash
+	ci.indexes[name] = indexTip{root: root, cert: cert}
 }
 
 // ProcessBlockAugmented runs the augmented scheme (Alg. 4) for a block and a
@@ -106,7 +96,7 @@ func (ci *Issuer) ProcessBlockAugmented(blk *chain.Block, jobs []*IndexJob) ([]*
 		return nil, bd, err
 	}
 	for i, job := range jobs {
-		ci.storeIndexCert(job.Updater, blk.Hash(), job.NewRoot, certs[i])
+		ci.storeIndexCert(job.Updater, job.NewRoot, certs[i])
 	}
 	return certs, bd, nil
 }
@@ -150,7 +140,7 @@ func (ci *Issuer) ProcessBlockHierarchical(blk *chain.Block, jobs []*IndexJob) (
 		return nil, nil, bd, err
 	}
 	for i, job := range jobs {
-		ci.storeIndexCert(job.Updater, blk.Hash(), job.NewRoot, certs[i])
+		ci.storeIndexCert(job.Updater, job.NewRoot, certs[i])
 	}
 	return blkCert, certs, bd, nil
 }

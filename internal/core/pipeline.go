@@ -670,7 +670,7 @@ func (pl *Pipeline) indexOne(item *pipeItem) error {
 				return
 			}
 			certs[i] = cert
-			pl.ci.storeIndexCert(job.Updater, item.blk.Hash(), job.NewRoot, cert)
+			pl.ci.storeIndexCert(job.Updater, job.NewRoot, cert)
 		}(i, job)
 	}
 	wg.Wait()

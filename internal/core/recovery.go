@@ -65,9 +65,6 @@ func ResumeIssuer(n *node.FullNode, authority *attest.Authority, platform *attes
 	}
 	ci.mu.Lock()
 	ci.lastCert = tipCert
-	for _, h := range headers {
-		ci.certs[h.Hash()] = tipCert
-	}
 	ci.recordSegmentLocked(headers, tipCert)
 	ci.mu.Unlock()
 	return ci, nil

@@ -337,21 +337,21 @@ func (ci *Issuer) latestSegmentLocked() *SegmentCert {
 // BootstrapPath runs the client's interlink walk on the serving side: the
 // tip segment, then every segment BootstrapSublinear would fetch on its way
 // down to anchorHeight, in walk order — the whole bootstrap in one response
-// (the dcert/bootstrap wire route). It returns nil before the first
-// certified segment. The genesis anchor (0) yields the tip alone, as does
-// an untrusted anchor inside the tip segment, above it, or directly below
-// its first height; the path never exceeds MaxBootstrapPath. A height the
+// (the dcert/bootstrap wire route). The tip is a segment this issuer
+// certified, normally its LatestSegment; a nil tip (none certified yet)
+// yields nil. The genesis anchor (0) yields the tip alone, as does an
+// untrusted anchor inside the tip segment, above it, or directly below its
+// first height; the path never exceeds MaxBootstrapPath. A height the
 // issuer no longer serves ends the path early; the client's walk then
 // reports the missing hop.
-func (ci *Issuer) BootstrapPath(anchorHeight uint64) []*SegmentCert {
-	ci.mu.RLock()
-	defer ci.mu.RUnlock()
-	cur := ci.latestSegmentLocked()
-	if cur == nil {
+func (ci *Issuer) BootstrapPath(tip *SegmentCert, anchorHeight uint64) []*SegmentCert {
+	if tip == nil {
 		return nil
 	}
-	path := []*SegmentCert{cur}
-	for len(path) < MaxBootstrapPath {
+	ci.mu.RLock()
+	defer ci.mu.RUnlock()
+	path := []*SegmentCert{tip}
+	for cur := tip; len(path) < MaxBootstrapPath; {
 		_, target, done := nextHop(cur.Start(), len(cur.Interlink), anchorHeight)
 		if done {
 			break

@@ -626,7 +626,7 @@ func TestBootstrapSublinear(t *testing.T) {
 		t.Fatal("bootstrap did not adopt the tip")
 	}
 	// The serving side's walk is the client's walk: the same hops, in order.
-	path := r.ci.BootstrapPath(0)
+	path := r.ci.BootstrapPath(r.ci.LatestSegment(), 0)
 	if len(path)-1 != fetches || path[0] != tip {
 		t.Fatalf("BootstrapPath has %d hops (tip first: %v), the client fetched %d", len(path)-1, path[0] == tip, fetches)
 	}
@@ -650,7 +650,7 @@ func TestBootstrapSublinear(t *testing.T) {
 	if midFetches == 0 || midFetches > 3*logN {
 		t.Fatalf("mid-anchor bootstrap took %d fetches, want in (0, %d]", midFetches, 3*logN)
 	}
-	if midPath := r.ci.BootstrapPath(7_321); len(midPath)-1 != midFetches {
+	if midPath := r.ci.BootstrapPath(r.ci.LatestSegment(), 7_321); len(midPath)-1 != midFetches {
 		t.Fatalf("BootstrapPath(7321) has %d hops, the client fetched %d", len(midPath)-1, midFetches)
 	}
 
@@ -716,7 +716,7 @@ func TestGenesisBootstrapVerifiesOneCertificate(t *testing.T) {
 		if hdr, _ := cl.Latest(); hdr == nil || hdr.Height != uint64(chainLen) {
 			t.Fatalf("chain %d: the client did not adopt the tip", chainLen)
 		}
-		if path := r.ci.BootstrapPath(0); len(path) != 1 || path[0] != tip {
+		if path := r.ci.BootstrapPath(tip, 0); len(path) != 1 || path[0] != tip {
 			t.Fatalf("chain %d: the genesis path has %d segments, want the tip alone", chainLen, len(path))
 		}
 	}
@@ -794,7 +794,7 @@ func TestGenesisBootstrapRefusals(t *testing.T) {
 func TestBootstrapPath(t *testing.T) {
 	const segBlocks = 4
 	r := newSegRig(t, "segment-bootstrap-path-v1")
-	if path := r.ci.BootstrapPath(0); path != nil {
+	if path := r.ci.BootstrapPath(r.ci.LatestSegment(), 0); path != nil {
 		t.Fatalf("BootstrapPath before any segment = %d segments, want nil", len(path))
 	}
 	genesis := r.ci.Node().Store().Genesis()
@@ -804,7 +804,7 @@ func TestBootstrapPath(t *testing.T) {
 			t.Fatalf("ProcessSegment at %d: %v", i, err)
 		}
 		chainLen := uint64(i + segBlocks)
-		path := r.ci.BootstrapPath(0)
+		path := r.ci.BootstrapPath(r.ci.LatestSegment(), 0)
 		model := ModelBootstrapFetches(chainLen, segBlocks)
 		if len(path)-1 != model {
 			t.Fatalf("height %d: BootstrapPath has %d hops, model says %d", chainLen, len(path)-1, model)
@@ -815,7 +815,7 @@ func TestBootstrapPath(t *testing.T) {
 	}
 	tip := r.ci.LatestSegment()
 	for _, anchor := range []uint64{tip.Start() - 1, tip.Start(), tip.End(), tip.End() + 1, math.MaxUint64} {
-		if path := r.ci.BootstrapPath(anchor); len(path) != 1 || path[0] != tip {
+		if path := r.ci.BootstrapPath(tip, anchor); len(path) != 1 || path[0] != tip {
 			t.Fatalf("anchor %d: BootstrapPath has %d segments, want the tip alone", anchor, len(path))
 		}
 	}

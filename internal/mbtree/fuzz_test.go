@@ -2,9 +2,14 @@ package mbtree
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 )
 
+// FuzzUnmarshalWitness drives the witness decoder, which reads untrusted
+// range proofs (a client's historical answers, the enclave's index update
+// proofs): no input may panic it or allocate more than 64 bytes per input
+// byte plus 64 KiB.
 func FuzzUnmarshalWitness(f *testing.F) {
 	tr := NewDefault()
 	for i := uint64(0); i < 50; i++ {
@@ -20,8 +25,12 @@ func FuzzUnmarshalWitness(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, 0, 0, 0, 1, 9})
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		if _, err := UnmarshalWitness(raw); err != nil {
-			return
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := UnmarshalWitness(raw)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw))+64<<10; got > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d (err %v)", len(raw), got, bound, err)
 		}
 	})
 }

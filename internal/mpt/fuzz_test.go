@@ -3,9 +3,14 @@ package mpt
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
+// FuzzUnmarshalWitness drives the witness decoder, which reads untrusted
+// proofs (a client's state answers, the enclave's update proofs): whatever
+// parses re-marshals canonically, and no input allocates more than 64 bytes
+// per input byte plus 64 KiB.
 func FuzzUnmarshalWitness(f *testing.F) {
 	tr := New()
 	for i := 0; i < 30; i++ {
@@ -24,7 +29,13 @@ func FuzzUnmarshalWitness(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 3, 0xff})
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		parsed, err := UnmarshalWitness(raw)
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw))+64<<10; got > bound {
+			t.Fatalf("decoding %d bytes allocated %d bytes, bound %d", len(raw), got, bound)
+		}
 		if err != nil {
 			return
 		}

@@ -1,23 +1,27 @@
 package network
 
-// Bus is the topic API every DCert component speaks: publish a payload to a
-// topic, subscribe to a topic with a bounded queue. The in-process Network
-// implements it directly; the wire transport (internal/transport) implements
-// the same semantics over length-prefixed TCP, so certificate followers run
-// unchanged against either fabric:
+// Subscriber is the read side of the topic API: subscribe to a topic with a
+// bounded queue. The in-process Network is one; a wire transport client
+// (internal/transport) is another, fed over length-prefixed TCP from the
+// node's hub, so certificate followers run unchanged against either:
 //
 //   - delivery preserves per-publisher order on each topic;
-//   - every current subscriber of a topic receives each delivered message
-//     (including the publisher's own subscriptions);
+//   - every current subscriber of a topic receives each delivered message;
 //   - a subscriber whose queue is full misses messages instead of exerting
-//     backpressure on the publisher (real gossip semantics);
-//   - Publish never reports delivery failures caused by the fabric itself
-//     (drops, partitions) — only a closed/terminal fabric errors.
-type Bus interface {
-	// Publish broadcasts a payload to all current subscribers of the topic.
-	Publish(topic, from string, payload any) error
+//     backpressure on the publisher (real gossip semantics).
+type Subscriber interface {
 	// Subscribe registers for a topic with the given queue depth.
 	Subscribe(topic string, depth int) *Subscription
+}
+
+// Bus is the in-process topic API: a Subscriber that also publishes. Only
+// the node publishes, on its own hub; Publish never reports delivery
+// failures caused by the fabric itself (drops, partitions) — only a closed
+// fabric errors.
+type Bus interface {
+	Subscriber
+	// Publish broadcasts a payload to all current subscribers of the topic.
+	Publish(topic, from string, payload any) error
 }
 
 // Network is the in-process Bus.

@@ -14,12 +14,13 @@ import (
 	"dcert/internal/network"
 )
 
-// Client is one wire connection implementing network.Bus: Publish sends a
-// publish frame, Subscribe registers a remote subscription and returns the
-// same *network.Subscription the in-process bus hands out (fed by the reader
-// as message frames arrive), and Request runs a correlated RPC call. A
-// follower or query requester built on network.Bus therefore runs unchanged
-// whether its bus is the in-process fabric or a socket.
+// Client is one read-only wire connection, a network.Subscriber: Subscribe
+// registers a remote subscription and returns the same
+// *network.Subscription the in-process bus hands out (fed by the reader as
+// message frames arrive), and Request runs a correlated RPC call. A
+// certificate follower therefore runs unchanged whether it subscribes to the
+// in-process fabric or a socket. A client never publishes: the topics carry
+// only what the node itself publishes on its hub.
 
 // Client errors.
 var (
@@ -77,8 +78,7 @@ type Client struct {
 	conn net.Conn
 	r    *bufio.Reader // read by Dial's handshake, then readLoop
 
-	// wmu serializes frame writes, which also serializes this client's
-	// publishes: per-publisher order on the wire follows from it.
+	// wmu serializes frame writes.
 	wmu sync.Mutex
 	w   *frameWriter
 
@@ -98,9 +98,6 @@ type Client struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 }
-
-// Client is a network.Bus.
-var _ network.Bus = (*Client)(nil)
 
 // Dial connects to a transport Server and completes the handshake.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
@@ -177,21 +174,10 @@ func (c *Client) Stats() ClientStats {
 	return ClientStats{Delivered: c.delivered.Load(), Dropped: c.dropped.Load()}
 }
 
-// Publish broadcasts a payload through the server's hub. The payload must be
-// part of the wire vocabulary ([]byte, blocks, certificates, bundles, cert
-// requests); anything else is rejected with ErrPayloadType.
-func (c *Client) Publish(topic, from string, payload any) error {
-	raw, err := encodePayload(payload)
-	if err != nil {
-		return err
-	}
-	return c.send((&publishMsg{topic: topic, from: from, payload: raw}).encode())
-}
-
 // Subscribe registers a remote subscription and blocks until the server
-// acknowledges it, so a publish issued after Subscribe returns — from this
-// client or any other peer of the same hub — reaches the new subscription,
-// matching the in-process bus's happens-before edge. On a dead connection or
+// acknowledges it, so a publish the node makes on its hub after Subscribe
+// returns reaches the new subscription, matching the in-process bus's
+// happens-before edge. On a dead connection or
 // ack timeout the returned subscription is already cancelled (its channel is
 // closed), which is how the bus API signals a terminal fabric to consumers.
 func (c *Client) Subscribe(topic string, depth int) *network.Subscription {

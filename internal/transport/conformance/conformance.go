@@ -1,11 +1,12 @@
-// Package conformance is the executable contract of the network.Bus topic
-// API. It is one shared table of behavior tests — ordered delivery per
-// publisher, fan-out, subscriber independence, bounded-queue backpressure,
-// Close/Cancel races, fault-rule semantics, and certificate byte-identity —
-// run against every fabric that claims the Bus semantics: the in-process
-// network.Network and the TCP wire transport. A fabric passes the suite or
-// it is not a DCert bus; the two implementations are proven interchangeable
-// by passing identically.
+// Package conformance is the executable contract of the topic fabric as a
+// subscriber sees it. It is one shared table of behavior tests — ordered
+// delivery per publisher, fan-out, subscriber independence, bounded-queue
+// backpressure, Close/Cancel races, fault-rule semantics, and certificate
+// byte-identity — run against every way to subscribe to a node's hub: in
+// process (network.Network) and over the TCP wire transport. Every publish
+// is made on the hub, as in a deployed node, where only the node publishes.
+// A subscription passes the suite or it is not a DCert subscription; the
+// two are proven interchangeable by passing identically.
 package conformance
 
 import (
@@ -22,33 +23,15 @@ import (
 	"dcert/internal/network"
 )
 
-// Fabric is the surface the suite exercises: the topic bus plus the fault
-// controls every DCert fabric exposes for chaos testing.
-type Fabric interface {
-	network.Bus
-	// SetFaults installs a seeded fault plan on the fabric.
-	SetFaults(plan *network.FaultPlan)
-	// Partition cuts a topic until Heal (requires an installed plan).
-	Partition(topic string)
-	// Heal restores a partitioned topic.
-	Heal(topic string)
-	// FaultTally returns the fault layer's ledger for a topic.
-	FaultTally(topic string) network.FaultTally
-	// Sync blocks until every Publish issued before the call has been
-	// processed by the fabric's fault layer, so FaultTally is complete.
-	// For the in-process bus Publish is synchronous and Sync is a no-op;
-	// the wire transport flushes a round trip through the connection.
-	Sync()
+// Fabric is the surface the suite exercises: the node's hub, which every
+// publish and every fault control acts on, and the subscriber under test.
+type Fabric struct {
+	// Hub is the in-process fabric the suite publishes on.
+	Hub *network.Network
+	// Sub subscribes to Hub's topics: Hub itself, or a remote connection to
+	// a server over it.
+	Sub network.Subscriber
 }
-
-// InProcess adapts the in-process Network to the Fabric surface.
-type InProcess struct {
-	*network.Network
-}
-
-// Sync is a no-op: in-process publishes reach the fault layer before
-// Publish returns.
-func (InProcess) Sync() {}
 
 // Factory builds a fresh fabric for one subtest. Register teardown with
 // t.Cleanup.
@@ -127,7 +110,7 @@ func collect(t *testing.T, sub *network.Subscription, n int) []network.Message {
 func testOrderedDelivery(t *testing.T, f Fabric) {
 	const topic = "conformance-order"
 	const perPublisher = 50
-	sub := f.Subscribe(topic, 4*perPublisher)
+	sub := f.Sub.Subscribe(topic, 4*perPublisher)
 	defer sub.Cancel()
 
 	var wg sync.WaitGroup
@@ -136,7 +119,7 @@ func testOrderedDelivery(t *testing.T, f Fabric) {
 		go func(from string) {
 			defer wg.Done()
 			for i := 0; i < perPublisher; i++ {
-				if err := f.Publish(topic, from, seq(i)); err != nil {
+				if err := f.Hub.Publish(topic, from, seq(i)); err != nil {
 					t.Errorf("publish %s/%d: %v", from, i, err)
 					return
 				}
@@ -163,11 +146,11 @@ func testFanOut(t *testing.T, f Fabric) {
 	const n = 40
 	subs := make([]*network.Subscription, 3)
 	for i := range subs {
-		subs[i] = f.Subscribe(topic, 2*n)
+		subs[i] = f.Sub.Subscribe(topic, 2*n)
 		defer subs[i].Cancel()
 	}
 	for i := 0; i < n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -186,18 +169,18 @@ func testFanOut(t *testing.T, f Fabric) {
 func testSubscriberIndependence(t *testing.T, f Fabric) {
 	const topic = "conformance-independence"
 	const n = 40
-	keeper := f.Subscribe(topic, 2*n)
+	keeper := f.Sub.Subscribe(topic, 2*n)
 	defer keeper.Cancel()
-	quitter := f.Subscribe(topic, 2*n)
+	quitter := f.Sub.Subscribe(topic, 2*n)
 
 	for i := 0; i < n/2; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
 	quitter.Cancel()
 	for i := n / 2; i < n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -229,19 +212,18 @@ func testBackpressure(t *testing.T, f Fabric) {
 	const topic = "conformance-backpressure"
 	const depth = 4
 	const n = 64
-	sub := f.Subscribe(topic, depth)
+	sub := f.Sub.Subscribe(topic, depth)
 	defer sub.Cancel()
 
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if err := f.Publish(topic, "firehose", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "firehose", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
 	if elapsed := time.Since(start); elapsed > waitTimeout {
 		t.Fatalf("publisher blocked on a slow subscriber: %d publishes took %v", n, elapsed)
 	}
-	f.Sync()
 
 	waitFor(t, "queue to fill to depth", func() bool { return len(sub.C) == depth })
 	prev := -1
@@ -267,7 +249,7 @@ func testCancelRaces(t *testing.T, f Fabric) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			f.Publish(topic, "pub", seq(i))
+			f.Hub.Publish(topic, "pub", seq(i))
 		}
 	}()
 	for g := 0; g < 8; g++ {
@@ -275,7 +257,7 @@ func testCancelRaces(t *testing.T, f Fabric) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				sub := f.Subscribe(topic, 2)
+				sub := f.Sub.Subscribe(topic, 2)
 				// Drain a little, then cancel twice, concurrently with
 				// in-flight deliveries.
 				select {
@@ -297,18 +279,17 @@ func testCancelRaces(t *testing.T, f Fabric) {
 func testFaultDrop(t *testing.T, f Fabric) {
 	const topic = "conformance-drop"
 	const n = 25
-	f.SetFaults(&network.FaultPlan{Seed: 1, Rules: []network.FaultRule{{Topic: topic, Drop: 1.0}}})
-	sub := f.Subscribe(topic, 2*n)
+	f.Hub.SetFaults(&network.FaultPlan{Seed: 1, Rules: []network.FaultRule{{Topic: topic, Drop: 1.0}}})
+	sub := f.Sub.Subscribe(topic, 2*n)
 	defer sub.Cancel()
 
 	for i := 0; i < n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	f.Sync()
 
-	tally := f.FaultTally(topic)
+	tally := f.Hub.FaultTally(topic)
 	if tally.Published != n || tally.Dropped != n {
 		t.Fatalf("tally = %+v, want %d published and %d dropped", tally, n, n)
 	}
@@ -322,17 +303,16 @@ func testFaultDrop(t *testing.T, f Fabric) {
 func testFaultDuplicate(t *testing.T, f Fabric) {
 	const topic = "conformance-duplicate"
 	const n = 20
-	f.SetFaults(&network.FaultPlan{Seed: 2, Rules: []network.FaultRule{{Topic: topic, Duplicate: 1.0}}})
-	sub := f.Subscribe(topic, 8*n)
+	f.Hub.SetFaults(&network.FaultPlan{Seed: 2, Rules: []network.FaultRule{{Topic: topic, Duplicate: 1.0}}})
+	sub := f.Sub.Subscribe(topic, 8*n)
 	defer sub.Cancel()
 
 	for i := 0; i < n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	f.Sync()
-	tally := f.FaultTally(topic)
+	tally := f.Hub.FaultTally(topic)
 	if tally.Published != n || tally.Duplicated != n {
 		t.Fatalf("tally = %+v, want %d published and %d duplicated", tally, n, n)
 	}
@@ -353,27 +333,26 @@ func testFaultDuplicate(t *testing.T, f Fabric) {
 func testPartitionHeal(t *testing.T, f Fabric) {
 	const topic = "conformance-partition"
 	const n = 15
-	f.SetFaults(&network.FaultPlan{Seed: 3}) // partitions require a plan
-	sub := f.Subscribe(topic, 4*n)
+	f.Hub.SetFaults(&network.FaultPlan{Seed: 3}) // partitions require a plan
+	sub := f.Sub.Subscribe(topic, 4*n)
 	defer sub.Cancel()
 
-	f.Partition(topic)
+	f.Hub.Partition(topic)
 	for i := 0; i < n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	f.Sync()
-	if tally := f.FaultTally(topic); tally.Partitioned != n {
+	if tally := f.Hub.FaultTally(topic); tally.Partitioned != n {
 		t.Fatalf("tally = %+v, want %d partitioned", tally, n)
 	}
 	if got := len(sub.C); got != 0 {
 		t.Fatalf("%d messages crossed an active partition", got)
 	}
 
-	f.Heal(topic)
+	f.Hub.Heal(topic)
 	for i := n; i < 2*n; i++ {
-		if err := f.Publish(topic, "pub", seq(i)); err != nil {
+		if err := f.Hub.Publish(topic, "pub", seq(i)); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
@@ -421,12 +400,12 @@ func testCertBundleByteIdentity(t *testing.T, f Fabric) {
 		Interlink: []chash.Hash{first.PrevHash, prev},
 	}
 
-	sub := f.Subscribe(network.TopicCerts, 4)
+	sub := f.Sub.Subscribe(network.TopicCerts, 4)
 	defer sub.Cancel()
-	if err := f.Publish(network.TopicCerts, "ci", bundle); err != nil {
+	if err := f.Hub.Publish(network.TopicCerts, "ci", bundle); err != nil {
 		t.Fatalf("publish bundle: %v", err)
 	}
-	if err := f.Publish(network.TopicCerts, "ci", seg); err != nil {
+	if err := f.Hub.Publish(network.TopicCerts, "ci", seg); err != nil {
 		t.Fatalf("publish segment: %v", err)
 	}
 

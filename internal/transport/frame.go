@@ -1,13 +1,15 @@
 // Package transport is DCert's wire transport plane: a dependency-free,
-// length-prefixed TCP protocol that exposes the same Publish/Subscribe topic
-// semantics as the in-process network.Bus, plus a request/response RPC path
-// for queries and certificate catch-up. A Server bridges real sockets onto
-// an in-process hub bus, so the node's certificate stream — and the seeded
-// fault-injection fabric — run unchanged while remote clients speak the
-// protocol over loopback or a real network. A Client implements network.Bus
-// over one connection, so followers work identically against either fabric.
+// length-prefixed TCP protocol over which remote peers read a node and never
+// write to it. A peer subscribes to the node's topics with the same queue
+// semantics as the in-process network bus, and calls request/response RPCs
+// for queries and certificate catch-up. A Server forwards an in-process hub's
+// deliveries onto real sockets, so the node's certificate stream — and the
+// seeded fault-injection fabric — run unchanged while remote clients speak
+// the protocol over loopback or a real network; every publish is made on the
+// hub, by the node. A Client is a network.Subscriber over one connection, so
+// followers work identically against either fabric.
 //
-// Every protocol message — handshake, subscribe, publish, RPC — is exactly
+// Every protocol message — handshake, subscribe, delivery, RPC — is exactly
 // one chash record frame whose body is a 1-byte kind and the message, so a
 // corrupt or truncated frame is detected before any message field is
 // parsed. The listener is TLS-ready: hand ServerConfig/Dial a *tls.Config

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"dcert/internal/attest"
@@ -27,7 +28,7 @@ func FuzzFrameDecode(f *testing.F) {
 	huge := binary.BigEndian.AppendUint32(nil, MaxFrameSize+1)
 	f.Add(append(huge, 0, 0, 0, 0))
 	// Valid header, flipped CRC.
-	corrupt := chash.AppendFrame(nil, []byte{kindPublish, 9, 9})
+	corrupt := chash.AppendFrame(nil, []byte{kindRequest, 9, 9})
 	corrupt[4] ^= 0xFF
 	f.Add(corrupt)
 
@@ -87,10 +88,10 @@ func FuzzWireMessages(f *testing.F) {
 	f.Add((&subscribeMsg{id: 1, topic: "certs", depth: 16}).encode())
 	f.Add((&subscribedMsg{id: 1}).encode())
 	f.Add((&unsubscribeMsg{id: 1}).encode())
-	f.Add((&publishMsg{topic: "certs", from: "ci", payload: []byte{payloadBytes, 1}}).encode())
 	f.Add((&messageMsg{subID: 3, topic: "blocks", from: "miner", payload: []byte{payloadBytes}}).encode())
 	f.Add((&requestMsg{id: 7, method: "dcert/query", body: []byte("q")}).encode())
 	f.Add((&responseMsg{id: 7, errMsg: "", body: []byte("r")}).encode())
+	f.Add((&responseMsg{id: 8, errMsg: "transport: unknown RPC method"}).encode())
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		kind, d, err := splitKind(body)
@@ -113,12 +114,6 @@ func FuzzWireMessages(f *testing.F) {
 			reencoded = m.encode()
 		case kindUnsubscribe:
 			m, err := decodeUnsubscribe(d)
-			if err != nil {
-				return
-			}
-			reencoded = m.encode()
-		case kindPublish:
-			m, err := decodePublish(d)
 			if err != nil {
 				return
 			}
@@ -148,6 +143,19 @@ func FuzzWireMessages(f *testing.F) {
 			t.Fatalf("kind %d round-trip mismatch", kind)
 		}
 	})
+}
+
+// TestRetiredPublishKindIsUnknown: kind 6, the retired client publish, is an
+// unknown kind to the server, whose dispatch error ends the connection.
+func TestRetiredPublishKindIsUnknown(t *testing.T) {
+	e := chash.NewEncoder(32)
+	e.PutByte(6)
+	e.PutString("certs")
+	e.PutString("ci")
+	e.PutBytes([]byte{payloadBytes, 1})
+	if err := new(serverConn).dispatch(e.Bytes()); !errors.Is(err, ErrUnknownKind) {
+		t.Fatalf("dispatch(kind 6) = %v, want ErrUnknownKind", err)
+	}
 }
 
 // FuzzPayload drives the typed payload codec: arbitrary tagged bytes must

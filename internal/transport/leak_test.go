@@ -26,10 +26,11 @@ func settleGoroutines(t *testing.T, base int, when string) {
 	}
 }
 
-// busyClients dials n clients that each hold a subscription, publish onto
-// it, and run a small and a large (vectored) RPC, so every per-connection
-// goroutine — reader, writer, forwarder, request handler — has run.
-func busyClients(t *testing.T, srv *Server, n int) []*Client {
+// busyClients dials n clients that each hold a subscription, receive a hub
+// publish on it, and run a small and a large (vectored) RPC, so every
+// per-connection goroutine — reader, writer, forwarder, request handler —
+// has run.
+func busyClients(t *testing.T, hub *network.Network, srv *Server, n int) []*Client {
 	t.Helper()
 	clients := make([]*Client, n)
 	for i := range clients {
@@ -39,7 +40,7 @@ func busyClients(t *testing.T, srv *Server, n int) []*Client {
 		}
 		clients[i] = c
 		sub := c.Subscribe("leak/topic", 8)
-		if err := c.Publish("leak/topic", "leak", []byte("hello")); err != nil {
+		if err := hub.Publish("leak/topic", "leak", []byte("hello")); err != nil {
 			t.Fatalf("publish: %v", err)
 		}
 		select {
@@ -74,14 +75,14 @@ func TestCloseLeavesNoGoroutines(t *testing.T) {
 	}
 
 	srv := serve()
-	for _, c := range busyClients(t, srv, 3) {
+	for _, c := range busyClients(t, hub, srv, 3) {
 		c.Close()
 	}
 	srv.Close()
 	settleGoroutines(t, base, "clients closed, then the server")
 
 	srv = serve()
-	clients := busyClients(t, srv, 3)
+	clients := busyClients(t, hub, srv, 3)
 	srv.Close()
 	settleGoroutines(t, base, "server closed under live clients")
 	for _, c := range clients {

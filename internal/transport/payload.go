@@ -9,7 +9,7 @@ import (
 )
 
 // Payload codec: the in-process bus carries typed payloads; the wire carries
-// bytes. This codec maps the certificate stream's vocabulary (a
+// bytes, server to client only. This codec maps the certificate stream's vocabulary (a
 // *core.CertBundle per certified block, a *core.SegmentCert per multi-block
 // segment) plus raw []byte onto tagged canonical encodings, so a remote
 // subscriber receives exactly the same Go value an in-process one would —
@@ -18,7 +18,8 @@ import (
 
 // Payload errors.
 var (
-	// ErrPayloadType is returned when publishing a type the wire cannot carry.
+	// ErrPayloadType is returned for a hub payload of a type the wire cannot
+	// carry; the server skips such a delivery.
 	ErrPayloadType = errors.New("transport: unsupported payload type")
 	// ErrPayloadCorrupt is returned when a tagged payload fails to decode.
 	ErrPayloadCorrupt = errors.New("transport: corrupt payload")

@@ -14,17 +14,16 @@ import (
 	"dcert/internal/network"
 )
 
-// Server exposes a hub bus over TCP. Every remote publish lands on the hub
-// — where the seeded fault fabric, instrumentation, and all in-process
-// subscribers live — and every hub delivery matching a remote subscription
-// is pushed back out as a message frame. The server additionally routes
+// Server exposes a hub's topics over TCP, read-only: every hub delivery
+// matching a remote subscription is pushed out as a message frame, and no
+// remote peer can publish onto the hub. The server additionally routes
 // request/response RPCs to registered handlers (queries, certificate
 // catch-up, deployment info), celestia-style: one route table, one method
 // string per route.
 //
 // Fault injection therefore applies at the transport seam for free: a
-// FaultPlan installed on the hub perturbs remote traffic exactly as it
-// perturbs in-process traffic, because both flow through hub.Publish.
+// FaultPlan installed on the hub perturbs remote deliveries exactly as it
+// perturbs in-process ones, because both leave the hub's publish path.
 
 // Server errors.
 var (
@@ -88,15 +87,13 @@ type ServerStats struct {
 	// SlowDrops counts topic messages dropped because a connection's
 	// outbound queue was full — the wire's slow-consumer accounting.
 	SlowDrops uint64
-	// Publishes counts remote publishes forwarded onto the hub.
-	Publishes uint64
 	// Requests counts RPC calls served.
 	Requests uint64
 }
 
-// Server is a wire endpoint over a hub bus.
+// Server is a wire endpoint over a hub.
 type Server struct {
-	hub network.Bus
+	hub network.Subscriber
 	cfg ServerConfig
 	ln  net.Listener
 
@@ -109,14 +106,13 @@ type Server struct {
 	accepted  atomic.Uint64
 	sent      atomic.Uint64
 	slowDrops atomic.Uint64
-	publishes atomic.Uint64
 	requests  atomic.Uint64
 	subCount  atomic.Int64
 }
 
 // Serve starts a wire server over the hub. The returned server is live:
 // connections are accepted until Close.
-func Serve(hub network.Bus, cfg ServerConfig) (*Server, error) {
+func Serve(hub network.Subscriber, cfg ServerConfig) (*Server, error) {
 	cfg = cfg.withDefaults()
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
@@ -169,7 +165,6 @@ func (s *Server) Stats() ServerStats {
 		ActiveSubs:   int(s.subCount.Load()),
 		MessagesSent: s.sent.Load(),
 		SlowDrops:    s.slowDrops.Load(),
-		Publishes:    s.publishes.Load(),
 		Requests:     s.requests.Load(),
 	}
 }
@@ -320,7 +315,8 @@ func (c *serverConn) handshake() error {
 }
 
 // dispatch handles one inbound frame. A returned error is terminal for the
-// connection (malformed frames mean a faulty or hostile peer).
+// connection (malformed frames mean a faulty or hostile peer); so is an
+// unknown kind, the retired publish kind 6 among them.
 func (c *serverConn) dispatch(body []byte) error {
 	kind, d, err := splitKind(body)
 	if err != nil {
@@ -348,18 +344,6 @@ func (c *serverConn) dispatch(body []byte) error {
 			c.srv.subCount.Add(-1)
 		}
 		return nil
-	case kindPublish:
-		m, err := decodePublish(d)
-		if err != nil {
-			return err
-		}
-		payload, err := decodePayload(m.payload)
-		if err != nil {
-			return err
-		}
-		c.srv.publishes.Add(1)
-		// A closed hub is the only publish failure; the wire is done then.
-		return c.srv.hub.Publish(m.topic, m.from, payload)
 	case kindRequest:
 		m, err := decodeRequest(d)
 		if err != nil {
@@ -377,8 +361,8 @@ func (c *serverConn) dispatch(body []byte) error {
 
 // subscribe attaches a hub subscription and streams its deliveries to the
 // peer. The ack frame is enqueued after the hub registration, so once the
-// client observes it, subsequent publishes from any peer are guaranteed to
-// reach this subscription.
+// client observes it, subsequent hub publishes are guaranteed to reach this
+// subscription.
 func (c *serverConn) subscribe(m *subscribeMsg) {
 	sub := c.srv.hub.Subscribe(m.topic, int(m.depth))
 	c.mu.Lock()

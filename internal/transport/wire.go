@@ -37,14 +37,15 @@ const protocolMagic uint32 = 0x44435254
 // are two versions to negotiate between.
 const ProtocolVersion uint32 = 1
 
-// Message kinds.
+// Message kinds. Kind 6, a client publish onto the hub, is retired and never
+// reused: a remote peer only subscribes and calls, so a frame of kind 6 is an
+// unknown kind that ends its connection.
 const (
 	kindHello       byte = 1 // client → server: magic, version, client name
 	kindWelcome     byte = 2 // server → client: magic, version accepted
 	kindSubscribe   byte = 3 // client → server: register a topic subscription
 	kindSubscribed  byte = 4 // server → client: subscription is live
 	kindUnsubscribe byte = 5 // client → server: drop a subscription
-	kindPublish     byte = 6 // client → server: publish onto the hub
 	kindMessage     byte = 7 // server → client: one topic delivery
 	kindRequest     byte = 8 // client → server: RPC call
 	kindResponse    byte = 9 // server → client: RPC answer
@@ -154,7 +155,7 @@ func decodeSubscribe(d *chash.Decoder) (*subscribeMsg, error) {
 }
 
 // subscribedMsg acknowledges a live subscription. Subscribe is synchronous
-// on the client so that a publish issued after Subscribe returns is
+// on the client so that a hub publish issued after Subscribe returns is
 // guaranteed to reach the new subscriber — the same happens-before edge the
 // in-process bus gives for free.
 type subscribedMsg struct {
@@ -200,40 +201,6 @@ func decodeUnsubscribe(d *chash.Decoder) (*unsubscribeMsg, error) {
 	}
 	if err := d.Finish(); err != nil {
 		return nil, fmt.Errorf("transport: unsubscribe: %w", err)
-	}
-	return &m, nil
-}
-
-// publishMsg carries one client publish onto the server's hub.
-type publishMsg struct {
-	topic   string
-	from    string
-	payload []byte // tagged payload encoding (payload.go)
-}
-
-func (m *publishMsg) encode() []byte {
-	e := chash.NewEncoder(32 + len(m.topic) + len(m.from) + len(m.payload))
-	e.PutByte(kindPublish)
-	e.PutString(m.topic)
-	e.PutString(m.from)
-	e.PutBytes(m.payload)
-	return e.Bytes()
-}
-
-func decodePublish(d *chash.Decoder) (*publishMsg, error) {
-	var m publishMsg
-	var err error
-	if m.topic, err = d.ReadString(); err != nil {
-		return nil, fmt.Errorf("transport: publish: %w", err)
-	}
-	if m.from, err = d.ReadString(); err != nil {
-		return nil, fmt.Errorf("transport: publish: %w", err)
-	}
-	if m.payload, err = d.ReadBytesShared(); err != nil {
-		return nil, fmt.Errorf("transport: publish: %w", err)
-	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("transport: publish: %w", err)
 	}
 	return &m, nil
 }

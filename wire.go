@@ -15,18 +15,20 @@ import (
 
 // The wire plane: a deployment can expose its fabric and services over real
 // sockets (internal/transport), so the node and its clients run as separate
-// OS processes. The wire carries two shapes of traffic:
+// OS processes. The wire is read-only: a remote peer subscribes and calls,
+// and only the node publishes. It carries two shapes of traffic:
 //
-//   - the certificate stream (TopicCerts) — a remote WireClient is a
-//     network.Bus, so CertFollower runs over it unchanged, and a stalled
-//     follower pulls the tip segment on WireRouteCertSegment;
+//   - the certificate stream (TopicCerts), server to client — a remote
+//     WireClient subscribes as the in-process fabric does, so CertFollower
+//     runs over it unchanged, and a stalled follower pulls the tip segment
+//     on WireRouteCertSegment;
 //   - an RPC route table: node identity (trust anchors), the latest
 //     certificate bundle, raw blocks, certified segments, the whole
 //     interlink bootstrap in one response, and queries — every query is one
 //     request and one response on WireRouteQuery.
 
-// Bus is the topic API shared by the in-process fabric and the wire
-// transport (see internal/network.Bus).
+// Bus is the in-process fabric's topic API (see internal/network.Bus); a
+// WireClient offers its read side, Subscribe.
 type Bus = network.Bus
 
 // Wire transport types (package internal/transport).
@@ -35,7 +37,8 @@ type (
 	WireServer = transport.Server
 	// WireServerConfig tunes a wire server (address, TLS, queue depths).
 	WireServerConfig = transport.ServerConfig
-	// WireClient is a remote connection to a WireServer; it implements Bus.
+	// WireClient is a remote, read-only connection to a WireServer: it
+	// subscribes to topics and calls RPC routes.
 	WireClient = transport.Client
 	// WireClientConfig tunes a wire client (identity, TLS, timeouts).
 	WireClientConfig = transport.ClientConfig
@@ -155,18 +158,12 @@ type bootstrapMemo struct {
 }
 
 // path returns the encoded bootstrap path from the deployment's tip down to
-// anchor. The genesis path is the tip segment alone, and any issuer's newest
-// certificate will do (Deployment.tipSegment), so a killed primary does not
-// freeze it; a mid-chain anchor's hops are the primary issuer's segments, so
-// its path starts from the primary's tip (Issuer.BootstrapPath).
+// anchor: the walk from the tip segment over the segments of the issuer
+// that certified it (Deployment.tipSegment, Issuer.BootstrapPath), so a
+// killed primary freezes no anchor's path.
 func (m *bootstrapMemo) path(d *Deployment, anchor uint64) []byte {
-	issuer := d.Issuer()
-	var tip *SegmentCert
-	if anchor == 0 {
-		tip = d.tipSegment()
-	} else {
-		tip = issuer.LatestSegment()
-	}
+	landed := d.tipSegment()
+	tip := landed.seg
 	if tip == nil {
 		return encodeBootstrapPath(nil)
 	}
@@ -182,14 +179,7 @@ func (m *bootstrapMemo) path(d *Deployment, anchor uint64) []byte {
 	if ok {
 		return raw
 	}
-	path := []*SegmentCert{tip}
-	if anchor != 0 {
-		path = issuer.BootstrapPath(anchor)
-	}
-	raw = encodeBootstrapPath(path)
-	if len(path) == 0 || path[0] != tip {
-		return raw // a segment landed since LatestSegment: not this tip's
-	}
+	raw = encodeBootstrapPath(landed.issuer.BootstrapPath(tip, anchor))
 	m.mu.Lock()
 	if m.tip == tip {
 		if len(m.paths) >= bootstrapMemoAnchors {
@@ -246,7 +236,7 @@ func decodeHeightRequest(body []byte) (uint64, error) {
 	return height, dec.Finish()
 }
 
-// ServeWire exposes the deployment over TCP: topic traffic bridges onto the
+// ServeWire exposes the deployment over TCP: remote subscriptions read the
 // deployment's fabric (so fault plans and instrumentation apply to socket
 // traffic), and the standard RPC routes are mounted. The deployment keeps
 // running in-process exactly as before; the wire is an additional door.
@@ -263,7 +253,7 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		}), nil
 	})
 	srv.Handle(WireRouteCertLatest, func([]byte) ([]byte, error) {
-		seg := d.tipSegment()
+		seg := d.tipSegment().seg
 		if seg == nil || len(seg.Headers) != 1 {
 			return nil, nil // empty body = no single-block tip certificate
 		}
@@ -289,11 +279,10 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		if err != nil {
 			return nil, fmt.Errorf("segment request: %w", err)
 		}
-		var seg *SegmentCert
-		if height == tipHeight {
-			seg = d.tipSegment()
-		} else {
-			seg = d.Issuer().SegmentCovering(height)
+		tip := d.tipSegment()
+		seg := tip.seg
+		if height != tipHeight && seg != nil {
+			seg = tip.issuer.SegmentCovering(height)
 		}
 		if seg == nil {
 			return nil, nil // empty body = no segment covering that height
