@@ -117,9 +117,13 @@ bench-json:
 # update proofs, with allocation bounded per input byte), the header, block
 # and transaction codecs (network bytes, and every block a durable node
 # reads back from its chain log), and the state record the storage engine
-# reads back from its WAL and snapshot.
+# reads back from its WAL and snapshot. Past the decoders: the client's
+# range-proof verifier and partial-trie reads over hostile witnesses (with
+# the same allocation bound), and the enclave's pipeline proof input.
 # Short budgets: CI regression surface, not a campaign — run with a longer
-# -fuzztime locally when touching the codecs.
+# -fuzztime locally when touching the codecs. FuzzVerifyRange caps input
+# minimization at 1 s: at the default 60 s, minimizing one new input took
+# the whole 10 s budget (about a hundred execs).
 fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzFrameDecode$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzWireMessages$$' -fuzztime=10s ./internal/transport/
@@ -142,6 +146,9 @@ fuzz-wire:
 	$(GO) test -run='^$$' -fuzz='^FuzzHandshake$$' -fuzztime=10s ./internal/transport/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalWitness$$' -fuzztime=10s ./internal/mpt/
 	$(GO) test -run='^$$' -fuzz='^FuzzUnmarshalWitness$$' -fuzztime=10s ./internal/mbtree/
+	$(GO) test -run='^$$' -fuzz='^FuzzVerifyRange$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/mbtree/
+	$(GO) test -run='^$$' -fuzz='^FuzzPartialTrieOps$$' -fuzztime=10s ./internal/mpt/
+	$(GO) test -run='^$$' -fuzz='^FuzzPipelineProof$$' -fuzztime=10s ./internal/core/
 
 clean:
 	$(GO) clean ./...

@@ -379,11 +379,10 @@ func (p *CertPlane) Restart(name string) error {
 			if res.Err != nil {
 				return fmt.Errorf("dcert: restart %s: re-certify height %d: %w", name, res.Block.Header.Height, res.Err)
 			}
-			if err := p.d.persistCert(res.Block.Hash(), res.Cert); err != nil {
-				return fmt.Errorf("dcert: restart %s: persist cert height %d: %w", name, res.Block.Header.Height, err)
-			}
 		}
 	}
+	// The newest segment lands, and journals, once: its certificate attests
+	// every catch-up segment below it.
 	if seg := ci.LatestSegment(); seg != nil {
 		if err := p.d.certLanded(name, ci, seg); err != nil {
 			return err

@@ -2,6 +2,7 @@ package dcert_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -80,11 +81,11 @@ func assertRecovered(t *testing.T, dep *dcert.Deployment, mined []dcert.Hash) ui
 	// ending at the tip, so recover the covered suffix first — a
 	// single-block certificate matches at suffix length 1.
 	tip := rec.TipHeight()
-	tipCert, ok := rec.Certs[rec.Headers[tip].Hash()]
-	if !ok && tip > 0 {
+	tipCert := rec.TipCert
+	if tipCert == nil && tip > 0 {
 		t.Fatalf("recovered tip %d has no certificate on the chain log", tip)
 	}
-	if ok {
+	if tipCert != nil {
 		var headers []*dcert.Header
 		matched := false
 		for k := uint64(0); k < tip; k++ {
@@ -420,6 +421,165 @@ func TestChaosDiskPipelinedSnapshots(t *testing.T) {
 	// the journal's height then (8 or above): at most 2 records follow it.
 	if rec.WALRecords > blocks%every {
 		t.Fatalf("recovery applied %d WAL records, want at most %d on top of the snapshot", rec.WALRecords, blocks%every)
+	}
+	assertResumes(t, resumed, blocks, 3)
+}
+
+// TestChaosDiskSegmentCrashSweep crashes one durable K=4 segment at each
+// write it makes. The segment journals its four blocks, their four state
+// records and one certificate record against its last block: 2K+1 writes,
+// each synced at FsyncInterval 0. Every write fails in turn (FailWriteOp);
+// separately, the power dies right after each write — its fsync fails, so
+// the write survives only as a tail: torn with a flipped byte, or whole.
+// Each crash reopens at a segment end: the previous one, or this one when
+// the whole certificate record survived. The resumed issuer adopts that
+// certificate and re-signs nothing. A journal that wrote the certificate
+// once per covered block recovered a mid-segment tip when its 2nd–4th
+// certificate frame failed, and that data directory never reopened.
+func TestChaosDiskSegmentCrashSweep(t *testing.T) {
+	const k, seed = 4, 707
+	// mine runs one clean segment and then the segment under test on a
+	// fault FS, and returns the FS's counts from between the two.
+	mine := func(t *testing.T, dir string, plan vfs.FaultPlan) (*dcert.Deployment, *vfs.Fault, vfs.FaultStats, error) {
+		t.Helper()
+		faulty := vfs.NewFault(vfs.OS{}, plan)
+		dep, err := dcert.NewDeployment(diskChaosConfig(dir, faulty, 0, seed))
+		if err != nil {
+			t.Fatalf("NewDeployment: %v", err)
+		}
+		if _, _, err := dep.MineAndCertifySegment(k, 3); err != nil {
+			t.Fatalf("first segment: %v", err)
+		}
+		base := faulty.Stats()
+		_, _, err = dep.MineAndCertifySegment(k, 3)
+		return dep, faulty, base, err
+	}
+
+	ref, refFS, base, err := mine(t, t.TempDir(), vfs.FaultPlan{})
+	if err != nil {
+		t.Fatalf("fault-free segment: %v", err)
+	}
+	end := refFS.Stats()
+	ref.Close()
+	writes := end.Writes - base.Writes
+	if writes != 2*k+1 {
+		t.Fatalf("a K=%d segment made %d writes, want %d (K blocks, K state records, one certificate record)", k, writes, 2*k+1)
+	}
+	if syncs := end.Syncs - base.Syncs; syncs != writes {
+		t.Fatalf("a K=%d segment made %d syncs for %d writes, want one after each", k, syncs, writes)
+	}
+
+	crash := func(t *testing.T, plan vfs.FaultPlan, n, wantTip uint64) {
+		dir := t.TempDir()
+		dep, faulty, at, err := mine(t, dir, plan)
+		if at.Writes != base.Writes || at.Syncs != base.Syncs {
+			t.Fatalf("segment started after %d writes and %d syncs, the fault-free run after %d and %d", at.Writes, at.Syncs, base.Writes, base.Syncs)
+		}
+		if !errors.Is(err, vfs.ErrInjected) {
+			t.Fatalf("segment crashed at write %d with %v, want an injected fault", n, err)
+		}
+		if got := faulty.Stats().Writes - base.Writes; got != n {
+			t.Fatalf("segment stopped after write %d, want %d", got, n)
+		}
+		mined := minedChain(t, dep)
+		if err := faulty.PowerCut(); err != nil {
+			t.Fatalf("PowerCut: %v", err)
+		}
+		resumed, err := dcert.OpenDeployment(diskChaosConfig(dir, nil, 0, seed))
+		if err != nil {
+			t.Fatalf("OpenDeployment after a crash at write %d: %v", n, err)
+		}
+		defer resumed.Close()
+		if tip := assertRecovered(t, resumed, mined); tip != wantTip {
+			t.Fatalf("crash at write %d recovered tip %d, want %d", n, tip, wantTip)
+		}
+		assertResumes(t, resumed, wantTip, 2)
+	}
+	for n := uint64(1); n <= writes; n++ {
+		t.Run(fmt.Sprintf("failed write %d", n), func(t *testing.T) {
+			crash(t, vfs.FaultPlan{Seed: seed, FailWriteOp: base.Writes + n}, n, k)
+		})
+		t.Run(fmt.Sprintf("power cut after write %d, torn", n), func(t *testing.T) {
+			plan := vfs.FaultPlan{Seed: seed, FailSyncOp: base.Syncs + n, TornTail: 0.5, FlipInTorn: true}
+			crash(t, plan, n, k)
+		})
+		t.Run(fmt.Sprintf("power cut after write %d, whole", n), func(t *testing.T) {
+			want := uint64(k)
+			if n == writes {
+				want = 2 * k // the certificate record survived
+			}
+			crash(t, vfs.FaultPlan{Seed: seed, FailSyncOp: base.Syncs + n, TornTail: 1}, n, want)
+		})
+	}
+}
+
+// TestChaosDiskSegmentSnapshots: a K=4 segment certificate moves the
+// certified tip four blocks at a time, so with a snapshot every 6 blocks the
+// tip lands on a multiple only at 12 and 24. The periodic snapshot fires each
+// time the tip crosses a multiple instead: after the segments ending at 8,
+// 12, 20 and 24. Then the power dies, and the resume takes the fast path
+// from the last image, with no WAL record on top of it.
+func TestChaosDiskSegmentSnapshots(t *testing.T) {
+	const blocks, k, every = 24, 4, 6
+	dir := t.TempDir()
+	faulty := vfs.NewFault(vfs.OS{}, vfs.FaultPlan{})
+	cfg := diskChaosConfig(dir, faulty, 0, 808)
+	cfg.Storage.SnapshotEvery = every
+	dep, err := dcert.NewDeployment(cfg)
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	reg, _ := dep.EnableObservability(nil)
+	snapshots := reg.Counter("dcert_storage_snapshots_total", "")
+	plane, err := dep.StartCertPlane(1)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	err = plane.StartPipelines(dcert.PipelineConfig{
+		Workers: 2,
+		Segment: &dcert.SegmentPolicy{MaxBlocks: k, MaxDelay: time.Hour},
+	})
+	if err != nil {
+		t.Fatalf("StartPipelines: %v", err)
+	}
+	for end := uint64(k); end <= blocks; end += k {
+		for i := 0; i < k; i++ {
+			if _, err := plane.MineAndBroadcastPipelined(3); err != nil {
+				t.Fatalf("mine: %v", err)
+			}
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for _, h := dep.Engine().CertifiedTip(); h < end; _, h = dep.Engine().CertifiedTip() {
+			if time.Now().After(deadline) {
+				t.Fatalf("segment ending at %d never journaled (certified tip %d)", end, h)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if got, want := snapshots.Value(), end/every; got != want {
+			t.Fatalf("certified tip at %d after %d snapshots, want %d (one per multiple of %d crossed)", end, got, want, every)
+		}
+	}
+	if err := plane.DrainPipelines(); err != nil {
+		t.Fatalf("DrainPipelines: %v", err)
+	}
+	plane.Stop()
+	mined := minedChain(t, dep)
+	faulty.PowerCut()
+
+	cfg = diskChaosConfig(dir, nil, 0, 808)
+	cfg.Storage.SnapshotEvery = every
+	resumed, err := dcert.OpenDeployment(cfg)
+	if err != nil {
+		t.Fatalf("OpenDeployment after crash: %v", err)
+	}
+	defer resumed.Close()
+	if tip := assertRecovered(t, resumed, mined); tip != blocks {
+		t.Fatalf("recovered tip %d, want %d (every append was synced)", tip, blocks)
+	}
+	rec := resumed.StorageRecovery()
+	if rec.State == nil || rec.StateHeight != blocks || rec.WALRecords != 0 {
+		t.Fatalf("state image at height %d (nil=%v) under %d WAL records, want the snapshot at %d alone",
+			rec.StateHeight, rec.State == nil, rec.WALRecords, blocks)
 	}
 	assertResumes(t, resumed, blocks, 3)
 }

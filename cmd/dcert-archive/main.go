@@ -76,7 +76,7 @@ func run() error {
 	}
 	defer engine.Close()
 	rec := engine.Recovery()
-	fmt.Printf("loaded %d blocks and %d certificates\n", len(rec.Headers), len(rec.Certs))
+	fmt.Printf("loaded %d blocks and the tip certificate at height %d\n", len(rec.Headers), rec.TipHeight())
 
 	// Restore into a brand-new full node: every block is read back from the
 	// chain log (CRC, header hash and tx root checked) and re-validated.
@@ -102,12 +102,11 @@ func run() error {
 		tip.Height, n.Tip().Header.Height)
 
 	// A superlight client bootstraps from the log's tip certificate.
-	cert, ok := rec.Certs[tip.Hash()]
-	if !ok {
+	if rec.TipCert == nil {
 		return fmt.Errorf("tip certificate missing from the chain log")
 	}
 	client := dep.NewSuperlightClient()
-	if err := client.ValidateChain(tip, cert); err != nil {
+	if err := client.ValidateChain(tip, rec.TipCert); err != nil {
 		return fmt.Errorf("client bootstrap from cold storage: %w", err)
 	}
 	fmt.Printf("superlight client bootstrapped from cold storage: height %d, %d bytes of state\n",

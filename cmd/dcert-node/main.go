@@ -106,8 +106,8 @@ func run() error {
 	}
 	defer dep.Close()
 	if rec := dep.StorageRecovery(); rec != nil && len(rec.Headers) > 0 {
-		fmt.Printf("  recovered from %s: height=%d blocks=%d certs=%d torn=%v truncated=%dB dropped=%d in %v\n",
-			*dataDir, rec.TipHeight(), len(rec.Headers), len(rec.Certs), rec.Torn,
+		fmt.Printf("  recovered from %s: height=%d blocks=%d tip-cert=%d torn=%v truncated=%dB dropped=%d in %v\n",
+			*dataDir, rec.TipHeight(), len(rec.Headers), rec.TipHeight(), rec.Torn,
 			rec.TruncatedBytes, rec.DroppedBlocks, rec.Elapsed.Round(time.Millisecond))
 	} else if *dataDir != "" {
 		fmt.Printf("  data directory:         %s (fresh, fsync-interval=%v)\n", *dataDir, *fsyncInterval)

@@ -429,9 +429,7 @@ func (d *Deployment) tipSegment() landedSeg {
 // pipeline's result consumer: record it, with the issuer that certified it,
 // as the tip certificate if it is the newest yet, publish it on TopicCerts
 // (a CertBundle for one block, the SegmentCert for more) under the issuer's
-// name and journal it against every covered block. ApplyCert is idempotent,
-// so redundant issuers landing the same height race harmlessly; one durable
-// copy suffices.
+// name and journal it once.
 func (d *Deployment) certLanded(name string, issuer *core.Issuer, seg *SegmentCert) error {
 	landed := &landedSeg{seg: seg, issuer: issuer}
 	for cur := d.tipSeg.Load(); cur == nil || cur.seg.End() < seg.End(); cur = d.tipSeg.Load() {
@@ -444,10 +442,8 @@ func (d *Deployment) certLanded(name string, issuer *core.Issuer, seg *SegmentCe
 		payload = &CertBundle{Header: seg.Headers[0], Cert: seg.Cert}
 	}
 	err := d.net.Publish(TopicCerts, name, payload)
-	for _, h := range seg.Headers {
-		if perr := d.persistCert(h.Hash(), seg.Cert); perr != nil && err == nil {
-			err = perr
-		}
+	if perr := d.persistCert(seg); perr != nil && err == nil {
+		err = perr
 	}
 	return err
 }
@@ -466,8 +462,8 @@ func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 // MineAndCertifySegment mines `blocks` consecutive blocks of n transactions
 // each and certifies them with ONE segment Ecall (core.Issuer.ProcessSegment)
 // — the amortized counterpart of calling MineAndCertify in a loop. Every
-// block feeds the SP; the segment certificate publishes once on TopicCerts,
-// and each covered block journals under it.
+// block feeds the SP; the segment certificate publishes once on TopicCerts
+// and journals once, against the last block.
 func (d *Deployment) MineAndCertifySegment(blocks, n int) ([]*Block, *SegmentCert, error) {
 	if blocks < 1 {
 		return nil, nil, fmt.Errorf("dcert: segment needs at least 1 block, got %d", blocks)

@@ -151,8 +151,7 @@ func ResumeDeployment(cfg Config) (*Deployment, error) {
 	// measurement-based, so the recursion continues across the restart
 	// without double-signing any certified height. Recovery keeps only a
 	// certified prefix, so the tip has a certificate unless it is genesis.
-	tipCert, _ := engine.CertFor(ciNode.Tip().Hash())
-	issuer, err := core.ResumeIssuer(ciNode, authority, platform, cfg.EnclaveCost, tipCert)
+	issuer, err := core.ResumeIssuer(ciNode, authority, platform, cfg.EnclaveCost, engine.Recovery().TipCert)
 	if err != nil {
 		return fail(fmt.Errorf("dcert: resume issuer: %w", err))
 	}
@@ -202,11 +201,11 @@ func (d *Deployment) Close() error {
 	return err
 }
 
-// persistCert journals the certificate of an already journaled block (the
-// mining routine's last step, issuer catch-up).
-func (d *Deployment) persistCert(blockHash Hash, cert *Certificate) error {
+// persistCert journals a landed segment's certificate once, against its
+// last block; redundant issuers landing the same height append nothing.
+func (d *Deployment) persistCert(seg *SegmentCert) error {
 	if d.engine == nil {
 		return nil
 	}
-	return d.engine.ApplyCert(blockHash, cert)
+	return d.engine.ApplyCert(seg.Tip().Hash(), seg.Cert)
 }

@@ -36,7 +36,9 @@ func FuzzUnmarshalWitness(f *testing.F) {
 }
 
 // FuzzVerifyRange stresses the verifier with mutated proofs: it must never
-// panic, and whenever it succeeds the result set must match the real tree's.
+// panic, decoding and verifying may allocate no more than 64 bytes per input
+// byte plus 64 KiB, and whenever it succeeds the result set must match the
+// real tree's.
 func FuzzVerifyRange(f *testing.F) {
 	tr := NewDefault()
 	for i := uint64(0); i < 80; i++ {
@@ -58,11 +60,17 @@ func FuzzVerifyRange(f *testing.F) {
 		if lo > hi {
 			lo, hi = hi, lo
 		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		proof, err := UnmarshalWitness(raw)
-		if err != nil {
-			return
+		var got []Entry
+		if err == nil {
+			got, err = VerifyRange(DefaultOrder, root, lo, hi, proof)
 		}
-		got, err := VerifyRange(DefaultOrder, root, lo, hi, proof)
+		runtime.ReadMemStats(&after)
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*len(raw))+64<<10; alloc > bound {
+			t.Fatalf("verifying %d bytes allocated %d bytes, bound %d (err %v)", len(raw), alloc, bound, err)
+		}
 		if err != nil {
 			return
 		}

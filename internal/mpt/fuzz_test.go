@@ -52,8 +52,9 @@ func FuzzUnmarshalWitness(f *testing.F) {
 }
 
 // FuzzPartialTrieOps throws fuzzed key/value operations at a partial trie
-// built from a hostile (fuzz-mutated) witness; nothing may panic, and
-// successful reads must come from authenticated nodes only.
+// built from a hostile (fuzz-mutated) witness; nothing may panic, decoding
+// and reading may allocate no more than 64 bytes per input byte plus 64 KiB,
+// and successful reads must come from authenticated nodes only.
 func FuzzPartialTrieOps(f *testing.F) {
 	tr := New()
 	for i := 0; i < 10; i++ {
@@ -72,12 +73,18 @@ func FuzzPartialTrieOps(f *testing.F) {
 	f.Add(w.Marshal(), []byte("acct-3"))
 	f.Add(w.Marshal(), []byte("zzz"))
 	f.Fuzz(func(t *testing.T, rawWitness, key []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		parsed, err := UnmarshalWitness(rawWitness)
-		if err != nil {
-			return
+		var v []byte
+		if err == nil {
+			v, err = NewPartial(root, parsed).Get(key)
 		}
-		pt := NewPartial(root, parsed)
-		if v, err := pt.Get(key); err == nil && v != nil {
+		runtime.ReadMemStats(&after)
+		if got, bound := after.TotalAlloc-before.TotalAlloc, uint64(64*(len(rawWitness)+len(key)))+64<<10; got > bound {
+			t.Fatalf("reading %d bytes allocated %d bytes, bound %d (err %v)", len(rawWitness)+len(key), got, bound, err)
+		}
+		if err == nil && v != nil {
 			// Any successful read must match the real trie (content
 			// addressing makes forgery impossible).
 			want, err := tr.Get(key)

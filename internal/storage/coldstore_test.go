@@ -87,8 +87,8 @@ func TestArchiveRoundTrip(t *testing.T) {
 	if len(rec.Headers) != 7 { // genesis + 6
 		t.Fatalf("recovered %d blocks", len(rec.Headers))
 	}
-	if len(rec.Certs) != 6 {
-		t.Fatalf("recovered %d certs", len(rec.Certs))
+	if rec.TipCert == nil {
+		t.Fatal("recovered no tip certificate")
 	}
 
 	// Restore into a fresh full node: full re-validation.
@@ -111,11 +111,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 	}
 	// The stored certificates still verify against the restored chain.
 	tip := fresh.Tip()
-	cert, ok := rec.Certs[tip.Hash()]
-	if !ok {
-		t.Fatal("tip certificate missing from the data directory")
-	}
-	if err := cert.Verify(env.authority.PublicKey(), env.issuer.Measurement(), core.BlockDigest(&tip.Header)); err != nil {
+	if err := rec.TipCert.Verify(env.authority.PublicKey(), env.issuer.Measurement(), core.BlockDigest(&tip.Header)); err != nil {
 		t.Fatalf("stored certificate must verify: %v", err)
 	}
 }
@@ -127,7 +123,7 @@ func TestArchivedCertificateStillValidates(t *testing.T) {
 	env := newEngineEnv(t)
 	rec := reopen(t, writeChain(t, env, 5))
 	tip := rec.Headers[len(rec.Headers)-1]
-	cert := rec.Certs[tip.Hash()]
+	cert := rec.TipCert
 	if cert == nil {
 		t.Fatal("tip cert missing")
 	}

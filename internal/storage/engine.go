@@ -56,7 +56,10 @@ type Engine struct {
 	headers []*chain.Header
 	frames  []framePos
 	heights map[chash.Hash]uint64 // block hash → height, for every block in headers
-	certs   map[chash.Hash]*core.Certificate
+	// The newest journaled certificate, which attests the whole chain up to
+	// certHeight (the block it is journaled against): the one kept.
+	tipCert    *core.Certificate
+	certHeight uint64
 
 	// mirror is the engine's own key/value image of the statedb at
 	// mirrorHeight, maintained from write sets (the statedb interface has no
@@ -95,10 +98,10 @@ type Recovery struct {
 	// genesis. Empty for a fresh data directory. The bodies stay on the
 	// chain log: Engine.BlockAt reads one back.
 	Headers []*chain.Header
-	// Certs maps recovered block hashes to certificates. The recovered tip
-	// is the highest block with a certificate, so above genesis its
-	// certificate is always here: it is the issuer's restart record.
-	Certs map[chash.Hash]*core.Certificate
+	// TipCert is the certificate journaled against the recovered tip (nil
+	// at genesis): the issuer's restart record, and the one certificate
+	// recovery keeps, since it attests every block below it.
+	TipCert *core.Certificate
 	// State is the durable state image at StateHeight, or nil when the
 	// snapshot+WAL could not cover the recovered chain (the caller replays
 	// transactions from genesis instead).
@@ -153,7 +156,6 @@ func OpenEngine(dir string, opts Options) (*Engine, error) {
 		dir:           dir,
 		snapshotEvery: opts.SnapshotEvery,
 		heights:       make(map[chash.Hash]uint64),
-		certs:         make(map[chash.Hash]*core.Certificate),
 		mirror:        make(map[string][]byte),
 	}
 
@@ -179,23 +181,22 @@ func OpenEngine(dir string, opts Options) (*Engine, error) {
 
 // chainRecord is one scanned chain-log record with its physical position.
 // A block record keeps its header only: recovery decodes every block frame,
-// but no body outlives the scan.
+// but no body outlives the scan. A certificate record keeps the height of
+// its block.
 type chainRecord struct {
-	tag     byte
-	height  uint64 // block records
-	header  *chain.Header
-	hash    chash.Hash // the block's hash (cert records: the certified block's)
-	cert    *core.Certificate
-	pos     framePos
-	keep    bool
-	decoded bool
+	tag    byte
+	height uint64
+	header *chain.Header // block records
+	hash   chash.Hash    // block records
+	pos    framePos
+	keep   bool
 }
 
 // recover reconstructs the certified prefix from the chain log and the state
 // image from snapshot+WAL. It physically truncates both logs to exactly what
 // it keeps.
 func (e *Engine) recover() error {
-	rec := &Recovery{Certs: e.certs}
+	rec := &Recovery{}
 	chainRec := e.chainLog.Recovery()
 	walRec := e.stateWAL.Recovery()
 	rec.Torn = chainRec.Torn || walRec.Torn
@@ -205,10 +206,13 @@ func (e *Engine) recover() error {
 	// Pass 1: structurally decode the chain log in append order, stopping at
 	// the first anomaly (CRC-valid frames with garbage inside, out-of-order
 	// heights, certs for unknown blocks). Everything from the anomaly on is
-	// treated like a torn tail.
+	// treated like a torn tail. The recursive certificate at height h
+	// attests the entire chain below it, so the recovered tip is the highest
+	// block that has a certificate on disk.
 	var records []*chainRecord
 	byHash := make(map[chash.Hash]uint64) // block hash → height
 	nextHeight := uint64(0)
+	certifiedTip := uint64(0)
 	anomaly := false
 	err := e.chainLog.scanPos(func(tag byte, payload []byte, pos framePos) error {
 		if anomaly {
@@ -223,7 +227,7 @@ func (e *Engine) recover() error {
 				return nil
 			}
 			hdr := blk.Header
-			r.header, r.hash, r.height, r.decoded = &hdr, blk.Hash(), hdr.Height, true
+			r.header, r.hash, r.height = &hdr, blk.Hash(), hdr.Height
 			byHash[r.hash] = blk.Header.Height
 			nextHeight++
 		case tagCert:
@@ -237,7 +241,10 @@ func (e *Engine) recover() error {
 				anomaly = true
 				return nil
 			}
-			r.hash, r.cert, r.height, r.decoded = h, cert, height, true
+			r.height = height
+			if height > certifiedTip {
+				certifiedTip, rec.TipCert = height, cert
+			}
 		default:
 			anomaly = true
 			return nil
@@ -249,16 +256,8 @@ func (e *Engine) recover() error {
 		return err
 	}
 
-	// Pass 2: find the certified prefix. The recursive certificate at height
-	// h attests the entire chain below it, so the recovered tip is the
-	// highest block that has a certificate on disk; blocks above it are the
+	// Pass 2: keep the certified prefix. Blocks above it are the
 	// un-certified tail the crash made unprovable, and are dropped.
-	certifiedTip := uint64(0)
-	for _, r := range records {
-		if r.tag == tagCert && r.height > certifiedTip {
-			certifiedTip = r.height
-		}
-	}
 	lastKeep := -1
 	for i, r := range records {
 		if r.height <= certifiedTip {
@@ -305,17 +304,15 @@ func (e *Engine) recover() error {
 			rec.DroppedBlocks++
 			continue
 		}
-		switch r.tag {
-		case tagBlock:
+		if r.tag == tagBlock {
 			e.headers = append(e.headers, r.header)
 			e.frames = append(e.frames, r.pos)
 			e.heights[r.hash] = r.height
-		case tagCert:
-			e.certs[r.hash] = r.cert
 		}
 	}
 	rec.DroppedBlocks += len(records) - 1 - lastKeep
 	rec.Headers = e.headers
+	e.tipCert, e.certHeight = rec.TipCert, certifiedTip
 
 	// State: snapshot first, then WAL records on top, capped at the
 	// recovered tip. A snapshot ahead of the recovered chain (tail was
@@ -491,10 +488,10 @@ func (e *Engine) Bootstrap(genesis *chain.Block) error {
 	return nil
 }
 
-// ApplyBlock persists a newly certified block: the block frame, its
-// certificate frame (when present), and the state write set, in that order.
-// Heights at or below the persisted tip are ignored (idempotent under
-// multi-issuer fan-out); heights beyond tip+1 are an error.
+// ApplyBlock persists a block: the block frame, its certificate frame (when
+// present), and the state write set, in that order. The mining path journals
+// blocks uncertified; the certificate lands through ApplyCert. Heights at or
+// below the persisted tip are ignored; heights beyond tip+1 are an error.
 func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map[string][]byte) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -516,7 +513,7 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 		return err
 	}
 	if cert != nil {
-		if err := e.appendCertLocked(hash, cert); err != nil {
+		if err := e.chainLog.Append(tagCert, encodeCertPayload(hash, cert)); err != nil {
 			return err
 		}
 	}
@@ -530,8 +527,7 @@ func (e *Engine) ApplyBlock(blk *chain.Block, cert *core.Certificate, writes map
 	e.mBlocks.Inc()
 
 	if cert != nil {
-		e.certs[hash] = cert
-		return e.snapshotIfDueLocked(h)
+		return e.certifiedLocked(h, cert)
 	}
 	return nil
 }
@@ -545,14 +541,16 @@ func (e *Engine) indexLocked(blk *chain.Block, hash chash.Hash, pos framePos) {
 	e.heights[hash] = hdr.Height
 }
 
-// snapshotIfDueLocked takes the periodic snapshot when the certificate that
-// has just been journaled is for a multiple-of-SnapshotEvery height. The
-// image is the mirror's, which stands above that height when blocks are
-// journaled ahead of their certificates; should a crash then lose the
-// uncertified blocks, recoverState finds the image above the recovered tip,
-// discards it, and the caller replays.
-func (e *Engine) snapshotIfDueLocked(certified uint64) error {
-	if certified%e.snapshotEvery != 0 {
+// certifiedLocked makes a just journaled certificate the tip's, and takes
+// the periodic snapshot when the certified tip crosses a multiple of
+// SnapshotEvery (a K-block segment may skip the multiple itself). The image
+// is the mirror's, which may stand above the certified tip; should a crash
+// lose those uncertified blocks, recoverState discards it and the caller
+// replays.
+func (e *Engine) certifiedLocked(height uint64, cert *core.Certificate) error {
+	crossed := height/e.snapshotEvery > e.certHeight/e.snapshotEvery
+	e.tipCert, e.certHeight = cert, height
+	if !crossed {
 		return nil
 	}
 	return e.snapshotLocked()
@@ -560,26 +558,22 @@ func (e *Engine) snapshotIfDueLocked(certified uint64) error {
 
 // ApplyCert persists a certificate for an already-persisted block: the
 // mining routine journals a block first and its certificate when it lands,
-// and issuer catch-up re-certifies blocks long journaled.
+// and issuer catch-up re-certifies blocks long journaled. A certificate at
+// or below the certified tip appends nothing: the tip's attests its block.
 func (e *Engine) ApplyCert(blockHash chash.Hash, cert *core.Certificate) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.certs[blockHash]; ok {
-		return nil
-	}
 	height, ok := e.heights[blockHash]
 	if !ok {
 		return fmt.Errorf("storage: certificate for unknown block %x", blockHash[:8])
 	}
-	if err := e.appendCertLocked(blockHash, cert); err != nil {
+	if height <= e.certHeight {
+		return nil
+	}
+	if err := e.chainLog.Append(tagCert, encodeCertPayload(blockHash, cert)); err != nil {
 		return err
 	}
-	e.certs[blockHash] = cert
-	return e.snapshotIfDueLocked(height)
-}
-
-func (e *Engine) appendCertLocked(blockHash chash.Hash, cert *core.Certificate) error {
-	return e.chainLog.Append(tagCert, encodeCertPayload(blockHash, cert))
+	return e.certifiedLocked(height, cert)
 }
 
 // RestoreState advances the engine's state mirror during a transaction
@@ -711,12 +705,12 @@ func (e *Engine) BlockByHash(h chash.Hash) (*chain.Block, error) {
 	return e.BlockAt(height)
 }
 
-// CertFor returns the persisted certificate for a block hash.
-func (e *Engine) CertFor(blockHash chash.Hash) (*core.Certificate, bool) {
+// CertifiedTip returns the newest journaled certificate and the height of
+// the block it is journaled against (nil and 0 before the first).
+func (e *Engine) CertifiedTip() (*core.Certificate, uint64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	c, ok := e.certs[blockHash]
-	return c, ok
+	return e.tipCert, e.certHeight
 }
 
 // Sync forces both logs to stable storage (a durability barrier).

@@ -147,7 +147,7 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 	if rec.Torn || rec.DroppedBlocks != 0 {
 		t.Fatalf("clean shutdown recovered dirty: %+v", rec)
 	}
-	if _, ok := rec.Certs[rec.Headers[10].Hash()]; !ok {
+	if rec.TipCert == nil || rec.TipHeight() != 10 {
 		t.Fatal("recovered tip has no certificate")
 	}
 	// Clean shutdown snapshots at the tip: the fast path needs no replay.
@@ -172,8 +172,8 @@ func TestEngineColdStartRoundTrip(t *testing.T) {
 		t.Fatal("resumed state root differs")
 	}
 	// The recovered tip certificate still verifies.
-	cert, ok := eng2.CertFor(n.Tip().Hash())
-	if !ok {
+	cert, h := eng2.CertifiedTip()
+	if cert == nil || h != n.Tip().Header.Height {
 		t.Fatal("tip cert missing after recovery")
 	}
 	if err := cert.Verify(env.authority.PublicKey(), env.issuer.Measurement(), core.BlockDigest(&n.Tip().Header)); err != nil {
@@ -218,7 +218,7 @@ func TestEnginePowerCutRecoversCertifiedPrefix(t *testing.T) {
 			t.Fatalf("recovered block %d diverges from mined chain", i+1)
 		}
 	}
-	if _, ok := rec.Certs[rec.Headers[tip].Hash()]; !ok {
+	if rec.TipCert == nil {
 		t.Fatalf("recovered tip %d has no certificate", tip)
 	}
 	if err := eng2.Bootstrap(genesis); err != nil {
@@ -333,6 +333,140 @@ func TestEngineLateCertExtendsCertifiedPrefix(t *testing.T) {
 	}
 	if eng2.Recovery().DroppedBlocks != 0 {
 		t.Fatalf("dropped %d blocks, want 0", eng2.Recovery().DroppedBlocks)
+	}
+}
+
+// TestEngineJournalsOneCertificatePerSegment reads the chain log back record
+// by record. A K=1 stream journals each block and then its certificate,
+// against that block, in the certificate record codec. A K-block segment's
+// certificate is one record, against its last block; landing it again, or
+// against any block it covers, appends nothing, and the engine keeps that
+// one certificate.
+func TestEngineJournalsOneCertificatePerSegment(t *testing.T) {
+	const single, k = 2, 4
+	env := newEngineEnv(t)
+	eng, err := OpenEngine(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	defer eng.Close()
+	genesis := env.miner.Store().Best()
+	if err := eng.Bootstrap(genesis); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	for i := 0; i < single; i++ {
+		env.mine(t, eng, true)
+	}
+	for i := 0; i < k; i++ {
+		env.mine(t, eng, false)
+	}
+	covered := env.blocks[single:]
+	seg, _, err := env.issuer.ProcessSegment(covered)
+	if err != nil {
+		t.Fatalf("ProcessSegment: %v", err)
+	}
+	if err := eng.ApplyCert(seg.Tip().Hash(), seg.Cert); err != nil {
+		t.Fatalf("ApplyCert: %v", err)
+	}
+	for _, blk := range covered {
+		if err := eng.ApplyCert(blk.Hash(), seg.Cert); err != nil {
+			t.Fatalf("ApplyCert(%d) under the certified tip: %v", blk.Header.Height, err)
+		}
+	}
+
+	type record struct {
+		tag     byte
+		payload []byte
+	}
+	want := []record{{tagBlock, genesis.Marshal()}}
+	for i, blk := range env.blocks[:single] {
+		want = append(want, record{tagBlock, blk.Marshal()}, record{tagCert, encodeCertPayload(blk.Hash(), env.certs[i])})
+	}
+	for _, blk := range covered {
+		want = append(want, record{tagBlock, blk.Marshal()})
+	}
+	want = append(want, record{tagCert, encodeCertPayload(seg.Tip().Hash(), seg.Cert)})
+	var got []record
+	if err := eng.chainLog.Scan(func(tag byte, payload []byte) error {
+		got = append(got, record{tag, append([]byte(nil), payload...)})
+		return nil
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("chain log holds %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].tag != want[i].tag || !bytes.Equal(got[i].payload, want[i].payload) {
+			t.Fatalf("record %d: tag %d (%d bytes), want tag %d (%d bytes)", i, got[i].tag, len(got[i].payload), want[i].tag, len(want[i].payload))
+		}
+	}
+	if cert, h := eng.CertifiedTip(); cert != seg.Cert || h != seg.End() {
+		t.Fatalf("engine keeps the certificate at height %d, want the segment's at %d", h, seg.End())
+	}
+}
+
+// TestEngineReopensPerBlockCertificates: an older journal wrote a segment's
+// certificate once per covered block. Such a directory reopens at the
+// segment's end with the segment's certificate, and an issuer resumes from
+// it.
+func TestEngineReopensPerBlockCertificates(t *testing.T) {
+	const k = 4
+	env := newEngineEnv(t)
+	dir := t.TempDir()
+	eng, err := OpenEngine(dir, Options{})
+	if err != nil {
+		t.Fatalf("OpenEngine: %v", err)
+	}
+	genesis := env.miner.Store().Best()
+	if err := eng.Bootstrap(genesis); err != nil {
+		t.Fatalf("Bootstrap: %v", err)
+	}
+	for i := 0; i < k; i++ {
+		env.mine(t, eng, false)
+	}
+	seg, _, err := env.issuer.ProcessSegment(env.blocks)
+	if err != nil {
+		t.Fatalf("ProcessSegment: %v", err)
+	}
+	for _, blk := range env.blocks {
+		if err := eng.chainLog.Append(tagCert, encodeCertPayload(blk.Hash(), seg.Cert)); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+
+	eng2, err := OpenEngine(dir, Options{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer eng2.Close()
+	rec := eng2.Recovery()
+	if rec.TipHeight() != k || rec.Torn || rec.DroppedBlocks != 0 {
+		t.Fatalf("recovered tip %d (torn %v, dropped %d), want %d clean", rec.TipHeight(), rec.Torn, rec.DroppedBlocks, k)
+	}
+	if rec.TipCert == nil || !bytes.Equal(rec.TipCert.Marshal(), seg.Cert.Marshal()) {
+		t.Fatal("recovered tip certificate is not the segment's")
+	}
+	if err := eng2.Bootstrap(genesis); err != nil {
+		t.Fatalf("re-Bootstrap: %v", err)
+	}
+	n, err := eng2.ResumeNode(env.resumeCfg())
+	if err != nil {
+		t.Fatalf("ResumeNode: %v", err)
+	}
+	platform, err := env.authority.NewPlatform()
+	if err != nil {
+		t.Fatalf("NewPlatform: %v", err)
+	}
+	ci, err := core.ResumeIssuer(n, env.authority, platform, enclave.CostModel{}, rec.TipCert)
+	if err != nil {
+		t.Fatalf("ResumeIssuer: %v", err)
+	}
+	if got := ci.LatestSegment(); got == nil || got.Start() != 1 || got.End() != k {
+		t.Fatalf("resumed issuer's segment %+v, want cover [1,%d]", got, k)
 	}
 }
 
@@ -458,7 +592,7 @@ func TestEngineApplyCertLooksUpByHash(t *testing.T) {
 	if allocs > blocks/10 {
 		t.Fatalf("ApplyCert allocates %.0f times on a %d-block chain: it walks the chain", allocs, blocks)
 	}
-	if _, ok := eng.CertFor(hashes[blocks-1]); !ok {
+	if _, h := eng.CertifiedTip(); h != blocks {
 		t.Fatalf("no certificate for the tip %d", blocks)
 	}
 

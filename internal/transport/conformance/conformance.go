@@ -296,6 +296,16 @@ func testFaultDrop(t *testing.T, f Fabric) {
 	if got := len(sub.C); got != 0 {
 		t.Fatalf("%d messages delivered through a total-drop rule", got)
 	}
+	// A remote subscriber may still have a wrongly forwarded message on the
+	// wire. Lift the rule and publish a sentinel: delivery is ordered, so the
+	// sentinel must be the first message to arrive.
+	f.Hub.SetFaults(nil)
+	if err := f.Hub.Publish(topic, "pub", seq(n)); err != nil {
+		t.Fatalf("publish sentinel: %v", err)
+	}
+	if s := seqOf(t, collect(t, sub, 1)[0]); s != n {
+		t.Fatalf("seq %d delivered through a total-drop rule, ahead of the sentinel", s)
+	}
 }
 
 // testFaultDuplicate installs a total-duplication rule: every publish must
@@ -349,6 +359,9 @@ func testPartitionHeal(t *testing.T, f Fabric) {
 	if got := len(sub.C); got != 0 {
 		t.Fatalf("%d messages crossed an active partition", got)
 	}
+	// Over a socket a wrongly forwarded message may still be in flight here;
+	// the ordered collect after the heal is the barrier that catches it, as
+	// it would arrive ahead of seq n.
 
 	f.Hub.Heal(topic)
 	for i := n; i < 2*n; i++ {
