@@ -134,11 +134,11 @@ func (p *CertPlane) Issuer(name string) (*Issuer, error) {
 }
 
 // MineAndBroadcast mines a block of n transactions, has every live issuer
-// certify it, feeds the SP, and publishes one CertBundle per live issuer on
-// the fabric. With zero live issuers the block is still mined — clients
-// simply see no certificate until an issuer returns — and it persists
-// uncertified: recovery drops it unless a certificate lands before the
-// crash.
+// certify it, and publishes one CertBundle per live issuer on the fabric;
+// the SP adopts the block under the first. With zero live issuers the block
+// is still mined — clients and the SP simply see no certificate until an
+// issuer returns — and it persists uncertified: recovery drops it unless a
+// certificate lands before the crash.
 func (p *CertPlane) MineAndBroadcast(n int) (*Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -234,8 +234,9 @@ func (p *CertPlane) startSlotPipeline(s *ciSlot) error {
 // MineAndBroadcastPipelined mines a block and submits it to every live
 // issuer's pipeline instead of certifying inline: block i+1 is proposed,
 // verified, and speculatively executed while block i is still inside the
-// enclaves. The SP is fed immediately; bundles follow as the pipelines
-// certify.
+// enclaves. Bundles follow as the pipelines certify, and the SP adopts each
+// block when the first certificate covering it lands, in that pipeline's
+// result consumer: until then it serves the certified tip below.
 func (p *CertPlane) MineAndBroadcastPipelined(n int) (*Block, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -2,6 +2,7 @@ package dcert
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"dcert/internal/attest"
@@ -85,6 +86,17 @@ type Deployment struct {
 	// wire transport's RPC goroutines consult it per request.
 	fleet          atomic.Pointer[fleet.Fleet]
 	indexFactories []func() (*AuthIndex, error)
+
+	// serveMu serializes every advance of the serving plane (serveCertified,
+	// StartFleet's catch-up); readers of the SP outside it — the no-fleet
+	// query route, index jobs — hold it shared. The fields below it are
+	// guarded by it.
+	serveMu sync.RWMutex
+	// serveClient checks the certificates the serving plane adopts blocks
+	// under (nil until the first); it caches each enclave's attestation.
+	serveClient *core.SuperlightClient
+	serveStep   *obs.Histogram // dcert_mine_step_seconds{step="serve"}
+	servingLag  *obs.Gauge     // dcert_serving_lag_blocks
 
 	// tipSeg is the newest certificate (by End) any issuer has landed, with
 	// that issuer; see tipSegment.
@@ -306,16 +318,19 @@ func (d *Deployment) primary() []certTarget {
 //	submit                        certify inline on every target (one segment
 //	                              Ecall for the run; Alg. 5 over one block
 //	                              with indexNames), or Submit to its pipeline
-//	serve                         per block: SP + fleet feed
-//	certificate lands             per inline target: TopicCerts + journal
+//	certificate lands             per inline target (certLanded): TopicCerts,
+//	                              journal, then serve — the SP and the fleet
+//	                              adopt the certified blocks
 //
 // Journal comes before submit because the engine refuses a certificate for a
 // block it has never seen, and a pipeline may land one at any time after
-// Submit. Submit comes before serve so that pipeline verification overlaps the
-// SP feed. It returns the blocks and, from the first inline target, the
-// covering segment certificate and the index certificates (nil under
-// pipelines and with no target at all: the blocks are still mined, journaled
-// uncertified and served).
+// Submit. A pipelined block is served when its certificate lands, in the
+// pipeline's result consumer, so serving is never on this routine's path and
+// the SP's tip never passes the certified tip. It returns the blocks and,
+// from the first inline target, the covering segment certificate and the
+// index certificates (nil under pipelines and with no target at all: the
+// blocks are still mined and journaled uncertified, and served once a
+// certificate covering them lands).
 func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarget) ([]*Block, *SegmentCert, []*Certificate, error) {
 	clk := d.newMineClock()
 	// Uncertified: the certificate follows through persistCert.
@@ -374,13 +389,6 @@ func (d *Deployment) mine(blocks, n int, indexNames []string, targets []certTarg
 			return nil, nil, nil, fmt.Errorf("dcert: %s certify: %w", t.name, err)
 		}
 	}
-
-	clk.step("serve")
-	for _, blk := range blks {
-		if err := d.feedServing(blk); err != nil {
-			return nil, nil, nil, fmt.Errorf("dcert: SP: %w", err)
-		}
-	}
 	clk.stop()
 
 	var first *SegmentCert
@@ -425,11 +433,13 @@ func (d *Deployment) tipSegment() landedSeg {
 }
 
 // certLanded is the mining routine's last step, run wherever a certificate
-// becomes available — inline after the blocks are served, or in a
-// pipeline's result consumer: record it, with the issuer that certified it,
-// as the tip certificate if it is the newest yet, publish it on TopicCerts
-// (a CertBundle for one block, the SegmentCert for more) under the issuer's
-// name and journal it once.
+// becomes available — inline after the blocks are certified, in a
+// pipeline's result consumer, or at the end of an issuer's restart: record
+// it, with the issuer that certified it, as the tip certificate if it is the
+// newest yet, publish it on TopicCerts (a CertBundle for one block, the
+// SegmentCert for more) under the issuer's name, journal it once, and then
+// serve the blocks it certifies (serveCertified), so that its publication
+// never waits for serving.
 func (d *Deployment) certLanded(name string, issuer *core.Issuer, seg *SegmentCert) error {
 	landed := &landedSeg{seg: seg, issuer: issuer}
 	for cur := d.tipSeg.Load(); cur == nil || cur.seg.End() < seg.End(); cur = d.tipSeg.Load() {
@@ -445,12 +455,16 @@ func (d *Deployment) certLanded(name string, issuer *core.Issuer, seg *SegmentCe
 	if perr := d.persistCert(seg); perr != nil && err == nil {
 		err = perr
 	}
+	if serr := d.serveCertified(seg, d.miner.Store().AtHeight); serr != nil && err == nil {
+		err = serr
+	}
 	return err
 }
 
 // MineAndCertify generates a block of n transactions, mines it, runs the CI
-// certification (Alg. 1), feeds the SP, and publishes its CertBundle on the
-// network. It returns the block and its certificate.
+// certification (Alg. 1), publishes its CertBundle on the network, and has
+// the SP adopt the certified block. It returns the block and its
+// certificate.
 func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 	blks, seg, _, err := d.mine(1, n, nil, d.primary())
 	if err != nil {
@@ -461,9 +475,9 @@ func (d *Deployment) MineAndCertify(n int) (*Block, *Certificate, error) {
 
 // MineAndCertifySegment mines `blocks` consecutive blocks of n transactions
 // each and certifies them with ONE segment Ecall (core.Issuer.ProcessSegment)
-// — the amortized counterpart of calling MineAndCertify in a loop. Every
-// block feeds the SP; the segment certificate publishes once on TopicCerts
-// and journals once, against the last block.
+// — the amortized counterpart of calling MineAndCertify in a loop. The
+// segment certificate publishes once on TopicCerts and journals once,
+// against the last block; the SP then adopts every block it covers.
 func (d *Deployment) MineAndCertifySegment(blocks, n int) ([]*Block, *SegmentCert, error) {
 	if blocks < 1 {
 		return nil, nil, fmt.Errorf("dcert: segment needs at least 1 block, got %d", blocks)
@@ -520,6 +534,8 @@ func (d *Deployment) PrepareIndexJobs(blk *Block, indexNames []string) ([]*Index
 
 // indexJobs is PrepareIndexJobs for a block whose write set is known.
 func (d *Deployment) indexJobs(blk *Block, writes map[string][]byte, indexNames []string) ([]*IndexJob, error) {
+	d.serveMu.RLock()
+	defer d.serveMu.RUnlock()
 	jobs := make([]*IndexJob, 0, len(indexNames))
 	for _, name := range indexNames {
 		ix, err := d.sp.Index(name)

@@ -128,13 +128,13 @@ func TestResumedFollowerReachesRecoveredTip(t *testing.T) {
 // on the sequential, the pipelined and the hierarchical path.
 func TestMiningPathSignaturePasses(t *testing.T) {
 	const n = 10
-	// Per transaction: the miner's proposal 1, the CI's untrusted host 1, the
-	// enclave 1, and the SP 1 — it executes the block once and adopts it,
-	// and the adoption's post-commit root check needs no replay. The miner
-	// journals its own proposal and the fleet adopts the SP's write set: 0
-	// each. The hierarchical path's index jobs take the miner's write set
-	// too: 0.
-	const passes = 4
+	// Per transaction: the miner's proposal 1, the CI's untrusted host 1 and
+	// the enclave 1. The SP 0 — it adopts the block under the certificate,
+	// which it checks once, and executes it without a signature pass. The
+	// miner journals its own proposal and the fleet adopts the SP's write
+	// set: 0 each. The hierarchical path's index jobs take the miner's write
+	// set too: 0.
+	const passes = 3
 
 	t.Run("sequential", func(t *testing.T) {
 		dep := newDurableTestDeployment(t, nil)

@@ -198,3 +198,141 @@ func TestStartFleetReplaysChainOnce(t *testing.T) {
 		}
 	}
 }
+
+// assertFleetAtSP checks that the SP's state commits to its tip's state root
+// and that every fleet shard stands on that tip, and returns it.
+func assertFleetAtSP(t *testing.T, dep *dcert.Deployment, f *dcert.QueryFleet) *dcert.Header {
+	t.Helper()
+	tip := dep.SP().Node().Tip().Header
+	root, err := dep.SP().Node().State().Root()
+	if err != nil {
+		t.Fatalf("SP state root: %v", err)
+	}
+	if root != tip.StateRoot {
+		t.Fatalf("SP state root %s, its tip's %s", root, tip.StateRoot)
+	}
+	for _, name := range f.Router().Members() {
+		rep, err := f.Replica(name)
+		if err != nil {
+			t.Fatalf("Replica: %v", err)
+		}
+		if got := rep.Tip(); got.Hash() != tip.Hash() {
+			t.Fatalf("shard %s at height %d (state root %s), SP at %d (%s)", name, got.Height, got.StateRoot, tip.Height, tip.StateRoot)
+		}
+	}
+	return &tip
+}
+
+// TestStartFleetWhilePipelined: a fleet started while pipelined blocks are
+// still uncertified catches up to the SP's tip, not the miner's, and then
+// follows the SP block by block as the certificates land.
+func TestStartFleetWhilePipelined(t *testing.T) {
+	dep, err := dcert.NewDeployment(dcert.Config{Difficulty: 2, Seed: 43, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	plane, err := dep.StartCertPlane(1)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	if err := plane.StartPipelines(dcert.PipelineConfig{Workers: 2}); err != nil {
+		t.Fatalf("StartPipelines: %v", err)
+	}
+	var last *dcert.Block
+	for i := 0; i < 3; i++ {
+		if last, err = plane.MineAndBroadcastPipelined(8); err != nil {
+			t.Fatalf("MineAndBroadcastPipelined: %v", err)
+		}
+	}
+	f, err := dep.StartFleet(2)
+	if err != nil {
+		t.Fatalf("StartFleet: %v", err)
+	}
+	if err := plane.DrainPipelines(); err != nil {
+		t.Fatalf("DrainPipelines: %v", err)
+	}
+	if tip := assertFleetAtSP(t, dep, f); tip.Hash() != last.Hash() {
+		t.Fatalf("SP at height %d after the drain, want the miner's %d", tip.Height, last.Header.Height)
+	}
+}
+
+// TestSPNeverPassesCertifiedTip: under pipelined mining the SP adopts a
+// block only once a certificate covering it has landed. A sampler reads the
+// SP's tip, then the issuer's certified tip, throughout a pipelined run:
+// the first never exceeds the second, and after DrainPipelines the SP, the
+// fleet and the certified tip all stand on the miner's tip, with every block
+// timed once as served and no serving lag left.
+func TestSPNeverPassesCertifiedTip(t *testing.T) {
+	const blocks = 12
+	dep, err := dcert.NewDeployment(dcert.Config{Difficulty: 2, Seed: 44, KeySpace: 30, Contracts: 4, Accounts: 8})
+	if err != nil {
+		t.Fatalf("NewDeployment: %v", err)
+	}
+	reg, _ := dep.EnableObservability(nil)
+	plane, err := dep.StartCertPlane(1)
+	if err != nil {
+		t.Fatalf("StartCertPlane: %v", err)
+	}
+	defer plane.Stop()
+	f, err := dep.StartFleet(2)
+	if err != nil {
+		t.Fatalf("StartFleet: %v", err)
+	}
+	if err := plane.StartPipelines(dcert.PipelineConfig{Workers: 2}); err != nil {
+		t.Fatalf("StartPipelines: %v", err)
+	}
+	certified := func() uint64 {
+		if seg := dep.Issuer().LatestSegment(); seg != nil {
+			return seg.End()
+		}
+		return 0
+	}
+	stop, violation := make(chan struct{}), make(chan string, 1)
+	var samples int
+	sampled := make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sp := dep.SP().Node().Tip().Header.Height
+			if c := certified(); sp > c {
+				violation <- fmt.Sprintf("SP at height %d, certified tip %d", sp, c)
+				return
+			}
+			samples++
+		}
+	}()
+	for i := 0; i < blocks; i++ {
+		if _, err := plane.MineAndBroadcastPipelined(8); err != nil {
+			t.Fatalf("MineAndBroadcastPipelined: %v", err)
+		}
+	}
+	if err := plane.DrainPipelines(); err != nil {
+		t.Fatalf("DrainPipelines: %v", err)
+	}
+	close(stop)
+	<-sampled
+	select {
+	case v := <-violation:
+		t.Fatal(v)
+	default:
+	}
+	if samples == 0 {
+		t.Fatal("the sampler never read the tips")
+	}
+	tip := assertFleetAtSP(t, dep, f)
+	if tip.Height != blocks || certified() != blocks {
+		t.Fatalf("after the drain: SP at %d, certified tip %d, want both at %d", tip.Height, certified(), blocks)
+	}
+	if got := reg.Histogram("dcert_mine_step_seconds", "", nil, dcert.MetricLabel("step", "serve")).Count(); got != blocks {
+		t.Fatalf("serve step timed %d times, want once per block (%d)", got, blocks)
+	}
+	if lag := reg.Gauge("dcert_serving_lag_blocks", "").Value(); lag != 0 {
+		t.Fatalf("serving lag %d blocks after the drain, want 0", lag)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"dcert/internal/chain"
 	"dcert/internal/chash"
@@ -56,9 +57,21 @@ func NewSuperlightClient(authorityPK *chash.PublicKey, measurement chash.Hash, p
 	}
 }
 
+// certChecks counts superlight-client certificate checks process-wide.
+var certChecks atomic.Uint64
+
+// CertChecks reports how many certificates superlight clients have checked
+// in this process (each check is one enclave signature verification, plus
+// the attestation report the first time an enclave key is seen). Tests read
+// it before and after a step, as chain.SigVerifications.
+func CertChecks() uint64 {
+	return certChecks.Load()
+}
+
 // verifyCert runs Alg. 3 lines 2-7 with the once-per-enclave attestation
 // cache.
 func (c *SuperlightClient) verifyCert(cert *Certificate, digest chash.Hash) error {
+	certChecks.Add(1)
 	if cert == nil {
 		return fmt.Errorf("%w: nil certificate", ErrBadCertificate)
 	}

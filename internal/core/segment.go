@@ -506,10 +506,12 @@ func interlinkHop(start, anchor uint64, levels int) int {
 // remotely; BootstrapFromPath answers it from a path the node walked).
 type SegmentFetcher func(height uint64) (*SegmentCert, error)
 
-// verifySegment validates a segment certificate without adopting it: the
+// VerifySegment validates a segment certificate without adopting it: the
 // enclave certificate over the segment digest, per-header consensus checks,
 // internal hash/height linkage, and the level-0 interlink consistency rule.
-func (c *SuperlightClient) verifySegment(seg *SegmentCert) error {
+// The client's tip does not move, so a verifier that gates on certificates
+// but follows no chain rule of its own (the SP's certified feed) uses it.
+func (c *SuperlightClient) VerifySegment(seg *SegmentCert) error {
 	if seg == nil || len(seg.Headers) == 0 {
 		return fmt.Errorf("%w: empty segment", ErrBadSegment)
 	}
@@ -545,7 +547,7 @@ func (c *SuperlightClient) verifySegment(seg *SegmentCert) error {
 // covered header, apply the longest-chain rule on the segment's tip, and
 // adopt it.
 func (c *SuperlightClient) ValidateSegment(seg *SegmentCert) error {
-	if err := c.verifySegment(seg); err != nil {
+	if err := c.VerifySegment(seg); err != nil {
 		return err
 	}
 	return c.adoptSegment(seg)
@@ -626,7 +628,7 @@ func (c *SuperlightClient) BootstrapFromPath(path []*SegmentCert, anchorHeight u
 // walkInterlink is BootstrapSublinear without the adoption: it verifies the
 // tip and every hop down to the anchor and returns the fetch count.
 func (c *SuperlightClient) walkInterlink(fetch SegmentFetcher, tip *SegmentCert, anchorHeight uint64, anchorHash chash.Hash) (int, error) {
-	if err := c.verifySegment(tip); err != nil {
+	if err := c.VerifySegment(tip); err != nil {
 		return 0, err
 	}
 	if tip.End() < anchorHeight {
@@ -679,7 +681,7 @@ func (c *SuperlightClient) walkInterlink(fetch SegmentFetcher, tip *SegmentCert,
 		if err != nil {
 			return fetches, err
 		}
-		if err := c.verifySegment(seg); err != nil {
+		if err := c.VerifySegment(seg); err != nil {
 			return fetches, err
 		}
 		hdr := seg.HeaderAt(target)

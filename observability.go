@@ -84,6 +84,11 @@ func (d *Deployment) EnableObservability(logger *Logger) (*MetricsRegistry, *Tra
 		d.mineSteps[step] = d.reg.Histogram("dcert_mine_step_seconds",
 			"Wall time per mined block of each serial step of the mining routine.", nil, obs.L("step", step))
 	}
+	d.serveMu.Lock()
+	d.serveStep = d.mineSteps["serve"]
+	d.servingLag = d.reg.Gauge("dcert_serving_lag_blocks",
+		"Blocks the miner's tip is ahead of the SP's, set as the SP adopts each certified block.")
+	d.serveMu.Unlock()
 	d.Issuer().Instrument(d.reg, d.tracer, logger, "ci0")
 	if d.engine != nil {
 		d.engine.Instrument(d.reg)
@@ -94,9 +99,11 @@ func (d *Deployment) EnableObservability(logger *Logger) (*MetricsRegistry, *Tra
 	return d.reg, d.tracer
 }
 
-// mineStepNames are the timed steps of Deployment.mine, in order. "submit" is
-// inline certification or the pipelines' Submit; "serve" is the SP and fleet
-// feed plus the block's publication.
+// mineStepNames are the timed steps of a block's way through the deployment,
+// in order. The first four are Deployment.mine's: "submit" is inline
+// certification or the pipelines' Submit. "serve" is the SP's and the
+// fleet's adoption of the block once its certificate lands
+// (serveCertified), off the mining routine's path.
 var mineStepNames = [...]string{"gen", "propose", "journal", "submit", "serve"}
 
 // mineClock times the steps of one run of the mining routine into

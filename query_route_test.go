@@ -334,3 +334,50 @@ func TestDeploymentCloseLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 }
+
+// TestNoFleetQueryRouteWhileMining: with no fleet started, the SP itself
+// answers wire queries on the transport's RPC goroutines while certified
+// blocks commit into its state and indexes. One goroutine mines 20 blocks
+// while 300 state, historical and keyword queries run on 6 connections;
+// every answer must arrive, and under -race no read may overlap a commit.
+func TestNoFleetQueryRouteWhileMining(t *testing.T) {
+	r := newRouteRig(t, 0)
+	names := []string{"hist", "kw"}
+	const conns, perConn = 6, 50
+	cases := r.cases()[:3]
+
+	var wg sync.WaitGroup
+	errs := make(chan error, conns+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if _, _, _, err := r.dep.MineAndCertifyHierarchical(10, names); err != nil {
+				errs <- fmt.Errorf("mine block %d: %w", i+1, err)
+				return
+			}
+		}
+	}()
+	for c := 0; c < conns; c++ {
+		wc := r.dial(t, fmt.Sprintf("reader-%d", c))
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < perConn; i++ {
+				kind := cases[(c+i)%len(cases)]
+				if _, err := dcert.RequestQuery(wc, kind.req()); err != nil {
+					errs <- fmt.Errorf("reader %d, %s query %d: %w", c, kind.name, i, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if sp, miner := r.dep.SP().Node().Tip().Hash(), r.dep.Miner().Store().Best().Hash(); sp != miner {
+		t.Fatal("the SP did not adopt every certified block")
+	}
+}

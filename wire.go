@@ -303,6 +303,8 @@ func (d *Deployment) ServeWire(cfg WireServerConfig) (*WireServer, error) {
 		if f := d.fleet.Load(); f != nil {
 			return f.HandleRaw(body), nil
 		}
+		d.serveMu.RLock()
+		defer d.serveMu.RUnlock()
 		return query.HandleRaw(d.sp, body), nil
 	})
 	return srv, nil
